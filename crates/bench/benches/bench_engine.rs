@@ -1,13 +1,13 @@
 //! Criterion benchmark: batch query throughput of the persistent
 //! [`QueryEngine`] pool against the legacy per-call path.
 //!
-//! The legacy `Bear::query_batch` spawns a fresh scoped-thread team and
-//! allocates every workspace and result vector per call; the engine keeps
-//! its workers and per-worker buffers alive across calls. On a hub-spoke
+//! The legacy path spawns a fresh scoped-thread team and allocates every
+//! workspace and result vector per call; the engine keeps its workers and
+//! per-worker buffers alive across calls. On a hub-spoke
 //! graph of ≥ 10k nodes the engine must be strictly faster — this bench
 //! is the acceptance check for that claim.
 
-use bear_core::{Bear, BearConfig, EngineConfig, QueryEngine};
+use bear_core::{Bear, BearConfig, EngineConfig, QueryEngine, QueryOptions};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// The pre-engine batch path, reproduced for comparison: a scoped thread
 /// team is spawned per call and every query goes through the allocating
 /// [`Bear::query`] (fresh workspace + temporaries each time), which is
-/// what `query_batch` compiled to before the persistent pool existed.
+/// what the batch path compiled to before the persistent pool existed.
 fn legacy_query_batch(bear: &Bear, seeds: &[usize], threads: usize) -> Vec<Vec<f64>> {
     let threads = threads.max(1);
     let chunk = seeds.len().div_ceil(threads);
@@ -72,26 +72,17 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| black_box(legacy_query_batch(&bear, &batch, t)))
     });
 
-    // Engine with the cache disabled: every iteration recomputes, so this
-    // isolates the pool + preallocated-workspace win.
+    // The engine: every iteration recomputes (full vectors are never
+    // cached), so this isolates the pool + preallocated-workspace +
+    // blocked-solve win.
     let engine = QueryEngine::new(
         Arc::clone(&bear),
         EngineConfig { threads, cache_capacity: 0, ..EngineConfig::default() },
     )
     .unwrap();
+    let opts = QueryOptions::default();
     group.bench_with_input(BenchmarkId::new("engine_uncached", threads), &threads, |b, _| {
-        b.iter(|| black_box(engine.query_batch(&batch).unwrap()))
-    });
-
-    // Engine with the cache on: steady-state serving, where repeats are
-    // answered from the LRU without touching the pool.
-    let cached = QueryEngine::new(
-        Arc::clone(&bear),
-        EngineConfig { threads, cache_capacity: 1024, ..EngineConfig::default() },
-    )
-    .unwrap();
-    group.bench_with_input(BenchmarkId::new("engine_cached", threads), &threads, |b, _| {
-        b.iter(|| black_box(cached.query_batch(&batch).unwrap()))
+        b.iter(|| black_box(engine.serve_batch(&batch, &opts).unwrap()))
     });
 
     group.finish();

@@ -142,9 +142,9 @@ pub struct ServeFlags {
     /// Per-query deadline budget in milliseconds (`--deadline-ms`; 0
     /// means no deadline).
     pub deadline_ms: u64,
-    /// How many queued queries a worker may coalesce into one blocked
-    /// multi-RHS solve (`--block-width`; 0 keeps the engine default,
-    /// 1 disables coalescing). Answers are bit-identical at any width.
+    /// Most distinct seeds of one request per blocked multi-RHS solve
+    /// (`--block-width`; 0 keeps the engine default, 1 answers seed by
+    /// seed). Answers are bit-identical at any width.
     pub block_width: usize,
     /// Edge-list path for the degraded fallback path
     /// (`--fallback-graph`). With it, deadline/overload/panic faults
@@ -378,9 +378,9 @@ PREPROCESS FLAGS:
 SERVING FLAGS (query/batch):
   --queue-cap N        admission-control bound on queued jobs (0 = default)
   --deadline-ms N      per-query deadline budget; 0 = none
-  --block-width N      coalesce up to N queued queries into one blocked
-                       multi-RHS solve; 1 disables coalescing, 0 keeps the
-                       engine default. Bit-identical at any width.
+  --block-width N      answer up to N distinct seeds of one request with one
+                       blocked multi-RHS solve; 1 answers seed by seed, 0
+                       keeps the engine default. Bit-identical at any width.
   --fallback-graph P   edge list enabling graceful degradation: faults are
                        answered by a bounded power method, and a failed
                        index load serves degraded-only instead of exiting

@@ -11,22 +11,22 @@
 //!   result vector handed to the caller, and a cache hit avoids even that
 //!   by sharing an `Arc`.
 //! * [`QueryEngine`] owns a persistent worker pool: threads are spawned
-//!   once at construction and fed seeds over a shared job queue,
-//!   replacing the scoped-thread fan-out that previously re-spawned
-//!   workers on every `query_batch` call. Each worker keeps its own
-//!   workspace for its whole lifetime. The submitting thread *assists*:
-//!   while waiting for replies it drains the same queue with the
-//!   engine's spare workspace, so a small pool (or a single-core host)
-//!   answers a batch inline instead of ping-ponging between threads.
-//! * An optional bounded LRU cache memoizes full score vectors and top-k
-//!   answers keyed by seed, motivated by the skew of real query traffic
-//!   (a few hub seeds dominate).
+//!   once at construction and fed jobs over a shared bounded queue, and
+//!   each keeps its own workspaces for its whole lifetime. Every call
+//!   runs one request path: the distinct seeds a request misses in the
+//!   cache form one job, answered in blocks of up to `block_width` seeds
+//!   by one thread — the submitting thread itself when the request has
+//!   no deadline and the engine's spare workspaces are free, a pool
+//!   worker otherwise.
+//! * An optional bounded LRU cache memoizes top-k answers keyed by seed,
+//!   motivated by the skew of real query traffic (a few hub seeds
+//!   dominate). Full score vectors are never cached.
 //! * [`Metrics`] tracks query count, cache hit rate, and latency
 //!   percentiles via a fixed-bucket log₂ histogram — no dependencies.
 //!
-//! Results are bit-identical to sequential [`Bear::query`]: workers run
-//! the exact same floating-point operations in the exact same order
-//! (`Bear::query_into` is the single implementation behind both paths).
+//! Results are bit-identical to sequential [`Bear::query`]: the blocked
+//! solve ([`Bear::query_block_into`]) replicates the per-seed
+//! floating-point operations column by column, in the same order.
 //!
 //! # Concurrency audit
 //!

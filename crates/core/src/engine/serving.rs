@@ -1,10 +1,27 @@
-//! The serving layer: persistent worker pool, result caches, admission
-//! control, deadlines, and the public [`QueryEngine`] API.
+//! The serving layer: persistent worker pool, top-k result cache,
+//! admission control, deadlines, and the public [`QueryEngine`] API.
 //!
 //! Everything here drives real OS threads and wall-clock timers, so the
 //! whole module is compiled out under `cfg(loom)`; the synchronization
 //! skeleton it is built on ([`JobQueue`], [`Metrics`]) lives in sibling
 //! modules and *is* model-checked.
+//!
+//! # One request path
+//!
+//! [`QueryEngine::serve`], [`QueryEngine::serve_batch`] and
+//! [`QueryEngine::query_top_k`] are thin wrappers over one pipeline:
+//! validate the seeds, probe the top-k cache, admit the distinct misses
+//! as one job, answer it in blocks of up to [`EngineConfig::block_width`]
+//! seeds, wait under the deadline, and degrade per seed. A repeated seed
+//! within a request is solved once and its repeats count as cache hits.
+//! One function answers a job, whether on a pool worker or inline on the
+//! submitting thread: a request without a deadline runs inline when the
+//! engine's spare buffers are free, so one request's blocks stay on one
+//! thread. Full-vector blocks share one multi-RHS solve
+//! ([`Bear::query_block_into`]), whose columns are bit-identical to
+//! per-seed answers, so the block width is purely a throughput/latency
+//! trade-off (see DESIGN.md §13); [`Metrics`] records the realized
+//! block-width histogram and per-query amortized latency.
 //!
 //! # Fault tolerance
 //!
@@ -15,34 +32,18 @@
 //!   ([`EngineConfig::queue_capacity`]); overload either sheds load with
 //!   [`Error::QueueFull`] ([`OverloadPolicy::Reject`]) or backpressures
 //!   the caller up to its deadline budget ([`OverloadPolicy::Block`]).
-//! * **Deadlines** — a per-query budget ([`QueryOptions::deadline`], or
-//!   the engine-wide [`EngineConfig::default_deadline`]) is enforced on
-//!   the caller's wait *and* at dequeue: a worker popping a job whose
-//!   deadline already passed shed it unanswered-by-computation, replying
-//!   [`Error::Timeout`] instead of wasting pool time.
-//! * **Cancellation** — every dispatched job carries a [`CancelToken`];
-//!   a caller that gives up (or times out) cancels it so abandoned work
-//!   stops consuming workers.
+//! * **Deadlines** — a per-request budget ([`QueryOptions::deadline`], or
+//!   the engine-wide [`EngineConfig::default_deadline`]) is enforced at
+//!   admission, on the caller's wait, *and* before every block: a job
+//!   whose deadline already passed is shed unanswered-by-computation,
+//!   replying [`Error::Timeout`] instead of wasting pool time.
+//! * **Cancellation** — every job carries a [`CancelToken`]; a caller
+//!   that gives up (or times out) cancels it so abandoned work stops
+//!   consuming workers.
 //! * **Degradation** — with a [`FallbackSolver`] attached
-//!   ([`QueryEngine::with_fallback`]), [`QueryEngine::serve`] turns
-//!   timeouts, overload rejections, and worker panics into a
-//!   bounded-iteration power-method answer tagged with a
-//!   [`DegradedReason`] and residual, instead of an error.
-//!
-//! # Blocked coalescing
-//!
-//! Under load, each worker coalesces up to [`EngineConfig::block_width`]
-//! queued jobs into one blocked multi-RHS solve
-//! ([`Bear::query_block_into`]): after a blocking pop it drains whatever
-//! else is already queued, without waiting, so a lone query never idles
-//! for company and a full queue is answered `block_width` seeds at a
-//! time. Blocked answers are bit-identical to per-seed answers — the
-//! block kernels replicate the scalar accumulation order column by
-//! column — so coalescing is purely a throughput/latency trade-off (see
-//! DESIGN.md §13). Dead jobs (expired deadline, cancelled caller) are
-//! still shed individually before the batch is formed, and a panic
-//! poisons only the batch that hit it. [`Metrics`] records the realized
-//! block-width histogram and per-query amortized latency.
+//!   ([`QueryEngine::with_fallback`]), timeouts, overload rejections, and
+//!   worker panics become a bounded-iteration power-method answer tagged
+//!   with a [`DegradedReason`] and residual, instead of an error.
 
 use super::metrics::Metrics;
 use super::queue::JobQueue;
@@ -52,7 +53,7 @@ use crate::precompute::Bear;
 use crate::topk::{top_k_excluding_seed, ScoredNode};
 use crate::topk_pruned::TopKPruneOptions;
 use bear_sparse::{DenseBlock, Error, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 // Locks go through the `crate::sync` shim (L4): under `cfg(not(loom))` —
 // the only configuration this module compiles in — it re-exports
@@ -61,7 +62,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 // rewrite.
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,6 +113,7 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.map.insert(key, (self.stamp, value));
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -156,8 +158,8 @@ pub struct EngineConfig {
     /// Worker threads in the persistent pool. Must be ≥ 1; rejected with
     /// [`Error::InvalidConfig`] otherwise (no silent clamping).
     pub threads: usize,
-    /// Capacity of each result cache (full-score and top-k); `0` disables
-    /// caching entirely.
+    /// How many seeds' top-k answers the cache holds; `0` disables it.
+    /// Full score vectors are never cached.
     pub cache_capacity: usize,
     /// Admission-control bound on queued jobs. Must be ≥ 1. Queue memory
     /// is proportional to this bound no matter how overloaded the engine
@@ -168,11 +170,10 @@ pub struct EngineConfig {
     /// Deadline budget applied to queries that do not carry their own
     /// ([`QueryOptions::deadline`]). `None` means no deadline.
     pub default_deadline: Option<Duration>,
-    /// Maximum queued jobs a worker coalesces into one blocked
-    /// multi-RHS solve ([`Bear::query_block_into`]). `1` disables
-    /// coalescing; must be ≥ 1 ([`Error::InvalidConfig`] otherwise) and
-    /// is capped at [`EngineConfig::queue_capacity`] — more jobs than the
-    /// queue can hold can never be waiting. Blocked answers are
+    /// Most seeds of one request answered by one blocked multi-RHS
+    /// solve ([`Bear::query_block_into`]). `1` answers seed by seed;
+    /// must be ≥ 1 ([`Error::InvalidConfig`] otherwise) and is capped at
+    /// [`EngineConfig::queue_capacity`]. Blocked answers are
     /// bit-identical to per-seed ones, so this is purely a
     /// throughput/latency trade-off.
     pub block_width: usize,
@@ -225,15 +226,14 @@ impl EngineConfig {
         if self.block_width == 0 {
             return Err(Error::InvalidConfig {
                 param: "block_width",
-                reason: "a zero-width block answers nothing; use 1 to disable coalescing".into(),
+                reason: "a zero-width block answers nothing; use 1 to answer seed by seed".into(),
             });
         }
         Ok(())
     }
 
-    /// The coalescing width the engine actually uses: `block_width`
-    /// clamped to `[1, queue_capacity]` (a worker can never drain more
-    /// jobs than the queue admits).
+    /// The block width the engine actually uses: `block_width` clamped
+    /// to `[1, queue_capacity]`.
     pub fn effective_block_width(&self) -> usize {
         self.block_width.clamp(1, self.queue_capacity.max(1))
     }
@@ -252,7 +252,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Result-cache capacity (`0` disables caching).
+    /// Top-k cache capacity in seeds (`0` disables caching).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
         self
@@ -276,8 +276,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Maximum jobs a worker coalesces into one blocked solve (must be
-    /// ≥ 1; `1` disables coalescing).
+    /// Most seeds of one request per blocked solve (must be ≥ 1; `1`
+    /// answers seed by seed).
     pub fn block_width(mut self, width: usize) -> Self {
         self.config.block_width = width;
         self
@@ -332,15 +332,16 @@ impl CancelToken {
     }
 }
 
-/// Per-call options for [`QueryEngine::serve`] / [`QueryEngine::serve_batch`].
+/// Per-request options for [`QueryEngine::serve`], [`QueryEngine::serve_batch`]
+/// and [`QueryEngine::query_top_k`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Deadline budget for this call; `None` falls back to
     /// [`EngineConfig::default_deadline`].
     pub deadline: Option<Duration>,
-    /// Cancellation token observed by the dispatched jobs. The engine
+    /// Cancellation token observed before every block. The engine
     /// creates an internal one when absent, so abandoning a timed-out
-    /// query always stops its queued work.
+    /// request always stops its queued work.
     pub cancel: Option<CancelToken>,
 }
 
@@ -396,96 +397,161 @@ impl TopKServed {
 // Engine
 // ---------------------------------------------------------------------------
 
-/// What a pool job computes.
+/// What a request asks for, per seed.
 #[derive(Debug, Clone, Copy)]
-enum JobKind {
+enum Kind {
     /// The full n-vector of RWR scores.
     Full,
     /// The top `k` non-seed nodes (exact; strategy chosen per engine).
-    TopK { k: usize },
+    TopK(usize),
 }
 
-/// What a pool job replies with; shape matches the [`JobKind`].
-enum Answer {
-    Full(Arc<Vec<f64>>),
-    TopK(Arc<Vec<ScoredNode>>),
+/// One seed's answer, shaped by the request's [`Kind`].
+#[derive(Clone)]
+enum Payload {
+    Scores(Arc<Vec<f64>>),
+    Ranked(Arc<Vec<ScoredNode>>),
 }
 
-impl Answer {
-    /// The full-vector payload; a shape mismatch is an internal bug
-    /// surfaced as a typed error, never a panic on the serving path.
-    fn into_full(self) -> Result<Arc<Vec<f64>>> {
+impl Kind {
+    /// Shapes `seed`'s full score vector into this kind's answer.
+    fn shape(self, seed: usize, scores: Vec<f64>) -> Payload {
         match self {
-            Answer::Full(scores) => Ok(scores),
-            Answer::TopK(_) => {
-                Err(Error::InvalidStructure("internal: top-k reply to a full query".into()))
-            }
-        }
-    }
-
-    /// The top-k payload; same typed-error contract as [`Answer::into_full`].
-    fn into_topk(self) -> Result<Arc<Vec<ScoredNode>>> {
-        match self {
-            Answer::TopK(nodes) => Ok(nodes),
-            Answer::Full(_) => {
-                Err(Error::InvalidStructure("internal: full reply to a top-k query".into()))
-            }
+            Kind::Full => Payload::Scores(Arc::new(scores)),
+            Kind::TopK(k) => Payload::Ranked(Arc::new(top_k_excluding_seed(&scores, seed, k))),
         }
     }
 }
 
-/// One unit of work for the pool: answer `seed`, reply with `tag` so the
-/// submitter can reassemble batch order.
-struct Job {
-    seed: usize,
-    tag: usize,
-    kind: JobKind,
-    reply: Sender<(usize, Result<Answer>)>,
-    /// Deadline after which the job is shed at dequeue.
+/// A request's deadline and cancellation, checked before every block.
+#[derive(Clone)]
+struct Limits {
     deadline: Option<Instant>,
     /// Original budget, for [`Error::Timeout`] reporting.
     budget: Option<Duration>,
-    /// Cooperative cancellation; checked at dequeue.
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
+}
+
+impl Limits {
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    fn timeout(&self) -> Error {
+        Error::Timeout { budget: self.budget.unwrap_or_default() }
+    }
+}
+
+/// One admitted request's cache misses: distinct seeds that one thread
+/// answers in blocks of up to `block_width`, replying once per block.
+struct Job {
+    seeds: Vec<usize>,
+    kind: Kind,
+    limits: Limits,
+    reply: Sender<Reply>,
+}
+
+/// A block's seeds with their answers in the same order, or the fault
+/// that stopped the block.
+type Reply = (Vec<usize>, Result<Vec<Payload>>);
+
+/// A request's solved seeds, each with the latency at which its answer
+/// reached the caller.
+type Solved = HashMap<usize, (Result<Payload>, Duration)>;
+
+/// The buffers one thread answers blocks with, reused across requests.
+/// Each workspace is allocated on first use, so a thread that only ever
+/// answers one kind of request holds only that kind's buffers.
+struct Scratch {
+    /// Pruned top-k runs seed by seed on the vector workspace.
+    ws: Option<QueryWorkspace>,
+    block: Option<BlockWorkspace>,
+    out: DenseBlock,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch { ws: None, block: None, out: DenseBlock::zeros(0, 0) }
+    }
+
+    /// Exact answers for `seeds`, in order: pruned top-k seed by seed, or
+    /// else one blocked multi-RHS solve ([`Bear::query_block_into`]),
+    /// whose columns are bit-identical to per-seed [`Bear::query`].
+    fn solve(
+        &mut self,
+        bear: &Bear,
+        seeds: &[usize],
+        kind: Kind,
+        topk_strategy: TopKStrategy,
+        metrics: &Metrics,
+    ) -> Result<Vec<Payload>> {
+        if let (Kind::TopK(k), TopKStrategy::Pruned) = (kind, topk_strategy) {
+            let ws = self.ws.get_or_insert_with(|| QueryWorkspace::for_bear(bear));
+            return seeds
+                .iter()
+                .map(|&seed| {
+                    let (nodes, stats) =
+                        bear.query_top_k_pruned_in(seed, k, &TopKPruneOptions::default(), ws)?;
+                    metrics.record_topk_pruned(
+                        stats.certified,
+                        stats.candidates as u64,
+                        stats.nodes_pruned as u64,
+                    );
+                    Ok(Payload::Ranked(Arc::new(nodes)))
+                })
+                .collect();
+        }
+        let block = self.block.get_or_insert_with(|| BlockWorkspace::for_bear(bear));
+        self.out.reset(bear.num_nodes(), seeds.len());
+        bear.query_block_into(seeds, block, &mut self.out)?;
+        Ok(self
+            .out
+            .columns()
+            .zip(seeds)
+            .map(|(col, &seed)| kind.shape(seed, col.to_vec()))
+            .collect())
+    }
 }
 
 /// Persistent concurrent query server over a preprocessed [`Bear`] index.
 ///
-/// Workers are spawned once at construction and fed over a bounded job
-/// queue; each owns a [`QueryWorkspace`], so steady-state queries
-/// allocate only their result vector. Dropping the engine shuts the pool
-/// down cleanly.
+/// Every call goes through one request path: validate the seeds, probe
+/// the top-k cache, admit the distinct misses as one job, answer it in
+/// blocks of up to [`EngineConfig::block_width`] seeds, wait under the
+/// deadline, and degrade per seed when a fallback is attached. Workers
+/// are spawned once at construction and keep their buffers for life; the
+/// submitting thread answers its own request inline when it has no
+/// deadline and the engine's spare buffers are free. Dropping the engine
+/// shuts the pool down cleanly.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use bear_core::{Bear, BearConfig};
-/// use bear_core::engine::{EngineConfig, QueryEngine};
+/// use bear_core::engine::{EngineConfig, QueryEngine, QueryOptions};
 /// use bear_graph::Graph;
 ///
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]).unwrap();
 /// let bear = Arc::new(Bear::new(&g, &BearConfig::default()).unwrap());
 /// let engine = QueryEngine::new(Arc::clone(&bear), EngineConfig::default()).unwrap();
-/// let scores = engine.query(0).unwrap();
-/// assert_eq!(*scores, bear.query(0).unwrap()); // bit-identical
+/// let served = engine.serve(0, &QueryOptions::default()).unwrap();
+/// assert_eq!(*served.scores, bear.query(0).unwrap()); // bit-identical
 /// ```
 pub struct QueryEngine {
     bear: Arc<Bear>,
     queue: Arc<JobQueue<Job>>,
     workers: Vec<JoinHandle<()>>,
-    /// Spare workspace for caller-assist: the thread submitting a batch
-    /// borrows this to drain the job queue itself while waiting.
-    caller_ws: Mutex<QueryWorkspace>,
-    full_cache: Option<Mutex<FullScoreCache>>,
+    /// Spare buffers with which a submitting thread answers its own
+    /// request inline.
+    caller: Mutex<Scratch>,
     topk_cache: Option<Mutex<TopKCache>>,
     metrics: Arc<Metrics>,
     fallback: Option<Arc<FallbackSolver>>,
     overload: OverloadPolicy,
     default_deadline: Option<Duration>,
+    block_width: usize,
     topk_strategy: TopKStrategy,
 }
 
-/// Full score vectors keyed by seed.
-type FullScoreCache = LruCache<usize, Arc<Vec<f64>>>;
 /// Top-k answers keyed by seed, holding the *largest-k* entry computed
 /// so far: any request for `k' ≤ len` is served by prefix truncation
 /// (the selection order is a strict total order, so the k'-prefix of a
@@ -501,8 +567,8 @@ impl QueryEngine {
     }
 
     /// Like [`QueryEngine::new`], with a degraded-mode solver attached:
-    /// [`QueryEngine::serve`] answers timeouts, overload rejections, and
-    /// worker panics from `fallback` instead of failing.
+    /// timeouts, overload rejections, and worker panics are answered from
+    /// `fallback` instead of failing.
     pub fn with_fallback(
         bear: Arc<Bear>,
         config: EngineConfig,
@@ -542,9 +608,10 @@ impl QueryEngine {
             let bear = Arc::clone(&bear);
             let worker_queue = Arc::clone(&queue);
             let metrics = Arc::clone(&metrics);
-            let spawned = std::thread::Builder::new().name(format!("bear-query-{i}")).spawn(
-                move || worker_loop(&bear, &worker_queue, &metrics, block_width, topk_strategy),
-            );
+            let spawned =
+                std::thread::Builder::new().name(format!("bear-query-{i}")).spawn(move || {
+                    worker_loop(&bear, &worker_queue, &metrics, block_width, topk_strategy)
+                });
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
@@ -562,18 +629,18 @@ impl QueryEngine {
                 }
             }
         }
-        let caches_on = config.cache_capacity > 0;
         Ok(QueryEngine {
-            caller_ws: Mutex::new(QueryWorkspace::for_bear(&bear)),
+            caller: Mutex::new(Scratch::new()),
             bear,
             queue,
             workers,
-            full_cache: caches_on.then(|| Mutex::new(LruCache::new(config.cache_capacity))),
-            topk_cache: caches_on.then(|| Mutex::new(LruCache::new(config.cache_capacity))),
+            topk_cache: (config.cache_capacity > 0)
+                .then(|| Mutex::new(LruCache::new(config.cache_capacity))),
             metrics,
             fallback,
             overload: config.overload,
             default_deadline: config.default_deadline,
+            block_width,
             topk_strategy,
         })
     }
@@ -599,355 +666,232 @@ impl QueryEngine {
         snap
     }
 
-    /// Entries currently held in the full-score cache.
-    pub fn cached_results(&self) -> usize {
-        self.full_cache.as_ref().map_or(0, |c| c.lock().map_or(0, |c| c.len()))
-    }
-
     /// Jobs currently waiting in the (bounded) queue.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
     }
 
-    fn check_seed(&self, seed: usize) -> Result<()> {
-        let n = self.bear.num_nodes();
-        if seed >= n {
-            return Err(Error::IndexOutOfBounds { index: seed, bound: n });
-        }
-        Ok(())
+    /// RWR scores of every node w.r.t. `seed`, bit-identical to
+    /// [`Bear::query`] — exact within the deadline budget when possible,
+    /// otherwise, with a fallback attached, a bounded-iteration degraded
+    /// answer tagged with the triggering fault. Without a fallback,
+    /// faults surface as typed errors.
+    pub fn serve(&self, seed: usize, opts: &QueryOptions) -> Result<Served> {
+        self.serve_batch(&[seed], opts)?.pop().ok_or_else(|| internal("no answer"))
     }
 
-    /// Admission without metrics accounting: fail-fast deadline check,
-    /// then push under the configured overload policy.
+    /// [`QueryEngine::serve`] over many seeds, in seed order, as one
+    /// request: seeds are validated upfront, a repeated seed is solved
+    /// once, and the distinct seeds are answered in blocks on one thread.
+    /// The deadline budget covers the whole request; a seed its fault
+    /// reaches degrades (or fails the call) on its own.
+    pub fn serve_batch(&self, seeds: &[usize], opts: &QueryOptions) -> Result<Vec<Served>> {
+        self.request(seeds, Kind::Full, opts)?
+            .into_iter()
+            .map(|(payload, degraded)| match payload {
+                Payload::Scores(scores) => Ok(Served { scores, degraded }),
+                Payload::Ranked(_) => Err(internal("ranked answer to a full request")),
+            })
+            .collect()
+    }
+
+    /// The `k` most relevant nodes w.r.t. `seed` (seed excluded) — ranks
+    /// and scores identical to [`Bear::query_top_k`], computed by the
+    /// configured [`TopKStrategy`] and cached per seed.
     ///
-    /// A job whose deadline has already passed (including a zero budget)
-    /// fails fast with [`Error::Timeout`] *before* it is enqueued: letting
-    /// it through would occupy bounded queue capacity until the
-    /// dequeue-side shed — capacity that still-viable queries could use.
-    fn try_admit(&self, job: Job, deadline: Option<Instant>) -> Result<()> {
-        crate::fail_point!("queue::push");
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(Error::Timeout { budget: job.budget.unwrap_or_default() });
-        }
-        match self.overload {
-            OverloadPolicy::Reject => self.queue.push(job),
-            OverloadPolicy::Block => {
-                let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                self.queue.push_blocking(job, remaining)
-            }
-        }
-    }
-
-    /// Admits one job to the pool under the configured overload policy,
-    /// accounting rejections and admission timeouts (see
-    /// [`QueryEngine::try_admit`]).
-    fn admit(&self, job: Job, deadline: Option<Instant>) -> Result<()> {
-        self.try_admit(job, deadline).inspect_err(|e| match e {
-            Error::QueueFull { .. } => self.metrics.record_queue_rejection(),
-            Error::Timeout { .. } => self.metrics.record_timeout(),
-            _ => {}
-        })
-    }
-
-    /// Batch-dispatch admission: like [`QueryEngine::admit`], except that
-    /// when the caller's *own* dispatch loop has filled the queue
-    /// ([`OverloadPolicy::Reject`], no deadline), the submitting thread
-    /// assists — draining one queued job inline with the spare workspace —
-    /// and retries. A batch larger than the queue therefore makes progress
-    /// in bounded memory instead of being shed on its own backlog (each
-    /// retry either admits the job or answers one queued job, so the loop
-    /// terminates after at most the batch's own work). External overload
-    /// while the spare workspace is busy still sheds with
-    /// [`Error::QueueFull`], and deadline-carrying batches keep strict
-    /// admission (inline work cannot be abandoned mid-compute, so
-    /// assisting would run the caller past its budget).
-    fn admit_assisting(&self, make_job: &dyn Fn() -> Job, deadline: Option<Instant>) -> Result<()> {
-        loop {
-            match self.try_admit(make_job(), deadline) {
-                Err(Error::QueueFull { capacity }) if deadline.is_none() => {
-                    let Ok(mut ws) = self.caller_ws.try_lock() else {
-                        self.metrics.record_queue_rejection();
-                        return Err(Error::QueueFull { capacity });
-                    };
-                    match self.queue.try_pop() {
-                        Some(job) => {
-                            run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy)
-                        }
-                        // A worker drained the queue between the rejection
-                        // and our pop; the retry will find space.
-                        None => std::thread::yield_now(),
-                    }
-                }
-                Err(e) => {
-                    match &e {
-                        Error::QueueFull { .. } => self.metrics.record_queue_rejection(),
-                        Error::Timeout { .. } => self.metrics.record_timeout(),
-                        _ => {}
-                    }
-                    return Err(e);
-                }
-                Ok(()) => return Ok(()),
-            }
-        }
-    }
-
-    /// Computes (or fetches) the full score vector for `seed`, without
-    /// touching the query/hit metrics. Returns `(scores, was_cache_hit)`.
-    ///
-    /// `deadline`/`budget` bound the wait; `cancel` (or an internal
-    /// token) stops the queued job if the caller gives up.
-    fn fetch_full(
-        &self,
-        seed: usize,
-        deadline: Option<Instant>,
-        budget: Option<Duration>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<Vec<f64>>, bool)> {
-        if let Some(cache) = &self.full_cache {
-            if let Some(hit) = cache.lock().ok().and_then(|mut c| c.get(&seed)) {
-                return Ok((hit, true));
-            }
-        }
-        // The token lets a timed-out caller stop the job it abandoned;
-        // create one internally when the caller didn't supply any.
-        let token = cancel.cloned().unwrap_or_default();
-        let (reply_tx, reply_rx) = channel();
-        self.admit(
-            Job {
-                seed,
-                tag: 0,
-                kind: JobKind::Full,
-                reply: reply_tx,
-                deadline,
-                budget,
-                cancel: Some(token.clone()),
-            },
-            deadline,
-        )?;
-        // Caller-assist: if the spare workspace is free, answer a pending
-        // job (usually the one just pushed) on this thread instead of
-        // round-tripping through a worker. Skipped when a deadline is
-        // set — inline work cannot be abandoned mid-compute, so it would
-        // silently run the caller past its own budget.
-        if deadline.is_none() {
-            if let Ok(mut ws) = self.caller_ws.try_lock() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy);
-                }
-            }
-        }
-        let scores = self.wait_reply(&reply_rx, deadline, budget, &token)?.into_full()?;
-        if let Some(cache) = &self.full_cache {
-            if let Ok(mut c) = cache.lock() {
-                c.insert(seed, Arc::clone(&scores));
-            }
-        }
-        Ok((scores, false))
-    }
-
-    /// Computes (or fetches) the top `effective_k` nodes for `seed`,
-    /// without touching the query/hit metrics. Returns
-    /// `(nodes, was_cache_hit)`. Same admission, deadline, caller-assist,
-    /// and cancellation discipline as [`QueryEngine::fetch_full`] — the
-    /// old top-k path bypassed all of it, so an `X-Deadline-Ms` on
-    /// `/v1/topk` was silently ignored and could never 504 or degrade.
-    ///
-    /// The cache stores the largest-k answer per seed; a request for a
-    /// smaller k is served by prefix truncation, and a longer fresh
-    /// answer replaces the shorter cached one.
-    fn fetch_topk(
-        &self,
-        seed: usize,
-        effective_k: usize,
-        deadline: Option<Instant>,
-        budget: Option<Duration>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<Vec<ScoredNode>>, bool)> {
-        if let Some(cache) = &self.topk_cache {
-            if let Some(hit) = cache.lock().ok().and_then(|mut c| c.get(&seed)) {
-                if hit.len() == effective_k {
-                    return Ok((hit, true));
-                }
-                if hit.len() > effective_k {
-                    let prefix: Vec<ScoredNode> =
-                        hit.iter().take(effective_k).copied().collect();
-                    return Ok((Arc::new(prefix), true));
-                }
-            }
-        }
-        let token = cancel.cloned().unwrap_or_default();
-        let (reply_tx, reply_rx) = channel();
-        self.admit(
-            Job {
-                seed,
-                tag: 0,
-                kind: JobKind::TopK { k: effective_k },
-                reply: reply_tx,
-                deadline,
-                budget,
-                cancel: Some(token.clone()),
-            },
-            deadline,
-        )?;
-        if deadline.is_none() {
-            if let Ok(mut ws) = self.caller_ws.try_lock() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, &mut ws, job, &self.metrics, self.topk_strategy);
-                }
-            }
-        }
-        let nodes = self.wait_reply(&reply_rx, deadline, budget, &token)?.into_topk()?;
-        if let Some(cache) = &self.topk_cache {
-            if let Ok(mut c) = cache.lock() {
-                // Keep whichever answer covers more: replacing a longer
-                // entry with a shorter one would throw away prefix hits.
-                let longer_cached = c.get(&seed).is_some_and(|cur| cur.len() >= nodes.len());
-                if !longer_cached {
-                    c.insert(seed, Arc::clone(&nodes));
-                }
-            }
-        }
-        Ok((nodes, false))
-    }
-
-    /// Waits for one reply, bounded by `deadline`. On timeout the job is
-    /// cancelled (so it stops consuming the pool) and [`Error::Timeout`]
-    /// is returned.
-    fn wait_reply(
-        &self,
-        rx: &Receiver<(usize, Result<Answer>)>,
-        deadline: Option<Instant>,
-        budget: Option<Duration>,
-        token: &CancelToken,
-    ) -> Result<Answer> {
-        let reply = match deadline {
-            None => rx.recv().map_err(|_| Error::PoolShutDown)?,
-            Some(at) => {
-                let remaining = at.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(remaining) {
-                    Ok(reply) => reply,
-                    Err(RecvTimeoutError::Disconnected) => return Err(Error::PoolShutDown),
-                    Err(RecvTimeoutError::Timeout) => {
-                        token.cancel();
-                        self.metrics.record_timeout();
-                        return Err(Error::Timeout { budget: budget.unwrap_or_default() });
-                    }
-                }
-            }
-        };
-        reply.1
-    }
-
-    /// RWR scores of every node w.r.t. `seed` — bit-identical to
-    /// [`Bear::query`], shared via `Arc` so cache hits allocate nothing.
-    ///
-    /// Always exact: deadline and overload faults surface as typed
-    /// errors. Use [`QueryEngine::serve`] for the degrading path.
-    pub fn query(&self, seed: usize) -> Result<Arc<Vec<f64>>> {
-        let start = Instant::now();
-        self.check_seed(seed)?;
-        let budget = self.default_deadline;
-        let deadline = budget.map(|b| start + b);
-        let (scores, hit) = self.fetch_full(seed, deadline, budget, None)?;
-        self.metrics.record(hit, start.elapsed());
-        Ok(scores)
-    }
-
-    /// The `k` most relevant nodes w.r.t. `seed` (seed excluded) —
-    /// ranks and scores identical to [`Bear::query_top_k`], computed by
-    /// the configured [`TopKStrategy`] on the worker pool.
-    ///
-    /// Runs through the same admission, deadline, and degradation
-    /// ladder as [`QueryEngine::serve`]: an expired deadline fails fast
-    /// with [`Error::Timeout`], and with a fallback attached, faults
-    /// produce a degraded selection tagged in [`TopKServed::degraded`]
-    /// (never cached). `k = 0` returns an empty answer; HTTP callers
-    /// reject it earlier with `400` (see the serve crate).
+    /// Runs through the same request path as [`QueryEngine::serve`]: an
+    /// expired deadline fails fast with [`Error::Timeout`], and with a
+    /// fallback attached, faults produce a degraded selection tagged in
+    /// [`TopKServed::degraded`] (never cached). `k = 0` returns an empty
+    /// answer; HTTP callers reject it earlier with `400` (see the serve
+    /// crate).
     pub fn query_top_k(&self, seed: usize, k: usize, opts: &QueryOptions) -> Result<TopKServed> {
-        let start = Instant::now();
-        self.check_seed(seed)?;
-        let effective_k = k.min(self.bear.num_nodes().saturating_sub(1));
-        if effective_k == 0 {
+        let n = self.bear.num_nodes();
+        let k = k.min(n.saturating_sub(1));
+        if k == 0 && seed < n {
             return Ok(TopKServed { nodes: Arc::new(Vec::new()), degraded: None });
         }
-        let budget = opts.deadline.or(self.default_deadline);
-        let deadline = budget.map(|b| start + b);
-        match self.fetch_topk(seed, effective_k, deadline, budget, opts.cancel.as_ref()) {
-            Ok((nodes, hit)) => {
-                self.metrics.record(hit, start.elapsed());
-                Ok(TopKServed { nodes, degraded: None })
-            }
-            Err(e) => match (degraded_reason(&e), self.fallback.as_deref()) {
-                (Some(reason), Some(fallback)) => {
-                    let served = self.degrade(fallback, seed, reason)?;
-                    self.metrics.record(false, start.elapsed());
-                    Ok(TopKServed {
-                        nodes: Arc::new(top_k_excluding_seed(&served.scores, seed, effective_k)),
-                        degraded: served.degraded,
-                    })
-                }
-                _ => Err(e),
-            },
+        let (payload, degraded) = self
+            .request(&[seed], Kind::TopK(k), opts)?
+            .pop()
+            .ok_or_else(|| internal("no answer"))?;
+        match payload {
+            Payload::Ranked(nodes) => Ok(TopKServed { nodes, degraded }),
+            Payload::Scores(_) => Err(internal("full answer to a top-k request")),
         }
     }
 
-    /// Answers `seed` through the full fault-tolerance ladder: exact
-    /// answer within the deadline budget when possible, otherwise — with
-    /// a fallback attached — a bounded-iteration degraded answer tagged
-    /// with the triggering fault. Without a fallback this behaves like
-    /// [`QueryEngine::query`] plus per-call options.
-    pub fn serve(&self, seed: usize, opts: &QueryOptions) -> Result<Served> {
+    /// The one request path: validates `seeds`, probes the top-k cache,
+    /// admits the distinct misses as one job, waits for them under the
+    /// deadline, and degrades per seed when a fallback is attached.
+    /// Answers come back in seed order; a repeated seed is solved once,
+    /// and each repeat counts as a cache hit.
+    fn request(
+        &self,
+        seeds: &[usize],
+        kind: Kind,
+        opts: &QueryOptions,
+    ) -> Result<Vec<(Payload, Option<DegradedInfo>)>> {
         let start = Instant::now();
-        self.check_seed(seed)?;
-        let budget = opts.deadline.or(self.default_deadline);
-        let deadline = budget.map(|b| start + b);
-        match self.fetch_full(seed, deadline, budget, opts.cancel.as_ref()) {
-            Ok((scores, hit)) => {
-                self.metrics.record(hit, start.elapsed());
-                Ok(Served { scores, degraded: None })
-            }
-            Err(e) => match (degraded_reason(&e), self.fallback.as_deref()) {
-                (Some(reason), Some(fallback)) => {
-                    let served = self.degrade(fallback, seed, reason)?;
-                    self.metrics.record(false, start.elapsed());
-                    Ok(served)
-                }
-                _ => Err(e),
-            },
+        let n = self.bear.num_nodes();
+        if let Some(&bad) = seeds.iter().find(|&&s| s >= n) {
+            return Err(Error::IndexOutOfBounds { index: bad, bound: n });
         }
-    }
+        let budget = opts.deadline.or(self.default_deadline);
+        let limits = Limits {
+            deadline: budget.map(|b| start + b),
+            budget,
+            cancel: opts.cancel.clone().unwrap_or_default(),
+        };
 
-    /// [`QueryEngine::serve`] over many seeds, in seed order. Seeds are
-    /// validated upfront; the deadline budget covers the whole batch and
-    /// expired or abandoned jobs are shed at dequeue, so one slow seed
-    /// degrades (or fails) without dragging the others past the budget.
-    pub fn serve_batch(&self, seeds: &[usize], opts: &QueryOptions) -> Result<Vec<Served>> {
+        let mut hits = Vec::with_capacity(seeds.len());
+        let mut misses = Vec::new();
+        let mut missed = HashSet::new();
         for &seed in seeds {
-            self.check_seed(seed)?;
+            let hit = self.cached(seed, kind);
+            if hit.is_some() {
+                self.metrics.record(true, start.elapsed());
+            } else if missed.insert(seed) {
+                misses.push(seed);
+            }
+            hits.push(hit);
         }
-        let budget = opts.deadline.or(self.default_deadline);
-        let deadline = budget.map(|b| Instant::now() + b);
-        let token = opts.cancel.clone().unwrap_or_default();
-        let mut out = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            let start = Instant::now();
-            let result = self.fetch_full(seed, deadline, budget, Some(&token));
+
+        let mut solved = Solved::with_capacity(misses.len());
+        let failure = if misses.is_empty() {
+            None
+        } else {
+            self.dispatch(misses, kind, &limits, start, &mut solved).err()
+        };
+        match &failure {
+            Some(Error::QueueFull { .. }) => self.metrics.record_queue_rejection(),
+            Some(Error::Timeout { .. }) => self.metrics.record_timeout(),
+            _ => {}
+        }
+
+        let mut counted = HashSet::with_capacity(solved.len());
+        let mut answers = Vec::with_capacity(seeds.len());
+        for (&seed, hit) in seeds.iter().zip(hits) {
+            if let Some(payload) = hit {
+                answers.push((payload, None));
+                continue;
+            }
+            let (result, latency) = match solved.get(&seed) {
+                Some((result, latency)) => (result.clone(), *latency),
+                None => (
+                    Err(failure.clone().unwrap_or_else(|| internal("unanswered seed"))),
+                    start.elapsed(),
+                ),
+            };
             match result {
-                Ok((scores, hit)) => {
-                    self.metrics.record(hit, start.elapsed());
-                    out.push(Served { scores, degraded: None });
+                Ok(payload) => {
+                    let repeat = !counted.insert(seed);
+                    if !repeat {
+                        self.remember(seed, &payload);
+                    }
+                    self.metrics.record(repeat, latency);
+                    answers.push((payload, None));
                 }
                 Err(e) => match (degraded_reason(&e), self.fallback.as_deref()) {
                     (Some(reason), Some(fallback)) => {
-                        let served = self.degrade(fallback, seed, reason)?;
+                        answers.push(self.degrade(fallback, seed, reason, kind)?);
                         self.metrics.record(false, start.elapsed());
-                        out.push(served);
                     }
                     _ => return Err(e),
                 },
             }
         }
-        Ok(out)
+        Ok(answers)
+    }
+
+    /// The cached top-k answer for `seed` when it covers `kind`'s k,
+    /// truncated to k. Full vectors are never cached.
+    fn cached(&self, seed: usize, kind: Kind) -> Option<Payload> {
+        let Kind::TopK(k) = kind else { return None };
+        let hit = self.topk_cache.as_ref()?.lock().ok()?.get(&seed)?;
+        if hit.len() < k {
+            return None;
+        }
+        let nodes =
+            if hit.len() == k { hit } else { Arc::new(hit.iter().take(k).copied().collect()) };
+        Some(Payload::Ranked(nodes))
+    }
+
+    /// Caches an exact top-k answer, unless a longer one is already held
+    /// for `seed` (replacing it would throw away prefix hits).
+    fn remember(&self, seed: usize, payload: &Payload) {
+        let (Some(cache), Payload::Ranked(nodes)) = (&self.topk_cache, payload) else { return };
+        if let Ok(mut cache) = cache.lock() {
+            if cache.get(&seed).is_none_or(|held| held.len() < nodes.len()) {
+                cache.insert(seed, Arc::clone(nodes));
+            }
+        }
+    }
+
+    /// Admits `misses` as one job and files every block's reply in
+    /// `solved`. Admission fails fast when the deadline already passed: a
+    /// dead job would hold queue capacity until it is shed. The job then
+    /// runs inline on this thread when it has no deadline (a solve cannot
+    /// be abandoned midway) and the spare buffers are free, and on the
+    /// pool otherwise. An `Err` is the admission or wait fault that
+    /// stopped the request.
+    fn dispatch(
+        &self,
+        misses: Vec<usize>,
+        kind: Kind,
+        limits: &Limits,
+        start: Instant,
+        solved: &mut Solved,
+    ) -> Result<()> {
+        crate::fail_point!("queue::push");
+        if limits.expired() {
+            return Err(limits.timeout());
+        }
+        let wanted = misses.len();
+        let (reply, replies) = channel();
+        let job = Job { seeds: misses, kind, limits: limits.clone(), reply };
+        let inline = if limits.deadline.is_none() { self.caller.try_lock().ok() } else { None };
+        match inline {
+            Some(mut scratch) => answer(
+                &self.bear,
+                &mut scratch,
+                job,
+                self.block_width,
+                &self.metrics,
+                self.topk_strategy,
+            ),
+            None => match self.overload {
+                OverloadPolicy::Reject => self.queue.push(job)?,
+                OverloadPolicy::Block => {
+                    let remaining =
+                        limits.deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    self.queue.push_blocking(job, remaining)?
+                }
+            },
+        }
+        while solved.len() < wanted {
+            let (seeds, result) = match limits.deadline {
+                None => replies.recv().map_err(|_| Error::PoolShutDown)?,
+                Some(at) => {
+                    match replies.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                        Ok(reply) => reply,
+                        Err(RecvTimeoutError::Disconnected) => return Err(Error::PoolShutDown),
+                        Err(RecvTimeoutError::Timeout) => {
+                            // Stop the blocks nobody will wait for.
+                            limits.cancel.cancel();
+                            return Err(limits.timeout());
+                        }
+                    }
+                }
+            };
+            let latency = start.elapsed();
+            match result {
+                Ok(payloads) => solved
+                    .extend(seeds.into_iter().zip(payloads).map(|(s, p)| (s, (Ok(p), latency)))),
+                Err(e) => solved.extend(seeds.into_iter().map(|s| (s, (Err(e.clone()), latency)))),
+            }
+        }
+        Ok(())
     }
 
     /// Answers one seed from `fallback`, tagged with `reason`. Callers
@@ -958,7 +902,8 @@ impl QueryEngine {
         fallback: &FallbackSolver,
         seed: usize,
         reason: DegradedReason,
-    ) -> Result<Served> {
+        kind: Kind,
+    ) -> Result<(Payload, Option<DegradedInfo>)> {
         let answer = fallback.solve(seed)?;
         self.metrics.record_degraded();
         let info = DegradedInfo {
@@ -967,148 +912,7 @@ impl QueryEngine {
             error_bound: answer.error_bound(),
             iterations: answer.iterations,
         };
-        Ok(Served { scores: Arc::new(answer.scores), degraded: Some(info) })
-    }
-
-    /// Answers many single-seed queries on the persistent pool. Results
-    /// are in seed order and bit-identical to sequential [`Bear::query`].
-    ///
-    /// All seeds are validated before any work is dispatched, so an
-    /// invalid seed fails fast and names the offender; a worker panic
-    /// surfaces as [`Error::WorkerPanicked`] on the affected seed instead
-    /// of aborting the process. Always exact — see
-    /// [`QueryEngine::serve_batch`] for the degrading variant.
-    pub fn query_batch(&self, seeds: &[usize]) -> Result<Vec<Arc<Vec<f64>>>> {
-        for &seed in seeds {
-            self.check_seed(seed)?;
-        }
-        // An empty batch has an obvious answer; don't touch the pool (or
-        // its metrics) to produce it.
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let budget = self.default_deadline;
-        let deadline = budget.map(|b| Instant::now() + b);
-        let token = CancelToken::new();
-        let mut slots: Vec<Option<Arc<Vec<f64>>>> = vec![None; seeds.len()];
-        // Dispatch timestamps, so each computed result's latency is
-        // attributed from its own dispatch — not from the start of the
-        // whole loop, which inflated cache-hit latencies before.
-        let mut dispatched: Vec<Option<Instant>> = vec![None; seeds.len()];
-        let (reply_tx, reply_rx) = channel();
-        let mut outstanding = 0usize;
-        for (tag, &seed) in seeds.iter().enumerate() {
-            let probe_start = Instant::now();
-            let cached = self
-                .full_cache
-                .as_ref()
-                .and_then(|cache| cache.lock().ok().and_then(|mut c| c.get(&seed)));
-            match cached {
-                Some(hit) => {
-                    slots[tag] = Some(hit);
-                    self.metrics.record(true, probe_start.elapsed());
-                }
-                None => {
-                    dispatched[tag] = Some(probe_start);
-                    // Assisting admission: a batch bigger than the queue
-                    // drains its own backlog instead of tripping QueueFull
-                    // on it (self-inflicted overload is not overload).
-                    let make_job = || Job {
-                        seed,
-                        tag,
-                        kind: JobKind::Full,
-                        reply: reply_tx.clone(),
-                        deadline,
-                        budget,
-                        cancel: Some(token.clone()),
-                    };
-                    self.admit_assisting(&make_job, deadline)?;
-                    outstanding += 1;
-                }
-            }
-        }
-        drop(reply_tx);
-        // Caller-assist: while replies are pending, this thread drains the
-        // job queue with the engine's spare workspace instead of blocking.
-        // On a small pool (or single core) the whole batch runs inline
-        // with no thread ping-pong; on a big pool it adds one worker.
-        // Skipped under a deadline: inline work cannot be abandoned
-        // mid-compute, so it would run the caller past its own budget.
-        let mut caller_ws = if deadline.is_none() { self.caller_ws.try_lock().ok() } else { None };
-        let mut collected = 0usize;
-        let finish = |engine: &Self,
-                      slots: &mut [Option<Arc<Vec<f64>>>],
-                      dispatched: &[Option<Instant>],
-                      seeds: &[usize],
-                      tag: usize,
-                      result: Result<Answer>|
-         -> Result<()> {
-            let scores =
-                result.and_then(Answer::into_full).inspect_err(|_| token.cancel())?;
-            if let Some(cache) = &engine.full_cache {
-                if let Ok(mut c) = cache.lock() {
-                    c.insert(seeds[tag], Arc::clone(&scores));
-                }
-            }
-            slots[tag] = Some(scores);
-            let elapsed = dispatched[tag].map_or(Duration::ZERO, |d| d.elapsed());
-            engine.metrics.record(false, elapsed);
-            Ok(())
-        };
-        while collected < outstanding {
-            match reply_rx.try_recv() {
-                Ok((tag, result)) => {
-                    finish(self, &mut slots, &dispatched, seeds, tag, result)?;
-                    collected += 1;
-                    continue;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => return Err(Error::PoolShutDown),
-            }
-            if let Some(ws) = caller_ws.as_deref_mut() {
-                if let Some(job) = self.queue.try_pop() {
-                    run_job(&self.bear, ws, job, &self.metrics, self.topk_strategy);
-                    continue;
-                }
-            }
-            // Nothing left to steal: block until a worker finishes (the
-            // deadline is enforced per job at dequeue, so a bounded wait
-            // here would only duplicate that check).
-            match deadline {
-                None => {
-                    let (tag, result) = reply_rx.recv().map_err(|_| Error::PoolShutDown)?;
-                    finish(self, &mut slots, &dispatched, seeds, tag, result)?;
-                    collected += 1;
-                }
-                Some(at) => {
-                    let remaining = at.saturating_duration_since(Instant::now());
-                    match reply_rx.recv_timeout(remaining) {
-                        Ok((tag, result)) => {
-                            finish(self, &mut slots, &dispatched, seeds, tag, result)?;
-                            collected += 1;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => return Err(Error::PoolShutDown),
-                        Err(RecvTimeoutError::Timeout) => {
-                            token.cancel();
-                            self.metrics.record_timeout();
-                            return Err(Error::Timeout { budget: budget.unwrap_or_default() });
-                        }
-                    }
-                }
-            }
-        }
-        // Every slot was filled either from cache at dispatch or by a
-        // collected reply; an empty one means the tag bookkeeping above
-        // is broken, which surfaces as a typed error, not a panic.
-        slots
-            .into_iter()
-            .zip(seeds)
-            .map(|(slot, seed)| {
-                slot.ok_or_else(|| {
-                    Error::InvalidStructure(format!("internal: no reply for batch seed {seed}"))
-                })
-            })
-            .collect()
+        Ok((kind.shape(seed, answer.scores), Some(info)))
     }
 }
 
@@ -1120,6 +924,7 @@ impl std::fmt::Debug for QueryEngine {
             .field("queue_capacity", &self.queue.capacity())
             .field("overload", &self.overload)
             .field("default_deadline", &self.default_deadline)
+            .field("block_width", &self.block_width)
             .field("has_fallback", &self.fallback.is_some())
             .finish_non_exhaustive()
     }
@@ -1135,6 +940,12 @@ impl Drop for QueryEngine {
     }
 }
 
+/// An engine bug surfaced as a typed error rather than a panic on the
+/// serving path.
+fn internal(what: &str) -> Error {
+    Error::InvalidStructure(format!("internal: {what}"))
+}
+
 /// Which degraded-mode reason (if any) corresponds to a serving fault.
 /// `None` means the error is not degradable (e.g. an invalid seed, or a
 /// caller-requested cancellation).
@@ -1148,13 +959,7 @@ fn degraded_reason(e: &Error) -> Option<DegradedReason> {
     }
 }
 
-/// Worker body: pull jobs until the queue closes. After each blocking
-/// pop, the worker *opportunistically* drains up to `block_width - 1`
-/// more jobs without waiting ([`JobQueue::try_pop`]) and answers the
-/// whole batch with one blocked multi-RHS solve — a lone job therefore
-/// never waits for company, and an idle queue degenerates to the plain
-/// one-job-at-a-time loop (width-1 solves take the `matvec` fallback, so
-/// coalescing costs nothing when there is nothing to coalesce).
+/// Worker body: answer jobs until the queue closes.
 fn worker_loop(
     bear: &Bear,
     queue: &JobQueue<Job>,
@@ -1162,76 +967,24 @@ fn worker_loop(
     block_width: usize,
     topk_strategy: TopKStrategy,
 ) {
-    let mut ws = QueryWorkspace::for_bear(bear);
-    let mut block_ws = BlockWorkspace::for_bear(bear);
-    let mut jobs: Vec<Job> = Vec::with_capacity(block_width);
-    let mut live: Vec<Job> = Vec::with_capacity(block_width);
-    let mut seeds: Vec<usize> = Vec::with_capacity(block_width);
-    let mut out = DenseBlock::zeros(bear.num_nodes(), 0);
+    let mut scratch = Scratch::new();
     while let Some(job) = queue.pop() {
-        jobs.push(job);
-        while jobs.len() < block_width {
-            match queue.try_pop() {
-                Some(next) => jobs.push(next),
-                None => break,
-            }
-        }
-        // Top-k jobs answer solo — their pruned path is not block-shaped
-        // — while full jobs keep coalescing. (Order within a coalesced
-        // drain carries no ordering contract, so swap_remove is fine.)
-        let mut i = 0;
-        while i < jobs.len() {
-            if matches!(jobs.get(i).map(|j| j.kind), Some(JobKind::TopK { .. })) {
-                let job = jobs.swap_remove(i);
-                run_job(bear, &mut ws, job, metrics, topk_strategy);
-            } else {
-                i += 1;
-            }
-        }
-        // One job buffered: run it solo (pop cannot miss — the job was
-        // pushed just above, and this `if let` keeps that a non-panic).
-        if jobs.len() == 1 {
-            if let Some(job) = jobs.pop() {
-                run_job(bear, &mut ws, job, metrics, topk_strategy);
-            }
-        } else if !jobs.is_empty() {
-            run_block(bear, &mut block_ws, &mut jobs, &mut live, &mut seeds, &mut out, metrics);
-        }
-        jobs.clear();
+        answer(bear, &mut scratch, job, block_width, metrics, topk_strategy);
     }
 }
 
-/// Sheds `job` when its deadline already passed or its caller cancelled
-/// (replying with the matching typed error); hands it back otherwise.
-/// Computing an answer nobody can use anymore only starves the queries
-/// still inside their budget.
-fn shed_if_dead(job: Job, metrics: &Metrics) -> Option<Job> {
-    if job.deadline.is_some_and(|d| Instant::now() >= d) {
-        metrics.record_shed();
-        metrics.record_timeout();
-        let _ = job
-            .reply
-            .send((job.tag, Err(Error::Timeout { budget: job.budget.unwrap_or_default() })));
-        return None;
-    }
-    if job.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-        metrics.record_shed();
-        let _ = job.reply.send((job.tag, Err(Error::Cancelled)));
-        return None;
-    }
-    Some(job)
-}
-
-/// Answers one job with the given workspace — the freshly allocated
-/// result vector is the single allocation per query — converting panics
-/// into [`Error::WorkerPanicked`] so the pool (and assisting callers)
-/// survive poisoned inputs. Jobs whose deadline already passed, or whose
-/// caller cancelled, are shed without computing. Shared by pool workers
-/// and caller-assist.
-fn run_job(
+/// Answers one job in blocks of up to `block_width` seeds, replying once
+/// per block — the one compute function, run by pool workers and by the
+/// submitting thread alike. Before each block it sheds the rest of the
+/// job unanswered if the deadline passed or the caller cancelled:
+/// computing answers nobody can use only starves the requests still
+/// inside their budget. A panic fails only its block, with
+/// [`Error::WorkerPanicked`], so the pool survives.
+fn answer(
     bear: &Bear,
-    ws: &mut QueryWorkspace,
+    scratch: &mut Scratch,
     job: Job,
+    block_width: usize,
     metrics: &Metrics,
     topk_strategy: TopKStrategy,
 ) {
@@ -1242,107 +995,35 @@ fn run_job(
     if let Some(crate::failpoints::FailAction::Delay(d)) = crate::failpoints::armed("queue::pop") {
         std::thread::sleep(d);
     }
-    let Some(job) = shed_if_dead(job, metrics) else { return };
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Answer> {
-        crate::fail_point!("engine::run_job");
-        match job.kind {
-            JobKind::Full => {
-                let mut result = vec![0.0; bear.num_nodes()];
-                bear.query_into(job.seed, ws, &mut result)?;
-                Ok(Answer::Full(Arc::new(result)))
-            }
-            JobKind::TopK { k } => match topk_strategy {
-                TopKStrategy::Pruned => {
-                    let (nodes, stats) = bear.query_top_k_pruned_in(
-                        job.seed,
-                        k,
-                        &TopKPruneOptions::default(),
-                        ws,
-                    )?;
-                    metrics.record_topk_pruned(
-                        stats.certified,
-                        stats.candidates as u64,
-                        stats.nodes_pruned as u64,
-                    );
-                    Ok(Answer::TopK(Arc::new(nodes)))
-                }
-                TopKStrategy::Full => {
-                    let mut result = vec![0.0; bear.num_nodes()];
-                    bear.query_into(job.seed, ws, &mut result)?;
-                    Ok(Answer::TopK(Arc::new(top_k_excluding_seed(&result, job.seed, k))))
-                }
-            },
+    let Job { seeds, kind, limits, reply } = job;
+    let mut blocks = seeds.chunks(block_width);
+    while let Some(block) = blocks.next() {
+        let shed = if limits.expired() {
+            metrics.record_timeout();
+            Some(limits.timeout())
+        } else if limits.cancel.is_cancelled() {
+            Some(Error::Cancelled)
+        } else {
+            None
+        };
+        if let Some(e) = shed {
+            metrics.record_shed();
+            let _ = reply.send((block.iter().chain(blocks.flatten()).copied().collect(), Err(e)));
+            return;
         }
-    }))
-    .unwrap_or_else(|_| {
-        metrics.record_worker_panic();
-        Err(Error::WorkerPanicked { seed: job.seed })
-    });
-    metrics.record_block(1, start.elapsed());
-    // A receiver that hung up no longer wants the answer; ignore.
-    let _ = job.reply.send((job.tag, outcome));
-}
-
-/// Answers a coalesced batch of jobs with one blocked multi-RHS solve.
-/// Dead jobs (expired deadline, cancelled caller) are shed individually
-/// first, exactly as [`run_job`] would shed them; the survivors share
-/// one [`Bear::query_block_into`] call and each gets its own column
-/// copied out as its reply. A panic poisons only this batch: every
-/// member is answered with [`Error::WorkerPanicked`] and the pool
-/// survives. `jobs`, `live`, `seeds`, and `out` are worker-owned
-/// scratch, reused across batches so steady-state coalescing allocates
-/// only the per-query result vectors.
-fn run_block(
-    bear: &Bear,
-    ws: &mut BlockWorkspace,
-    jobs: &mut Vec<Job>,
-    live: &mut Vec<Job>,
-    seeds: &mut Vec<usize>,
-    out: &mut DenseBlock,
-    metrics: &Metrics,
-) {
-    #[cfg(feature = "failpoints")]
-    if let Some(crate::failpoints::FailAction::Delay(d)) = crate::failpoints::armed("queue::pop") {
-        std::thread::sleep(d);
-    }
-    live.clear();
-    for job in jobs.drain(..) {
-        if let Some(job) = shed_if_dead(job, metrics) {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    seeds.clear();
-    seeds.extend(live.iter().map(|j| j.seed));
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        crate::fail_point!("engine::run_job");
-        out.reset(bear.num_nodes(), seeds.len());
-        bear.query_block_into(seeds, ws, out)
-    }));
-    metrics.record_block(live.len(), start.elapsed());
-    match outcome {
-        Ok(Ok(())) => {
-            for (j, job) in live.drain(..).enumerate() {
-                let _ =
-                    job.reply.send((job.tag, Ok(Answer::Full(Arc::new(out.col(j).to_vec())))));
-            }
-        }
-        // Seeds are validated at admission, so a typed error here is a
-        // bug surfaced loudly to every member rather than swallowed.
-        Ok(Err(e)) => {
-            for job in live.drain(..) {
-                let _ = job.reply.send((job.tag, Err(e.clone())));
-            }
-        }
-        Err(_) => {
+        let start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            crate::fail_point!("engine::run_job");
+            scratch.solve(bear, block, kind, topk_strategy, metrics)
+        }))
+        .unwrap_or_else(|_| {
             metrics.record_worker_panic();
-            for job in live.drain(..) {
-                let _ = job.reply.send((job.tag, Err(Error::WorkerPanicked { seed: job.seed })));
-            }
+            Err(Error::WorkerPanicked { seed: block.first().copied().unwrap_or_default() })
+        });
+        metrics.record_block(block.len(), start.elapsed());
+        // A caller that hung up no longer wants the rest.
+        if reply.send((block.to_vec(), result)).is_err() {
+            return;
         }
     }
 }
@@ -1376,14 +1057,22 @@ mod tests {
         EngineConfig { threads, cache_capacity, ..EngineConfig::default() }
     }
 
+    fn scores(engine: &QueryEngine, seed: usize) -> Vec<f64> {
+        engine.serve(seed, &QueryOptions::default()).unwrap().scores.to_vec()
+    }
+
+    fn batch(engine: &QueryEngine, seeds: &[usize]) -> Vec<Vec<f64>> {
+        let served = engine.serve_batch(seeds, &QueryOptions::default()).unwrap();
+        assert!(served.iter().all(Served::is_exact));
+        served.iter().map(|s| s.scores.to_vec()).collect()
+    }
+
     #[test]
     fn engine_matches_sequential_query_bitwise() {
         let bear = test_bear(30);
         let engine = QueryEngine::new(Arc::clone(&bear), config(4, 0)).unwrap();
         for seed in 0..30 {
-            let want = bear.query(seed).unwrap();
-            let got = engine.query(seed).unwrap();
-            assert_eq!(*got, want, "seed {seed}");
+            assert_eq!(scores(&engine, seed), bear.query(seed).unwrap(), "seed {seed}");
         }
     }
 
@@ -1393,17 +1082,9 @@ mod tests {
         let engine = QueryEngine::new(Arc::clone(&bear), config(3, 32)).unwrap();
         let seeds: Vec<usize> = (0..25).rev().collect();
         let want: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        let got = engine.query_batch(&seeds).unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(**g, *w);
-        }
-        // Second pass is served from cache and stays bit-identical.
-        let again = engine.query_batch(&seeds).unwrap();
-        for (g, w) in again.iter().zip(&want) {
-            assert_eq!(**g, *w);
-        }
-        assert!(engine.metrics().cache_hits >= seeds.len() as u64);
+        assert_eq!(batch(&engine, &seeds), want);
+        // A second pass is solved again and stays bit-identical.
+        assert_eq!(batch(&engine, &seeds), want);
     }
 
     #[test]
@@ -1411,25 +1092,43 @@ mod tests {
         let bear = test_bear(10);
         let engine = QueryEngine::new(bear, config(2, 4)).unwrap();
         let before = engine.metrics().queries;
-        let err = engine.query_batch(&[0, 3, 99, 5]).unwrap_err();
+        let err = engine.serve_batch(&[0, 3, 99, 5], &QueryOptions::default()).unwrap_err();
         assert_eq!(err, Error::IndexOutOfBounds { index: 99, bound: 10 });
         // Nothing was dispatched: no query was counted.
         assert_eq!(engine.metrics().queries, before);
     }
 
+    /// Full score vectors are never cached: a repeat across requests is
+    /// solved again, and only top-k answers count hits.
     #[test]
-    fn cache_hit_returns_identical_scores_and_counts() {
+    fn full_vectors_are_solved_per_request() {
         let bear = test_bear(12);
         let engine = QueryEngine::new(Arc::clone(&bear), config(2, 16)).unwrap();
-        let first = engine.query(3).unwrap();
-        let second = engine.query(3).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "hit shares the cached Arc");
-        assert_eq!(*first, bear.query(3).unwrap());
+        let first = engine.serve(3, &QueryOptions::default()).unwrap();
+        let second = engine.serve(3, &QueryOptions::default()).unwrap();
+        assert!(!Arc::ptr_eq(&first.scores, &second.scores));
+        assert_eq!(*first.scores, bear.query(3).unwrap());
+        assert_eq!(*second.scores, *first.scores);
         let m = engine.metrics();
         assert_eq!(m.queries, 2);
+        assert_eq!(m.cache_hits, 0);
+        assert_eq!(m.cache_misses, 2);
+    }
+
+    /// Within one request a repeated seed is solved once — one column per
+    /// distinct seed — and each repeat counts as a cache hit.
+    #[test]
+    fn repeated_seed_is_solved_once_and_counted_as_hit() {
+        let bear = test_bear(12);
+        let engine = QueryEngine::new(Arc::clone(&bear), config(2, 0)).unwrap();
+        let got = batch(&engine, &[2, 5, 2]);
+        for (g, seed) in got.iter().zip([2, 5, 2]) {
+            assert_eq!(*g, bear.query(seed).unwrap(), "seed {seed}");
+        }
+        let m = engine.metrics();
+        assert_eq!(m.block_queries, 2, "one solved column per distinct seed");
         assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 1);
-        assert!((m.cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(m.cache_misses, 2);
     }
 
     #[test]
@@ -1442,6 +1141,9 @@ mod tests {
         assert_eq!(*got.nodes, want);
         let again = engine.query_top_k(2, 5, &QueryOptions::default()).unwrap();
         assert!(Arc::ptr_eq(&got.nodes, &again.nodes));
+        let m = engine.metrics();
+        assert_eq!(m.cache_hits, 1);
+        assert!((m.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1501,6 +1203,8 @@ mod tests {
         assert!(served.is_exact());
         let m = engine.metrics();
         assert_eq!(m.cache_hits + m.cache_misses, 0, "k = 0 never touches cache or pool");
+        let err = engine.query_top_k(10, 0, &QueryOptions::default()).unwrap_err();
+        assert_eq!(err, Error::IndexOutOfBounds { index: 10, bound: 10 });
     }
 
     #[test]
@@ -1508,7 +1212,7 @@ mod tests {
         let bear = test_bear(10);
         let engine = QueryEngine::new(bear, config(2, 0)).unwrap();
         for seed in 0..10 {
-            engine.query(seed).unwrap();
+            scores(&engine, seed);
         }
         let m = engine.metrics();
         assert_eq!(m.queries, 10);
@@ -1522,10 +1226,9 @@ mod tests {
     fn disabled_cache_never_hits() {
         let bear = test_bear(8);
         let engine = QueryEngine::new(bear, config(1, 0)).unwrap();
-        engine.query(1).unwrap();
-        engine.query(1).unwrap();
+        engine.query_top_k(1, 3, &QueryOptions::default()).unwrap();
+        engine.query_top_k(1, 3, &QueryOptions::default()).unwrap();
         assert_eq!(engine.metrics().cache_hits, 0);
-        assert_eq!(engine.cached_results(), 0);
     }
 
     #[test]
@@ -1556,16 +1259,18 @@ mod tests {
     }
 
     /// Satellite regression: cache hits must be attributed their own
-    /// (tiny) latency, not the whole batch dispatch loop's.
+    /// (tiny) latency, not that of the solves around them.
     #[test]
-    fn batch_metrics_attribute_hit_latency_per_result() {
+    fn cache_hits_are_attributed_their_own_latency() {
         let bear = test_bear(20);
         let engine = QueryEngine::new(bear, config(2, 64)).unwrap();
-        let seeds: Vec<usize> = (0..20).collect();
-        engine.query_batch(&seeds).unwrap(); // all misses
-        engine.query_batch(&seeds).unwrap(); // all cache hits
+        for pass in 0..2 {
+            for seed in 0..20 {
+                engine.query_top_k(seed, 5, &QueryOptions::default()).unwrap();
+            }
+            assert_eq!(engine.metrics().cache_hits, pass * 20);
+        }
         let m = engine.metrics();
-        assert_eq!(m.cache_hits, 20);
         assert_eq!(m.cache_misses, 20);
         assert!(
             m.p50_hit <= m.p50_miss,
@@ -1599,8 +1304,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, Error::InvalidConfig { param: "block_width", .. }), "{err}");
-        // Overlarge widths are clamped to the queue capacity, not rejected
-        // — a worker can never coalesce more jobs than the queue holds.
+        // Overlarge widths are clamped to the queue capacity, not rejected.
         let cfg = EngineConfig {
             threads: 2,
             queue_capacity: 4,
@@ -1609,8 +1313,7 @@ mod tests {
         };
         assert_eq!(cfg.effective_block_width(), 4);
         let engine = QueryEngine::new(Arc::clone(&bear), cfg).unwrap();
-        let want = bear.query(2).unwrap();
-        assert_eq!(*engine.query(2).unwrap(), want);
+        assert_eq!(scores(&engine, 2), bear.query(2).unwrap());
     }
 
     #[test]
@@ -1637,10 +1340,6 @@ mod tests {
     #[test]
     fn coalesced_batch_is_bitwise_identical_and_counted() {
         let bear = test_bear(40);
-        // One worker and a deep queue: the batch below queues up faster
-        // than the single worker drains it, so the worker finds company
-        // on its try_pop drain and coalesces (caller-assist still answers
-        // some jobs at width 1; both paths go through record_block).
         let engine = QueryEngine::new(
             Arc::clone(&bear),
             EngineConfig {
@@ -1654,25 +1353,45 @@ mod tests {
         .unwrap();
         let seeds: Vec<usize> = (0..40).chain(0..40).collect();
         let want: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        let got = engine.query_batch(&seeds).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(**g, *w);
-        }
+        assert_eq!(batch(&engine, &seeds), want);
         let m = engine.metrics();
-        // Every answered query passed through record_block (width ≥ 1).
-        assert_eq!(m.block_queries, seeds.len() as u64);
-        assert!(m.block_solves >= 1 && m.block_solves <= seeds.len() as u64);
-        assert!(m.avg_block_width() >= 1.0);
+        // The 40 distinct seeds were answered as five width-8 blocks; the
+        // 40 repeats were hits.
+        assert_eq!(m.block_queries, 40);
+        assert_eq!(m.block_solves, 5);
+        assert_eq!(m.avg_block_width(), 8.0);
+        assert_eq!(m.cache_hits, 40);
         let widths: u64 = m.block_width_histogram.iter().sum();
         assert_eq!(widths, m.block_solves);
+    }
+
+    /// A request with a deadline never runs inline: its job goes to the
+    /// pool, which answers it in blocks all the same.
+    #[test]
+    fn deadline_request_is_answered_in_blocks_on_the_pool() {
+        let bear = test_bear(20);
+        let engine = QueryEngine::new(
+            Arc::clone(&bear),
+            EngineConfig { threads: 1, cache_capacity: 0, block_width: 8, ..Default::default() },
+        )
+        .unwrap();
+        let seeds: Vec<usize> = (0..20).collect();
+        let opts = QueryOptions { deadline: Some(Duration::from_secs(60)), cancel: None };
+        let served = engine.serve_batch(&seeds, &opts).unwrap();
+        for (s, &seed) in served.iter().zip(&seeds) {
+            assert!(s.is_exact());
+            assert_eq!(*s.scores, bear.query(seed).unwrap(), "seed {seed}");
+        }
+        let m = engine.metrics();
+        assert_eq!(m.block_solves, 3, "widths 8, 8, 4");
+        assert_eq!(m.block_queries, 20);
     }
 
     #[test]
     fn empty_batch_returns_empty_without_dispatch() {
         let bear = test_bear(8);
         let engine = QueryEngine::new(bear, config(2, 4)).unwrap();
-        let got = engine.query_batch(&[]).unwrap();
-        assert!(got.is_empty());
+        assert!(batch(&engine, &[]).is_empty());
         let m = engine.metrics();
         assert_eq!(m.queries, 0);
         assert_eq!(m.block_solves, 0);
@@ -1685,9 +1404,7 @@ mod tests {
         let served = engine.serve(3, &QueryOptions::default()).unwrap();
         assert!(served.is_exact());
         assert_eq!(*served.scores, bear.query(3).unwrap());
-        let batch = engine.serve_batch(&[1, 2, 3], &QueryOptions::default()).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert!(batch.iter().all(Served::is_exact));
+        assert_eq!(batch(&engine, &[1, 2, 3]).len(), 3);
     }
 
     #[test]
@@ -1699,11 +1416,12 @@ mod tests {
         );
         let engine = QueryEngine::with_fallback(Arc::clone(&bear), config(1, 0), fallback).unwrap();
         // Sabotage: close the queue out from under the engine, as if the
-        // pool died. Every exact path now fails...
+        // pool died. The exact path now fails (a deadline sends the request
+        // to the pool rather than inline), but serve() still answers,
+        // tagged degraded.
         engine.queue.close();
-        assert_eq!(engine.query(2).unwrap_err(), Error::PoolShutDown);
-        // ...but serve() still answers, tagged degraded.
-        let served = engine.serve(2, &QueryOptions::default()).unwrap();
+        let opts = QueryOptions { deadline: Some(Duration::from_secs(60)), cancel: None };
+        let served = engine.serve(2, &opts).unwrap();
         let info = served.degraded.expect("must be degraded");
         assert_eq!(info.reason, DegradedReason::IndexUnavailable);
         assert!(info.residual >= 0.0);
@@ -1730,11 +1448,12 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let opts = QueryOptions { deadline: None, cancel: Some(token) };
-        // The job is dequeued already-cancelled: shed with Error::Cancelled.
-        // (Caller-assist may also shed it inline; either way, no compute.)
+        // The job is already cancelled when answered: shed with
+        // Error::Cancelled, no compute.
         let err = engine.serve(1, &opts).unwrap_err();
         assert_eq!(err, Error::Cancelled);
         assert!(engine.metrics().shed_jobs >= 1);
+        assert_eq!(engine.metrics().block_solves, 0);
     }
 
     /// Satellite regression: an already-expired (zero-budget) deadline
@@ -1755,10 +1474,9 @@ mod tests {
     }
 
     /// Regression for a seed flake: a batch larger than the queue
-    /// capacity must not trip `QueueFull` on its *own* backlog — the
-    /// dispatching caller assists (drains queued jobs inline) when the
-    /// queue fills, so the batch completes in bounded memory with answers
-    /// still bit-identical and in order.
+    /// capacity must not trip `QueueFull` on its *own* backlog, so it
+    /// completes in bounded memory with answers still bit-identical and
+    /// in order.
     #[test]
     fn batch_larger_than_queue_capacity_completes_exactly() {
         let bear = test_bear(30);
@@ -1775,10 +1493,7 @@ mod tests {
         .unwrap();
         let seeds: Vec<usize> = (0..30).chain(0..30).collect();
         let want: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        let got = engine.query_batch(&seeds).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(**g, *w);
-        }
+        assert_eq!(batch(&engine, &seeds), want);
         // Self-inflicted overload is not overload: no rejections counted.
         assert_eq!(engine.metrics().queue_rejections, 0);
     }
@@ -1792,7 +1507,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(engine.queue_depth(), 0);
-        engine.query(1).unwrap();
+        scores(&engine, 1);
         assert_eq!(engine.queue_depth(), 0, "drained after answering");
     }
 }

@@ -25,9 +25,10 @@
 //!   [`FailAction::TruncateAt`]/[`FailAction::BitFlip`] corrupt the
 //!   synced temp file and then let the rename *succeed* (a lying disk —
 //!   save reports Ok, load must catch the damage);
-//! * `queue::push` — engine job admission ([`crate::engine::QueryEngine`]);
-//! * `queue::pop` — worker dequeue, before deadline shedding;
-//! * `engine::run_job` — inside the worker's `catch_unwind`, before the
+//! * `queue::push` — engine request admission ([`crate::engine::QueryEngine`]);
+//! * `queue::pop` — when a job starts being answered (pool worker or
+//!   submitting thread), before deadline shedding;
+//! * `engine::run_job` — inside each block's `catch_unwind`, before the
 //!   query computation.
 
 use std::collections::HashMap;

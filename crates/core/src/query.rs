@@ -195,75 +195,6 @@ impl Bear {
     }
 }
 
-impl Bear {
-    /// Answers many single-seed queries, fanning out over `threads` scoped
-    /// workers (queries are independent and `Bear` is immutable after
-    /// preprocessing). Results are in seed order and bit-identical to
-    /// sequential [`Bear::query`] calls.
-    ///
-    /// All seeds are validated before any work starts, so an out-of-range
-    /// seed fails fast with an error naming it; a panicking worker
-    /// surfaces as an error instead of aborting the process. Long-lived
-    /// callers should prefer [`crate::engine::QueryEngine`], which keeps
-    /// its pool and per-worker buffers alive across calls instead of
-    /// re-spawning threads here.
-    pub fn query_batch(&self, seeds: &[usize], threads: usize) -> Result<Vec<Vec<f64>>> {
-        let n = self.num_nodes();
-        if let Some(&bad) = seeds.iter().find(|&&s| s >= n) {
-            return Err(Error::IndexOutOfBounds { index: bad, bound: n });
-        }
-        // Nothing to answer: return without allocating workspaces or
-        // touching any thread machinery.
-        if seeds.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = threads.max(1).min(seeds.len().max(1));
-        if threads <= 1 {
-            let mut ws = QueryWorkspace::for_bear(self);
-            return seeds
-                .iter()
-                .map(|&s| {
-                    let mut out = vec![0.0; n];
-                    self.query_into(s, &mut ws, &mut out)?;
-                    Ok(out)
-                })
-                .collect();
-        }
-        let chunk = seeds.len().div_ceil(threads);
-        let results: Vec<Result<Vec<Vec<f64>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .chunks(chunk)
-                .map(|chunk_seeds| {
-                    scope.spawn(move || -> Result<Vec<Vec<f64>>> {
-                        let mut ws = QueryWorkspace::for_bear(self);
-                        chunk_seeds
-                            .iter()
-                            .map(|&s| {
-                                let mut out = vec![0.0; n];
-                                self.query_into(s, &mut ws, &mut out)?;
-                                Ok(out)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(Error::InvalidStructure("query_batch worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(seeds.len());
-        for r in results {
-            out.extend(r?);
-        }
-        Ok(out)
-    }
-}
-
 impl RwrSolver for Bear {
     fn name(&self) -> &'static str {
         "BEAR"
@@ -414,14 +345,11 @@ mod tests {
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
         let seeds: Vec<usize> = (0..10).collect();
         let sequential: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        for threads in [1, 2, 4, 16] {
-            let batch = bear.query_batch(&seeds, threads).unwrap();
-            assert_eq!(batch, sequential, "threads = {threads}");
-        }
+        assert_eq!(bear.query_block(&seeds).unwrap(), sequential);
         // Error propagation: an out-of-range seed fails the whole batch.
-        assert!(bear.query_batch(&[0, 99], 2).is_err());
+        assert!(bear.query_block(&[0, 99]).is_err());
         // Empty batch is fine.
-        assert!(bear.query_batch(&[], 4).unwrap().is_empty());
+        assert!(bear.query_block(&[]).unwrap().is_empty());
     }
 
     #[test]

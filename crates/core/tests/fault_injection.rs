@@ -132,7 +132,7 @@ fn overload_rejects_typed_and_queue_stays_bounded() {
             .map(|i| {
                 let engine = Arc::clone(&engine);
                 scope.spawn(move || {
-                    let outcome = engine.query(i % 16).map(|_| ());
+                    let outcome = engine.serve(i % 16, &QueryOptions::default()).map(|_| ());
                     assert!(
                         engine.queue_depth() <= capacity,
                         "queue overflowed its bound under overload"
@@ -168,14 +168,14 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
     let engine = QueryEngine::new(Arc::clone(&bear), small_config(2, 8)).unwrap();
 
     failpoints::configure("engine::run_job", FailAction::Panic);
-    let err = engine.query(3).unwrap_err();
+    let err = engine.serve(3, &QueryOptions::default()).unwrap_err();
     assert_eq!(err, Error::WorkerPanicked { seed: 3 });
     assert!(engine.metrics().worker_panics >= 1);
 
     // Disarm: the same pool (no respawn) answers correctly.
     failpoints::clear("engine::run_job");
-    let scores = engine.query(3).unwrap();
-    assert_eq!(*scores, bear.query(3).unwrap());
+    let served = engine.serve(3, &QueryOptions::default()).unwrap();
+    assert_eq!(*served.scores, bear.query(3).unwrap());
 }
 
 /// Fault class: worker panic, with degradation enabled. `serve` converts
@@ -307,7 +307,7 @@ fn expired_deadline_fails_fast_before_enqueue_even_at_queue_full() {
 }
 
 /// Fault class: admission-path failure (e.g. an I/O-backed queue
-/// erroring). The injected error propagates typed from `query`, and with
+/// erroring). The injected error propagates typed from `serve`, and with
 /// `DelayThenFail` the slow-then-failing path still never hangs.
 #[test]
 fn admission_failure_propagates_typed() {
@@ -316,7 +316,7 @@ fn admission_failure_propagates_typed() {
     let engine = QueryEngine::new(Arc::clone(&bear), small_config(1, 4)).unwrap();
 
     failpoints::configure("queue::push", FailAction::Fail);
-    let err = engine.query(2).unwrap_err();
+    let err = engine.serve(2, &QueryOptions::default()).unwrap_err();
     assert!(
         matches!(&err, Error::InvalidStructure(msg) if msg.contains("failpoint 'queue::push'")),
         "unexpected error: {err}"
@@ -324,10 +324,10 @@ fn admission_failure_propagates_typed() {
 
     failpoints::configure("queue::push", FailAction::DelayThenFail(Duration::from_millis(5)));
     let start = Instant::now();
-    assert!(engine.query(2).is_err());
+    assert!(engine.serve(2, &QueryOptions::default()).is_err());
     assert!(start.elapsed() >= Duration::from_millis(5));
     failpoints::clear("queue::push");
-    assert!(engine.query(2).is_ok(), "pool healthy after disarming");
+    assert!(engine.serve(2, &QueryOptions::default()).is_ok(), "pool healthy after disarming");
 }
 
 /// Cancellation: a caller that abandons a batch stops its queued jobs —

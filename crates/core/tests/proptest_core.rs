@@ -99,7 +99,7 @@ proptest! {
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
         let n = g.num_nodes();
         let seeds: Vec<usize> = (0..n.min(6)).collect();
-        let batch = bear.query_batch(&seeds, 3).unwrap();
+        let batch = bear.query_block(&seeds).unwrap();
         for (i, &s) in seeds.iter().enumerate() {
             prop_assert_eq!(&batch[i], &bear.query(s).unwrap());
         }
@@ -145,7 +145,7 @@ proptest! {
     #[test]
     fn batch_query_empty_seed_slice_is_empty(g in arb_graph()) {
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        prop_assert_eq!(bear.query_batch(&[], 4).unwrap(), Vec::<Vec<f64>>::new());
+        prop_assert_eq!(bear.query_block(&[]).unwrap(), Vec::<Vec<f64>>::new());
     }
 
     #[test]

@@ -15,8 +15,20 @@ use bear_core::rwr::RwrConfig;
 use bear_core::{Bear, BearConfig, EngineConfig, FallbackSolver, QueryEngine};
 use bear_graph::Graph;
 use bear_serve::{client, Registry, Server, ServerConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
+
+/// The failpoint registry is process-global and the test harness runs
+/// tests on parallel threads, so each test holds this lock for its whole
+/// body: otherwise one test's arming (or `clear_all`) overwrites the
+/// other's mid-flight. Sites a failed test left armed are cleared.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let guard =
+        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    failpoints::clear_all();
+    guard
+}
 
 fn star_graph() -> Graph {
     let mut edges = Vec::new();
@@ -29,6 +41,7 @@ fn star_graph() -> Graph {
 
 #[test]
 fn queue_full_maps_to_429_with_retry_after() {
+    let _serial = serial();
     let bear = Arc::new(Bear::new(&star_graph(), &BearConfig::exact(0.15)).unwrap());
     // One worker, one queue slot, no caching: the tightest engine the
     // config validator admits.
@@ -103,6 +116,7 @@ fn queue_full_maps_to_429_with_retry_after() {
 /// ranking must never enter the top-k cache.
 #[test]
 fn degraded_topk_carries_x_degraded_header() {
+    let _serial = serial();
     let g = star_graph();
     let bear = Arc::new(Bear::new(&g, &BearConfig::exact(0.15)).unwrap());
     let rwr = RwrConfig { c: 0.15, ..RwrConfig::default() };

@@ -24,7 +24,7 @@ fn test_graph() -> Graph {
 }
 
 fn engine_config() -> EngineConfig {
-    EngineConfig::builder().threads(2).queue_capacity(64).build().unwrap()
+    EngineConfig::builder().threads(2).queue_capacity(64).block_width(8).build().unwrap()
 }
 
 /// Preprocesses the test graph, saves it, reloads it through the
@@ -131,6 +131,38 @@ fn topk_and_batch_match_in_memory_answers() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A `/v1/batch` is one engine request: its distinct seeds are answered
+/// in blocks of up to `block_width`, so `/metrics` reports a realized
+/// block width above 1, and every vector stays bit-identical to
+/// `Bear::query`.
+#[test]
+fn batch_is_answered_in_blocks_bit_identical() {
+    let (server, reference, path) = test_server("blocks");
+    let addr = server.addr();
+    // 16 seeds over the 12-node graph: 12 distinct ones, solved as
+    // blocks of 8 and 4; the 4 repeats are cache hits.
+    let seeds: Vec<usize> = (0..12).chain(0..4).collect();
+    let list = seeds.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+    let resp = client::get(addr, &format!("/v1/batch?graph=g&seeds={list}"), &[]).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let body = resp.body_str();
+    let results: Vec<&str> = body.split("{\"seed\":").skip(1).collect();
+    assert_eq!(results.len(), seeds.len());
+    for (result, &seed) in results.iter().zip(&seeds) {
+        assert!(result.starts_with(&format!("{seed},")), "results out of seed order: {body}");
+        let scores = client::json_number_array(result, "scores").expect("scores array");
+        let expected = reference.query(seed).unwrap();
+        assert_eq!(scores.len(), expected.len());
+        for (i, (got, want)) in scores.iter().zip(&expected).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} node {i}: {got:?} != {want:?}");
+        }
+    }
+    let width = scrape_metric(addr, "bear_avg_block_width");
+    assert!(width > 1.0, "a 16-seed batch must be solved in blocks, got width {width}");
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Satellite regression over HTTP: an already-expired deadline budget
 /// (`X-Deadline-Ms: 0`) fails fast at admission with the typed timeout
 /// → `504`, never `429`, and is counted by the engine's metrics.
@@ -212,11 +244,7 @@ fn topk_smaller_k_is_served_from_cache_prefix() {
 
     let small = client::get(addr, "/v1/topk?graph=g&seed=3&k=3", &[]).unwrap();
     assert_eq!(small.status, 200, "{}", small.body_str());
-    assert_eq!(
-        scrape_cache_hits(addr),
-        hits_after_big + 1,
-        "k' <= cached k must be a cache hit"
-    );
+    assert_eq!(scrape_cache_hits(addr), hits_after_big + 1, "k' <= cached k must be a cache hit");
 
     // The k=3 payload is the exact character-level prefix of the k=8
     // node list (same nodes, same order, same shortest-round-trip f64s).
@@ -250,13 +278,18 @@ fn topk_smaller_k_is_served_from_cache_prefix() {
 }
 
 fn scrape_cache_hits(addr: std::net::SocketAddr) -> u64 {
+    scrape_metric(addr, "bear_cache_hits_total") as u64
+}
+
+/// The value of the first `/metrics` series named `name`.
+fn scrape_metric(addr: std::net::SocketAddr, name: &str) -> f64 {
     let metrics = client::get(addr, "/metrics", &[]).unwrap().body_str();
     metrics
         .lines()
-        .find(|l| l.starts_with("bear_cache_hits_total"))
+        .find(|l| l.starts_with(name))
         .and_then(|l| l.split_whitespace().last())
         .and_then(|v| v.parse().ok())
-        .expect("cache hits metric present")
+        .unwrap_or_else(|| panic!("metric {name} present"))
 }
 
 #[test]

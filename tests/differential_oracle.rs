@@ -112,11 +112,11 @@ fn every_query_path_matches_the_dense_inversion_oracle() {
             }
         }
 
-        // Scoped-thread batch path.
-        let batch = bear.query_batch(&seeds, 2).unwrap();
+        // Whole-batch blocked path.
+        let batch = bear.query_block(&seeds).unwrap();
         for (i, (got, want)) in batch.iter().zip(&truth).enumerate() {
             let err = linf(got, want);
-            assert!(err < TOL, "{name}: query_batch off oracle by {err:.3e} at seed #{i}");
+            assert!(err < TOL, "{name}: query_block off oracle by {err:.3e} at seed #{i}");
         }
     }
 }
