@@ -1,10 +1,10 @@
 //! Criterion micro-benchmark: blocked multi-RHS query kernels
-//! ([`Bear::query_block_into`]) at widths 1/4/16/64 versus the per-seed
-//! path ([`Bear::query_into`]). Times a full pass over a fixed seed set
-//! so the numbers are per-query amortized and directly comparable across
-//! widths; the recordable counterpart is the `query_block_speedup` bin.
+//! ([`Bear::query_block_into`]) at widths 1/4/16/64. Times a full pass
+//! over a fixed seed set so the numbers are per-query amortized and
+//! directly comparable across widths; the recordable counterpart is the
+//! `query_block_speedup` bin.
 
-use bear_core::{Bear, BearConfig, BlockWorkspace, QueryWorkspace};
+use bear_core::{Bear, BearConfig, QueryWorkspace};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
 use bear_sparse::DenseBlock;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -30,25 +30,14 @@ fn bench_query_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_block");
     group.sample_size(20);
 
-    let mut ws = QueryWorkspace::for_bear(&bear);
-    let mut result = vec![0.0; n];
-    group.bench_function(BenchmarkId::from_parameter("per_seed"), |b| {
-        b.iter(|| {
-            for &seed in &seeds {
-                bear.query_into(seed, &mut ws, &mut result).unwrap();
-            }
-            std::hint::black_box(&result);
-        })
-    });
-
     for width in [1usize, 4, 16, 64] {
-        let mut block_ws = BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         let mut out = DenseBlock::zeros(n, 0);
         group.bench_function(BenchmarkId::from_parameter(format!("width_{width}")), |b| {
             b.iter(|| {
                 for chunk in seeds.chunks(width) {
                     out.reset(n, chunk.len());
-                    bear.query_block_into(chunk, &mut block_ws, &mut out).unwrap();
+                    bear.query_block_into(chunk, &mut ws, &mut out).unwrap();
                 }
                 std::hint::black_box(&out);
             })

@@ -137,7 +137,6 @@ fn run_grid(
     dataset: &str,
     version_tag: &str,
     path: &PathBuf,
-    full: &[u8],
     reference: &[f64],
     grid: Vec<Cell>,
 ) -> u32 {
@@ -209,7 +208,8 @@ fn main() {
 
     let mut failures = 0u32;
     for version in [2u32, 3] {
-        let path: PathBuf = std::env::temp_dir().join(format!("bear_durability_matrix_v{version}.idx"));
+        let path: PathBuf =
+            std::env::temp_dir().join(format!("bear_durability_matrix_v{version}.idx"));
         match version {
             2 => bear.save(&path).expect("save v2"),
             _ => bear.save_v3(&path).expect("save v3"),
@@ -226,7 +226,7 @@ fn main() {
             grid.extend(v3_shard_cells(&full));
         }
         let tag = format!("v{version}");
-        failures += run_grid(&mut out, &dataset, &tag, &path, &full, &reference, grid);
+        failures += run_grid(&mut out, &dataset, &tag, &path, &reference, grid);
 
         // Control: restore the pristine image and prove it still answers.
         std::fs::write(&path, &full).expect("restore");

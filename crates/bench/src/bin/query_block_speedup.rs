@@ -1,8 +1,7 @@
 //! Blocked multi-RHS query speedup: the recordable counterpart of the
 //! `bench_query_block` Criterion benchmark. Answers the same seed set
-//! through [`Bear::query_block_into`] at widths 1/4/16/64 and through
-//! the per-seed [`Bear::query_into`] path, verifies every blocked answer
-//! is bit-identical to the per-seed answer, and reports per-query
+//! through [`Bear::query_block_into`] at widths 1/4/16/64, verifies every
+//! answer is bit-identical to the width-1 answer, and reports per-query
 //! amortized latency (best of `--reps`) plus the speedup over width 1.
 //!
 //! The win comes from amortization: a width-`k` solve walks each sparse
@@ -18,7 +17,7 @@
 
 use bear_bench::cli::Args;
 use bear_bench::harness::{measure, ExperimentResult, ResultRow};
-use bear_core::{Bear, BearConfig, BlockWorkspace, QueryWorkspace};
+use bear_core::{Bear, BearConfig, QueryWorkspace};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
 use bear_sparse::DenseBlock;
 use rand::rngs::StdRng;
@@ -51,9 +50,9 @@ fn main() {
     let mut out = ExperimentResult::new(
         "query_block_speedup",
         &format!(
-            "per-query latency of blocked multi-RHS queries vs per-seed \
+            "per-query latency of blocked multi-RHS queries by block width \
              (best of {reps} passes over {num_seeds} seeds); host grants \
-             {host_cores} core(s); all widths bit-identical to per-seed"
+             {host_cores} core(s); all widths bit-identical to width 1"
         ),
     );
     println!(
@@ -62,59 +61,42 @@ fn main() {
         g.num_edges()
     );
 
-    // Per-seed reference pass: baseline latency and the ground truth for
-    // the bit-identity check below.
     let mut ws = QueryWorkspace::for_bear(&bear);
-    let mut reference: Vec<Vec<f64>> = seeds.iter().map(|_| vec![0.0; n]).collect();
-    let mut per_seed_s = f64::INFINITY;
-    for _ in 0..reps {
-        let (_, secs) = measure(|| {
-            for (&seed, result) in seeds.iter().zip(reference.iter_mut()) {
-                bear.query_into(seed, &mut ws, result).expect("query");
-            }
-        });
-        per_seed_s = per_seed_s.min(secs);
-    }
-    let per_seed_query = per_seed_s / num_seeds as f64;
-    println!("{:<10} {:>14} {:>10}", "path", "per-query(us)", "speedup");
-    println!("{:<10} {:>14.3} {:>9.2}x", "per_seed", per_seed_query * 1e6, 1.0);
-    let mut row = ResultRow::new("hub_and_spoke_220x28", "per_seed");
-    row.param = Some(format!("host_cores={host_cores}"));
-    row.query_s = Some(per_seed_query);
-    out.rows.push(row);
-
-    let mut block_ws = BlockWorkspace::for_bear(&bear);
     let mut block_out = DenseBlock::zeros(n, 0);
+    let mut reference: Vec<Vec<f64>> = Vec::new();
     let mut per_query_at = std::collections::HashMap::new();
+    println!("{:<10} {:>14} {:>10}", "width", "per-query(us)", "speedup");
     for width in [1usize, 4, 16, 64] {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
             let (_, secs) = measure(|| {
                 for chunk in seeds.chunks(width) {
                     block_out.reset(n, chunk.len());
-                    bear.query_block_into(chunk, &mut block_ws, &mut block_out).expect("block");
+                    bear.query_block_into(chunk, &mut ws, &mut block_out).expect("block");
                 }
             });
             best = best.min(secs);
         }
-        // The guarantee the speedup rides on: every blocked answer is
-        // bit-identical to the per-seed answer.
-        let mut offset = 0;
+        // The guarantee the speedup rides on: every width answers
+        // bit-identically to width 1.
+        let mut answers = Vec::with_capacity(num_seeds);
         for chunk in seeds.chunks(width) {
             block_out.reset(n, chunk.len());
-            bear.query_block_into(chunk, &mut block_ws, &mut block_out).expect("block");
-            for j in 0..chunk.len() {
-                assert_eq!(block_out.col(j), &reference[offset + j][..], "width {width} diverged");
-            }
-            offset += chunk.len();
+            bear.query_block_into(chunk, &mut ws, &mut block_out).expect("block");
+            answers.extend(block_out.to_columns());
+        }
+        if width == 1 {
+            reference = answers;
+        } else {
+            assert!(answers == reference, "width {width} diverged from width 1");
         }
         let per_query = best / num_seeds as f64;
         per_query_at.insert(width, per_query);
-        let speedup = per_seed_query / per_query;
+        let speedup = per_query_at[&1] / per_query;
         println!("{:<10} {:>14.3} {:>9.2}x", format!("width_{width}"), per_query * 1e6, speedup);
         let mut row = ResultRow::new("hub_and_spoke_220x28", "query_block");
         row.param =
-            Some(format!("width={width} speedup_vs_per_seed={speedup:.3} host_cores={host_cores}"));
+            Some(format!("width={width} speedup_vs_width_1={speedup:.3} host_cores={host_cores}"));
         row.query_s = Some(per_query);
         out.rows.push(row);
     }

@@ -20,7 +20,7 @@ use crate::paging::Factor;
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
-use bear_sparse::{CooMatrix, Error, Result, SparseLu};
+use bear_sparse::{CooMatrix, DenseBlock, Error, Result, SparseLu};
 
 /// Which update path an edge insertion took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,19 +200,22 @@ impl DynamicBear {
         // keeps the code auditable; the dominant cost is the refactor
         // anyway. S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂ column by column.
         let mut s_coo = CooMatrix::new(n2, n2);
+        let (mut x, mut t, mut y) =
+            (DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1), DenseBlock::zeros(n2, 1));
         for col in 0..n2 {
-            let mut dense_col = vec![0.0f64; n1];
+            x.fill(0.0);
+            let dense_col = x.col_mut(0);
             for &(r, v) in &self.h12_cols[col] {
                 dense_col[r] = v;
             }
-            let t = self.bear.spokes.matvec(Factor::L1, &dense_col)?;
-            let t = self.bear.spokes.matvec(Factor::U1, &t)?;
-            let y = self.bear.h21.matvec(&t)?;
+            self.bear.spokes.spmm_into(Factor::L1, &x, &mut t)?;
+            self.bear.spokes.spmm_into(Factor::U1, &t, &mut x)?;
+            self.bear.h21.spmm_into(&x, &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {
                 s_col[r] = v;
             }
-            for (r, yv) in y.iter().enumerate() {
+            for (r, yv) in y.col(0).iter().enumerate() {
                 s_col[r] -= yv;
             }
             for (r, v) in s_col.into_iter().enumerate() {

@@ -1,10 +1,8 @@
 //! Shared bounded job queue feeding the worker pool.
 //!
-//! A `Condvar`-signalled deque instead of an mpsc channel, so the
-//! *submitting* thread can opportunistically pop work too
-//! ([`JobQueue::try_pop`]) while pool workers block in [`JobQueue::pop`].
-//! The lock is held only for queue surgery, never while waiting for or
-//! executing a job.
+//! A `Condvar`-signalled deque: pool workers block in [`JobQueue::pop`],
+//! and producers either fail fast or wait for space. The lock is held
+//! only for queue surgery, never while waiting for or executing a job.
 //!
 //! The queue is the engine's admission-control point: it holds at most
 //! `capacity` jobs. [`JobQueue::push`] *rejects* overload with
@@ -16,7 +14,7 @@
 //! The queue is generic over the job type and built exclusively on the
 //! `crate::sync` shim, so the loom suite
 //! (`crates/core/tests/loom_engine.rs`) model-checks exactly the code
-//! that runs in production: submit vs. steal, concurrent shutdown, and
+//! that runs in production: racing workers, concurrent shutdown, and
 //! both wakeup protocols (`ready` for poppers, `space` for blocked
 //! pushers) are all explored exhaustively under `--cfg loom`.
 
@@ -189,15 +187,6 @@ impl<T> JobQueue<T> {
             }
             state = self.ready.wait(state).ok()?;
         }
-    }
-
-    /// Non-blocking pop, used by submitting threads to assist the pool.
-    pub fn try_pop(&self) -> Option<T> {
-        let job = self.state.lock().ok()?.jobs.pop_front();
-        if job.is_some() {
-            self.space.notify_one();
-        }
-        job
     }
 
     /// Closes the queue and wakes every blocked worker and producer.

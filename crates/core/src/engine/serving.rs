@@ -19,7 +19,7 @@
 //! engine's spare buffers are free, so one request's blocks stay on one
 //! thread. Full-vector blocks share one multi-RHS solve
 //! ([`Bear::query_block_into`]), whose columns are bit-identical to
-//! per-seed answers, so the block width is purely a throughput/latency
+//! width-1 answers, so the block width is purely a throughput/latency
 //! trade-off (see DESIGN.md §13); [`Metrics`] records the realized
 //! block-width histogram and per-query amortized latency.
 //!
@@ -47,7 +47,7 @@
 
 use super::metrics::Metrics;
 use super::queue::JobQueue;
-use super::{BlockWorkspace, MetricsSnapshot, QueryWorkspace};
+use super::{MetricsSnapshot, QueryWorkspace};
 use crate::fallback::{DegradedReason, FallbackSolver};
 use crate::precompute::Bear;
 use crate::topk::{top_k_excluding_seed, ScoredNode};
@@ -173,8 +173,8 @@ pub struct EngineConfig {
     /// Most seeds of one request answered by one blocked multi-RHS
     /// solve ([`Bear::query_block_into`]). `1` answers seed by seed;
     /// must be ≥ 1 ([`Error::InvalidConfig`] otherwise) and is capped at
-    /// [`EngineConfig::queue_capacity`]. Blocked answers are
-    /// bit-identical to per-seed ones, so this is purely a
+    /// [`EngineConfig::queue_capacity`]. Answers at every width are
+    /// bit-identical to width 1, so this is purely a
     /// throughput/latency trade-off.
     pub block_width: usize,
     /// How top-k queries are computed; see [`TopKStrategy`].
@@ -460,23 +460,21 @@ type Reply = (Vec<usize>, Result<Vec<Payload>>);
 type Solved = HashMap<usize, (Result<Payload>, Duration)>;
 
 /// The buffers one thread answers blocks with, reused across requests.
-/// Each workspace is allocated on first use, so a thread that only ever
-/// answers one kind of request holds only that kind's buffers.
+/// The workspace is allocated on first use.
 struct Scratch {
-    /// Pruned top-k runs seed by seed on the vector workspace.
     ws: Option<QueryWorkspace>,
-    block: Option<BlockWorkspace>,
     out: DenseBlock,
 }
 
 impl Scratch {
     fn new() -> Self {
-        Scratch { ws: None, block: None, out: DenseBlock::zeros(0, 0) }
+        Scratch { ws: None, out: DenseBlock::zeros(0, 0) }
     }
 
     /// Exact answers for `seeds`, in order: pruned top-k seed by seed, or
     /// else one blocked multi-RHS solve ([`Bear::query_block_into`]),
-    /// whose columns are bit-identical to per-seed [`Bear::query`].
+    /// whose columns are bit-identical to [`Bear::query`]. Both run on
+    /// the one workspace.
     fn solve(
         &mut self,
         bear: &Bear,
@@ -485,8 +483,8 @@ impl Scratch {
         topk_strategy: TopKStrategy,
         metrics: &Metrics,
     ) -> Result<Vec<Payload>> {
+        let ws = self.ws.get_or_insert_with(|| QueryWorkspace::for_bear(bear));
         if let (Kind::TopK(k), TopKStrategy::Pruned) = (kind, topk_strategy) {
-            let ws = self.ws.get_or_insert_with(|| QueryWorkspace::for_bear(bear));
             return seeds
                 .iter()
                 .map(|&seed| {
@@ -501,9 +499,8 @@ impl Scratch {
                 })
                 .collect();
         }
-        let block = self.block.get_or_insert_with(|| BlockWorkspace::for_bear(bear));
         self.out.reset(bear.num_nodes(), seeds.len());
-        bear.query_block_into(seeds, block, &mut self.out)?;
+        bear.query_block_into(seeds, ws, &mut self.out)?;
         Ok(self
             .out
             .columns()

@@ -68,12 +68,12 @@ macro_rules! fail_point {
 }
 
 pub use dynamic::{DynamicBear, UpdateKind};
-pub use engine::{BlockWorkspace, MetricsSnapshot, QueryWorkspace};
 #[cfg(not(loom))]
 pub use engine::{
     CancelToken, DegradedInfo, EngineConfig, EngineConfigBuilder, OverloadPolicy, QueryEngine,
     QueryOptions, Served, TopKServed, TopKStrategy,
 };
+pub use engine::{MetricsSnapshot, QueryWorkspace};
 #[cfg(not(loom))]
 pub use fallback::{DegradedReason, FallbackAnswer, FallbackSolver, DEFAULT_FALLBACK_ITERATIONS};
 pub use hub_iterative::BearHubIterative;

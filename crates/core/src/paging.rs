@@ -12,7 +12,7 @@
 //! * [`BlockPager`] materializes segments lazily via a [`SegmentSource`]
 //!   (`pread` on a file handle; plain `std`, no mmap dependency) into an
 //!   LRU-evicted resident set capped by a byte budget;
-//! * [`SpokeFactors`] is the dispatch point the query kernels run
+//! * `SpokeFactors` is the dispatch point the query kernels run
 //!   through: the `Resident` variant holds the familiar whole matrices,
 //!   the `Paged` variant walks blocks through the pager.
 //!
@@ -42,10 +42,10 @@
 //! suite with a one-block budget). Hit/miss/eviction counters are
 //! atomics surfaced through [`PagerStats`] and the serving `/metrics`.
 
+use crate::sync::{Mutex, MutexGuard};
 use bear_sparse::mem::{sparse_bytes, MemoryUsage};
 use bear_sparse::{CscMatrix, DenseBlock, Error, Result};
 use std::collections::HashMap;
-use crate::sync::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -55,10 +55,7 @@ pub(crate) const SEGMENT_TAG: &[u8; 4] = b"SPKB";
 pub(crate) const SEGMENT_FRAME_OVERHEAD: usize = 16;
 
 pub(crate) fn corrupt_shard(shard: usize, detail: impl std::fmt::Display) -> Error {
-    Error::CorruptIndex {
-        section: "spoke_segment",
-        detail: format!("shard {shard}: {detail}"),
-    }
+    Error::CorruptIndex { section: "spoke_segment", detail: format!("shard {shard}: {detail}") }
 }
 
 /// Which spoke factor a kernel applies.
@@ -190,11 +187,8 @@ struct SegCursor<'a> {
 impl<'a> SegCursor<'a> {
     // lint:allow(L1, slice type in the signature, not an index expression)
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self
-            .pos
-            .checked_add(n)
-            .and_then(|end| self.bytes.get(self.pos..end))
-            .ok_or_else(|| {
+        let s = self.pos.checked_add(n).and_then(|end| self.bytes.get(self.pos..end)).ok_or_else(
+            || {
                 corrupt_shard(
                     self.shard,
                     format!(
@@ -203,7 +197,8 @@ impl<'a> SegCursor<'a> {
                         self.bytes.len()
                     ),
                 )
-            })?;
+            },
+        )?;
         self.pos += n;
         Ok(s)
     }
@@ -380,10 +375,7 @@ impl FileSource {
 }
 
 fn read_err(e: std::io::Error) -> Error {
-    Error::CorruptIndex {
-        section: "spoke_segment",
-        detail: format!("segment read failed: {e}"),
-    }
+    Error::CorruptIndex { section: "spoke_segment", detail: format!("segment read failed: {e}") }
 }
 
 impl SegmentSource for FileSource {
@@ -411,23 +403,20 @@ pub struct MemSource(pub Vec<u8>);
 
 impl SegmentSource for MemSource {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let start = usize::try_from(offset).map_err(|_| {
-            Error::CorruptIndex {
-                section: "spoke_segment",
-                detail: format!("segment offset {offset} does not fit in usize"),
-            }
+        let start = usize::try_from(offset).map_err(|_| Error::CorruptIndex {
+            section: "spoke_segment",
+            detail: format!("segment offset {offset} does not fit in usize"),
         })?;
-        let src = start
-            .checked_add(buf.len())
-            .and_then(|end| self.0.get(start..end))
-            .ok_or_else(|| Error::CorruptIndex {
+        let src = start.checked_add(buf.len()).and_then(|end| self.0.get(start..end)).ok_or_else(
+            || Error::CorruptIndex {
                 section: "spoke_segment",
                 detail: format!(
                     "segment read [{start}, +{}) beyond image of {} bytes",
                     buf.len(),
                     self.0.len()
                 ),
-            })?;
+            },
+        )?;
         buf.copy_from_slice(src);
         Ok(())
     }
@@ -528,11 +517,9 @@ impl BlockPager {
                     ),
                 });
             }
-            acc = acc.checked_add(sz).ok_or_else(|| {
-                Error::CorruptIndex {
-                    section: "segment_directory",
-                    detail: "block sizes overflow".into(),
-                }
+            acc = acc.checked_add(sz).ok_or_else(|| Error::CorruptIndex {
+                section: "segment_directory",
+                detail: "block sizes overflow".into(),
             })?;
             starts.push(acc);
         }
@@ -701,8 +688,9 @@ impl BlockPager {
                 ),
             ));
         }
-        let dim = usize::try_from(meta.block_dim)
-            .map_err(|_| corrupt_shard(b, format!("block dimension {} overflows", meta.block_dim)))?;
+        let dim = usize::try_from(meta.block_dim).map_err(|_| {
+            corrupt_shard(b, format!("block dimension {} overflows", meta.block_dim))
+        })?;
         decode_segment(payload, b, dim)
     }
 }
@@ -714,11 +702,7 @@ fn evict_to_limit(st: &mut ResidentSet) -> u64 {
     let Some(limit) = st.limit else { return 0 };
     let mut evicted = 0u64;
     while st.bytes > limit && st.map.len() > 1 {
-        let victim = st
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, _)| k);
+        let victim = st.map.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k);
         let Some(victim) = victim else { break };
         if let Some(e) = st.map.remove(&victim) {
             st.bytes = st.bytes.saturating_sub(e.bytes);
@@ -838,68 +822,10 @@ impl SpokeFactors {
         Ok(pairs)
     }
 
-    /// `y = F x` — bit-identical to `CscMatrix::matvec_into` on the
-    /// whole factor. The paged arm skips (never fetches) blocks whose
-    /// input slice is entirely zero.
-    pub(crate) fn matvec_into(&self, f: Factor, x: &[f64], y: &mut [f64]) -> Result<()> {
-        match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.matvec_into(x, y),
-                Factor::U1 => u1_inv.matvec_into(x, y),
-            },
-            SpokeFactors::Paged { pager } => {
-                let n1 = pager.dim();
-                if x.len() != n1 || y.len() != n1 {
-                    return Err(Error::DimensionMismatch {
-                        op: "paged spoke matvec",
-                        lhs: (n1, n1),
-                        rhs: (y.len(), x.len()),
-                    });
-                }
-                y.fill(0.0);
-                for b in 0..pager.num_blocks() {
-                    let (bs, be) = pager.block_range(b)?;
-                    let xb = x
-                        .get(bs..be)
-                        .ok_or_else(|| corrupt_shard(b, "block range beyond input vector"))?;
-                    // An all-zero input slice contributes nothing in the
-                    // whole-matrix kernel (per-column zero skip), so the
-                    // block need not even be fetched.
-                    if xb.iter().all(|&v| v == 0.0) {
-                        continue;
-                    }
-                    let pair = pager.fetch(b)?;
-                    let m = pair.factor(f);
-                    if m.ncols() != be - bs {
-                        return Err(corrupt_shard(b, "decoded dimension mismatch"));
-                    }
-                    for (off, &xc) in xb.iter().enumerate() {
-                        if xc == 0.0 {
-                            continue;
-                        }
-                        let (rows, vals) = m.col(off);
-                        for (&r, &v) in rows.iter().zip(vals) {
-                            if let Some(slot) = y.get_mut(bs + r) {
-                                *slot += v * xc;
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Allocating form of [`SpokeFactors::matvec_into`].
-    pub(crate) fn matvec(&self, f: Factor, x: &[f64]) -> Result<Vec<f64>> {
-        let mut y = vec![0.0; self.dim()];
-        self.matvec_into(f, x, &mut y)?;
-        Ok(y)
-    }
-
-    /// `Y = F X` — bit-identical per column to
-    /// `CscMatrix::spmm_into` on the whole factor (width-1 delegates to
-    /// the vector kernel, exactly as the resident kernel does).
+    /// `Y = F X` — bit-identical per column to `CscMatrix::spmm_into`
+    /// (at width 1, `CscMatrix::matvec_into`) on the whole factor. The
+    /// paged arm skips (never fetches) blocks whose input rows are all
+    /// zero.
     pub(crate) fn spmm_into(&self, f: Factor, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv } => match f {
@@ -914,9 +840,6 @@ impl SpokeFactors {
                         lhs: (n1, n1),
                         rhs: (x.nrows(), x.ncols()),
                     });
-                }
-                if x.ncols() == 1 {
-                    return self.matvec_into(f, x.col(0), y.col_mut(0));
                 }
                 y.fill(0.0);
                 let k = x.ncols();
@@ -1165,8 +1088,8 @@ mod tests {
     #[test]
     fn split_block_rejects_cross_block_entries() {
         // A full 2x2 dense-ish matrix is not block diagonal for sizes [1, 1].
-        let m = CscMatrix::try_from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0; 4])
-            .unwrap();
+        let m =
+            CscMatrix::try_from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0; 4]).unwrap();
         assert!(split_block(&m, 0, 1).is_err());
         assert!(split_block(&m, 0, 2).is_ok());
     }

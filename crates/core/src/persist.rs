@@ -25,7 +25,7 @@
 //!   length`) closes the file. [`Bear::load_with`] CRC-verifies every
 //!   segment in bounded chunks at load time, then serves queries through
 //!   a [`crate::paging::BlockPager`] that materializes segments lazily
-//!   under a [`MemBudget`]; [`V3StreamWriter`] lets preprocessing stream
+//!   under a [`MemBudget`]; `V3StreamWriter` lets preprocessing stream
 //!   finished block shards to disk so peak preprocessing RSS is
 //!   independent of total index size.
 //! * **Crash-safe writes** — [`Bear::save`] builds the image in memory,
@@ -367,12 +367,14 @@ fn validate_v3_dir(dir: &[SegmentMeta], num_blocks: usize, resident_off: u64) ->
         if meta.frame_len < SEGMENT_FRAME_OVERHEAD as u64 {
             return Err(corrupt_shard(b, format!("frame length {} too short", meta.frame_len)));
         }
-        expected = expected
-            .checked_add(meta.frame_len)
-            .filter(|&e| e <= resident_off)
-            .ok_or_else(|| {
-                corrupt_shard(b, format!("segment extends past the resident region at {resident_off}"))
-            })?;
+        expected = expected.checked_add(meta.frame_len).filter(|&e| e <= resident_off).ok_or_else(
+            || {
+                corrupt_shard(
+                    b,
+                    format!("segment extends past the resident region at {resident_off}"),
+                )
+            },
+        )?;
     }
     if expected != resident_off {
         return Err(corrupt(
@@ -560,9 +562,10 @@ impl V3StreamWriter {
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        let file = self.file.as_mut().ok_or_else(|| {
-            Error::InvalidStructure("stream writer used after finish".into())
-        })?;
+        let file = self
+            .file
+            .as_mut()
+            .ok_or_else(|| Error::InvalidStructure("stream writer used after finish".into()))?;
         file.write_all(bytes).map_err(io_err)?;
         self.pos += bytes.len() as u64;
         Ok(())
@@ -607,9 +610,10 @@ impl V3StreamWriter {
             }
         }
         crate::fail_point!("persist::save::sync");
-        let file = self.file.take().ok_or_else(|| {
-            Error::InvalidStructure("stream writer used after finish".into())
-        })?;
+        let file = self
+            .file
+            .take()
+            .ok_or_else(|| Error::InvalidStructure("stream writer used after finish".into()))?;
         file.sync_all().map_err(io_err)?;
         drop(file);
         apply_torn_injection(&self.tmp)?;
@@ -1186,8 +1190,8 @@ fn v3_region_frames(region: &[u8]) -> Result<Vec<&[u8]>> {
 /// segments stay on disk regardless of their size.
 fn read_v3_resident(src: &FileSource, total: u64, budget: &MemBudget) -> Result<V3Resident> {
     let (resident_off, trailer_off, stored_crc) = read_v3_geometry(src, total)?;
-    let region_len =
-        checked_usize(trailer_off - resident_off, "resident region length").map_err(wrap("trailer"))?;
+    let region_len = checked_usize(trailer_off - resident_off, "resident region length")
+        .map_err(wrap("trailer"))?;
     budget.check(region_len)?;
     let mut region = vec![0u8; region_len];
     src.read_at(resident_off, &mut region).map_err(retag("trailer"))?;
@@ -1222,7 +1226,20 @@ fn read_v3_resident(src: &FileSource, total: u64, budget: &MemBudget) -> Result<
     let h21 = parse_csr(h21_b, "h21")?;
     let dir = parse_sdir(sdir_b)?;
     validate_v3_dir(&dir, block_sizes.len(), resident_off)?;
-    Ok(V3Resident { n1, n2, c, perm, block_sizes, degrees, l2_inv, u2_inv, h12, h21, dir, sections })
+    Ok(V3Resident {
+        n1,
+        n2,
+        c,
+        perm,
+        block_sizes,
+        degrees,
+        l2_inv,
+        u2_inv,
+        h12,
+        h21,
+        dir,
+        sections,
+    })
 }
 
 /// Streams segment `b` through its CRC in bounded chunks, verifying the
@@ -1295,8 +1312,7 @@ fn load_v3(file: std::fs::File, opts: &LoadOptions) -> Result<Bear> {
     let mut spokes = SpokeFactors::Paged { pager };
     if opts.resident {
         let (l1_inv, u1_inv) = spokes.to_whole()?;
-        opts.budget
-            .check(resident_bytes + l1_inv.memory_bytes() + u1_inv.memory_bytes())?;
+        opts.budget.check(resident_bytes + l1_inv.memory_bytes() + u1_inv.memory_bytes())?;
         spokes = SpokeFactors::Resident { l1_inv, u1_inv };
     }
     assemble(
@@ -1810,10 +1826,7 @@ fn verify_v2(src: FileSource, total: u64, budget: &MemBudget) -> Result<IndexRep
                 dims[i - 4] = (m.nrows(), m.ncols());
             }
         }
-        sections.push(SectionInfo {
-            tag: String::from_utf8_lossy(tag).into_owned(),
-            len,
-        });
+        sections.push(SectionInfo { tag: String::from_utf8_lossy(tag).into_owned(), len });
         pos = crc_end;
     }
     if pos != trailer_off {
@@ -1847,7 +1860,8 @@ fn verify_v2(src: FileSource, total: u64, budget: &MemBudget) -> Result<IndexRep
 fn verify_v3(src: FileSource, total: u64, budget: &MemBudget) -> Result<IndexReport> {
     let res = read_v3_resident(&src, total, budget)?;
     for (b, meta) in res.dir.iter().enumerate() {
-        let frame = checked_usize(meta.frame_len, "segment frame length").map_err(wrap("segment_directory"))?;
+        let frame = checked_usize(meta.frame_len, "segment frame length")
+            .map_err(wrap("segment_directory"))?;
         budget.check(frame.saturating_add(meta.resident_bytes()))?;
         verify_segment_stream(&src, b, meta)?;
     }
@@ -2363,7 +2377,10 @@ mod tests {
             lo *= 2;
         }
         let ok_at = ok_at.expect("no bounded budget verified the index");
-        assert!(ok_at < file_len, "v2 verification peak ({ok_at}) not below file size ({file_len})");
+        assert!(
+            ok_at < file_len,
+            "v2 verification peak ({ok_at}) not below file size ({file_len})"
+        );
         let err = verify_index_with(&path, &MemBudget::bytes(16)).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, Error::OutOfBudget { .. }), "unexpected: {err}");

@@ -257,7 +257,13 @@ impl SchurAccumulator {
 
     /// Folds in block `[bs, be)`: `r2b` holds the rows `[bs, be)` of
     /// `U₁⁻¹ L₁⁻¹ H₁₂` (block-local row indices).
-    fn scatter_block(&mut self, h21: &CsrMatrix, bs: usize, be: usize, r2b: &CsrMatrix) -> Result<()> {
+    fn scatter_block(
+        &mut self,
+        h21: &CsrMatrix,
+        bs: usize,
+        be: usize,
+        r2b: &CsrMatrix,
+    ) -> Result<()> {
         for i in 0..self.n2 {
             let (cols, vals) = h21.row(i);
             let base = i * self.n2;
@@ -321,7 +327,7 @@ impl SchurAccumulator {
 /// `Bear::new(g, config)?.save_v3(path)`: per-block factorization and
 /// inversion follow the exact code path of [`BlockDiagLu::factor`], the
 /// Schur complement is accumulated in the global kernel's visitation
-/// order (see [`SchurAccumulator`]), and the drop tolerance filters per
+/// order (see `SchurAccumulator`), and the drop tolerance filters per
 /// entry so filtering each block equals slicing the filtered whole.
 ///
 /// `config.budget` bounds the *resident working set* (hub matrices plus
@@ -357,9 +363,7 @@ pub fn preprocess_to_disk(g: &Graph, config: &BearConfig, path: &Path) -> Result
     // the per-block submatrix slicing and corrupt the factors.
     let total: usize = ordering.block_sizes.iter().sum();
     if total != n1 {
-        return Err(Error::InvalidStructure(format!(
-            "block sizes sum to {total}, expected {n1}"
-        )));
+        return Err(Error::InvalidStructure(format!("block sizes sum to {total}, expected {n1}")));
     }
     let mut block_of = vec![0usize; n1];
     let mut off = 0usize;
@@ -369,7 +373,9 @@ pub fn preprocess_to_disk(g: &Graph, config: &BearConfig, path: &Path) -> Result
     }
     for (r, c, _) in h11.iter() {
         if block_of[r] != block_of[c] {
-            return Err(Error::InvalidStructure(format!("entry ({r}, {c}) crosses block boundary")));
+            return Err(Error::InvalidStructure(format!(
+                "entry ({r}, {c}) crosses block boundary"
+            )));
         }
     }
 
@@ -388,13 +394,13 @@ pub fn preprocess_to_disk(g: &Graph, config: &BearConfig, path: &Path) -> Result
         let r1b = ops::spgemm(&l1b.to_csr(), &h12b)?;
         let r2b = ops::spgemm(&u1b.to_csr(), &r1b)?;
         schur.scatter_block(&h21, off, off + sz, &r2b)?;
-        let (l1b, u1b) =
-            if xi > 0.0 { (drop_tolerance_csc(&l1b, xi), drop_tolerance_csc(&u1b, xi)) } else { (l1b, u1b) };
+        let (l1b, u1b) = if xi > 0.0 {
+            (drop_tolerance_csc(&l1b, xi), drop_tolerance_csc(&u1b, xi))
+        } else {
+            (l1b, u1b)
+        };
         config.budget.check(
-            h12.memory_bytes()
-                + h21.memory_bytes()
-                + l1b.memory_bytes()
-                + u1b.memory_bytes(),
+            h12.memory_bytes() + h21.memory_bytes() + l1b.memory_bytes() + u1b.memory_bytes(),
         )?;
         writer.write_segment(&FactorPair::new(l1b, u1b)?)?;
         off += sz;
@@ -733,7 +739,8 @@ mod tests {
             &mut rand_rng(17),
         );
         for (tag, xi) in [("exact", 0.0), ("approx", 1e-3)] {
-            let cfg = if xi == 0.0 { BearConfig::exact(0.12) } else { BearConfig::approx(0.12, xi) };
+            let cfg =
+                if xi == 0.0 { BearConfig::exact(0.12) } else { BearConfig::approx(0.12, xi) };
             let a = std::env::temp_dir().join(format!("bear_stream_{tag}_mem.idx"));
             let b = std::env::temp_dir().join(format!("bear_stream_{tag}_disk.idx"));
             Bear::new(&g, &cfg).unwrap().save_v3(&a).unwrap();

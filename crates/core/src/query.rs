@@ -11,7 +11,7 @@
 //! with every product a sparse matrix–vector multiplication, giving the
 //! paper's query complexity `O(Σ n₁ᵢ² + n₂² + min(n₁n₂, m))` (Theorem 3).
 
-use crate::engine::{BlockWorkspace, QueryWorkspace};
+use crate::engine::QueryWorkspace;
 use crate::paging::Factor;
 use crate::precompute::Bear;
 use crate::rwr::validate_distribution;
@@ -28,23 +28,22 @@ impl Bear {
         Ok(out)
     }
 
-    /// [`Bear::query`] into caller-owned buffers: the allocation-free form
-    /// used by the serving engine. `ws` must have been built for this
-    /// index ([`QueryWorkspace::for_bear`]); `out` must have length `n`.
+    /// [`Bear::query`] into caller-owned buffers: the blocked solve at
+    /// width 1. `ws` may come from any index; `out` must have length `n`.
     pub fn query_into(&self, seed: usize, ws: &mut QueryWorkspace, out: &mut [f64]) -> Result<()> {
         let n = self.num_nodes();
         if seed >= n {
             return Err(Error::IndexOutOfBounds { index: seed, bound: n });
         }
-        // Borrow the one-hot buffer out of the workspace so the workspace
-        // itself can be passed down (`mem::take` swaps in an empty Vec —
-        // no allocation).
-        let mut q = std::mem::take(&mut ws.q);
-        q[seed] = 1.0;
-        let result = self.query_distribution_into(&q, ws, out);
-        q[seed] = 0.0;
-        ws.q = q;
-        result
+        if out.len() != n {
+            return Err(Error::DimensionMismatch {
+                op: "bear query",
+                lhs: (n, 1),
+                rhs: (n, out.len()),
+            });
+        }
+        self.load_seeds(ws, &[seed]);
+        self.solve_loaded(ws, [out])
     }
 
     /// Personalized PageRank for an arbitrary preference distribution
@@ -56,10 +55,8 @@ impl Bear {
         Ok(out)
     }
 
-    /// [`Bear::query_distribution`] into caller-owned buffers. This is the
-    /// single implementation of Algorithm 2's two block-elimination
-    /// sweeps; the allocating wrappers and the engine both call it, so
-    /// every path produces bit-identical floating-point results.
+    /// [`Bear::query_distribution`] into caller-owned buffers: the blocked
+    /// solve at width 1 with `q` as its one column.
     pub fn query_distribution_into(
         &self,
         q: &[f64],
@@ -75,34 +72,8 @@ impl Bear {
             });
         }
         validate_distribution(q)?;
-        // Move q into the reordered index space and split.
-        self.perm.permute_vec_into(q, &mut ws.q_perm)?;
-        let (q1, q2) = ws.q_perm.split_at(self.n1);
-
-        // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)
-        self.spokes.matvec_into(Factor::L1, q1, &mut ws.t1)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t1, &mut ws.t2)?;
-        self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
-        for (t, &qv) in ws.t3.iter_mut().zip(q2) {
-            *t = qv - *t;
-        }
-        self.l2_inv.matvec_into(&ws.t3, &mut ws.t4)?;
-        self.u2_inv.matvec_into(&ws.t4, &mut ws.t3)?;
-        let (r1, r2) = ws.r.split_at_mut(self.n1);
-        for (r, &v) in r2.iter_mut().zip(&ws.t3) {
-            *r = self.c * v;
-        }
-
-        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂)
-        self.h12.matvec_into(r2, &mut ws.t1)?;
-        for (t, &qv) in ws.t1.iter_mut().zip(q1) {
-            *t = self.c * qv - *t;
-        }
-        self.spokes.matvec_into(Factor::L1, &ws.t1, &mut ws.t2)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t2, r1)?;
-
-        // Map back to the original node ids.
-        self.perm.unpermute_vec_into(&ws.r, out)
+        self.load_distribution(ws, q);
+        self.solve_loaded(ws, [out])
     }
 
     /// Answers a block of seeds at once: column `j` of `out` receives the
@@ -110,31 +81,31 @@ impl Bear {
     /// [`Bear::query_block_into`] that allocates its own workspace and
     /// returns one score vector per seed, in seed order.
     pub fn query_block(&self, seeds: &[usize]) -> Result<Vec<Vec<f64>>> {
-        let mut ws = BlockWorkspace::for_bear(self);
+        let mut ws = QueryWorkspace::for_bear(self);
         let mut out = DenseBlock::zeros(self.num_nodes(), seeds.len());
         self.query_block_into(seeds, &mut ws, &mut out)?;
         Ok(out.to_columns())
     }
 
-    /// Blocked multi-RHS form of [`Bear::query_into`]: runs Algorithm 2's
-    /// two block-elimination sweeps on all of `seeds` simultaneously,
-    /// with every sparse matrix applied once per *block* instead of once
-    /// per seed (the SpMM-over-SpMV amortization; see DESIGN.md §13).
+    /// Answers all of `seeds` in one pass of Algorithm 2's two
+    /// block-elimination sweeps, with every sparse matrix applied once
+    /// per *block* instead of once per seed (the SpMM-over-SpMV
+    /// amortization; see DESIGN.md §13). This is the only implementation
+    /// of the sweeps; every other query form is a width-1 call of it.
     ///
     /// Column `j` of `out` is **bit-identical** to what
     /// `query_into(seeds[j], …)` writes — the blocked kernels replicate
-    /// the scalar accumulation order per column — so blocking is purely a
-    /// throughput optimization, never a numerics change. Duplicate seeds
-    /// are allowed and produce duplicate columns.
+    /// the scalar accumulation order per column — so the width is purely
+    /// a throughput choice, never a numerics change. Duplicate seeds are
+    /// allowed and produce duplicate columns.
     ///
-    /// `out` must be `n × seeds.len()`; `ws` must have been built for
-    /// this index ([`BlockWorkspace::for_bear`]) and is reshaped in place
-    /// to the batch width (allocation-free when shrinking or at steady
-    /// width).
+    /// `out` must be `n × seeds.len()`; `ws` is reshaped in place to this
+    /// index and the batch width (allocation-free when shrinking or at
+    /// steady width).
     pub fn query_block_into(
         &self,
         seeds: &[usize],
-        ws: &mut BlockWorkspace,
+        ws: &mut QueryWorkspace,
         out: &mut DenseBlock,
     ) -> Result<()> {
         let n = self.num_nodes();
@@ -152,19 +123,67 @@ impl Bear {
         if k == 0 {
             return Ok(());
         }
-        ws.ensure_width(self, k);
-        // Build the permuted one-hot columns, split at the spoke/hub
-        // boundary exactly as the per-seed path splits `q_perm`.
-        for (j, &seed) in seeds.iter().enumerate() {
-            ws.q[seed] = 1.0;
-            let permuted = self.perm.permute_vec_into(&ws.q, &mut ws.q_perm);
-            ws.q[seed] = 0.0;
-            permuted?;
-            ws.q1.col_mut(j).copy_from_slice(&ws.q_perm[..self.n1]);
-            ws.q2.col_mut(j).copy_from_slice(&ws.q_perm[self.n1..]);
-        }
+        self.load_seeds(ws, seeds);
+        self.solve_loaded(ws, out.data_mut().chunks_exact_mut(n))
+    }
 
-        // r₂ = c U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁), one column per seed.
+    /// Loads one one-hot column per seed, in the SlashBurn ordering.
+    /// Seeds must be in range.
+    pub(crate) fn load_seeds(&self, ws: &mut QueryWorkspace, seeds: &[usize]) {
+        ws.ensure_width(self, seeds.len());
+        ws.q1.fill(0.0);
+        ws.q2.fill(0.0);
+        for (j, &seed) in seeds.iter().enumerate() {
+            let new = self.perm.new_of(seed);
+            let slot = match new.checked_sub(self.n1) {
+                None => ws.q1.col_mut(j).get_mut(new),
+                Some(hub) => ws.q2.col_mut(j).get_mut(hub),
+            };
+            if let Some(slot) = slot {
+                *slot = 1.0;
+            }
+        }
+    }
+
+    /// Loads the distribution `q` (length `n`) as the one column, in the
+    /// SlashBurn ordering.
+    fn load_distribution(&self, ws: &mut QueryWorkspace, q: &[f64]) {
+        ws.ensure_width(self, 1);
+        let (spokes, hubs) = self.perm.as_new_to_old().split_at(self.n1);
+        for (column, olds) in [(ws.q1.col_mut(0), spokes), (ws.q2.col_mut(0), hubs)] {
+            for (slot, &old) in column.iter_mut().zip(olds) {
+                *slot = q.get(old).copied().unwrap_or(0.0);
+            }
+        }
+    }
+
+    /// Algorithm 2 on the loaded columns: the hub half, the spoke half,
+    /// then column `j` mapped back to the original node ids into the
+    /// `j`-th output (each of length `n`).
+    fn solve_loaded<'a>(
+        &self,
+        ws: &mut QueryWorkspace,
+        outs: impl IntoIterator<Item = &'a mut [f64]>,
+    ) -> Result<()> {
+        self.hub_half(ws)?;
+        self.spoke_half(ws)?;
+        let (spokes, hubs) = self.perm.as_new_to_old().split_at(self.n1);
+        for (j, out) in outs.into_iter().enumerate() {
+            for (r, olds) in [(ws.t1.col(j), spokes), (ws.r2.col(j), hubs)] {
+                for (&v, &old) in r.iter().zip(olds) {
+                    if let Some(slot) = out.get_mut(old) {
+                        *slot = v;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The hub half of Algorithm 2, one column per loaded right-hand
+    /// side: `r₂ = c · U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` into `ws.r2`.
+    /// Pruned top-k runs it too, so its hub scores are the full solve's.
+    pub(crate) fn hub_half(&self, ws: &mut QueryWorkspace) -> Result<()> {
         self.spokes.spmm_into(Factor::L1, &ws.q1, &mut ws.t1)?;
         self.spokes.spmm_into(Factor::U1, &ws.t1, &mut ws.t2)?;
         self.h21.spmm_into(&ws.t2, &mut ws.t3)?;
@@ -176,22 +195,18 @@ impl Bear {
         for (r, &v) in ws.r2.data_mut().iter_mut().zip(ws.t3.data()) {
             *r = self.c * v;
         }
-
-        // r₁ = U₁⁻¹ L₁⁻¹ (c q₁ − H₁₂ r₂); `t1` holds the finished r₁.
-        self.h12.spmm_into(&ws.r2, &mut ws.t1)?;
-        for (t, &qv) in ws.t1.data_mut().iter_mut().zip(ws.q1.data()) {
-            *t = self.c * qv - *t;
-        }
-        self.spokes.spmm_into(Factor::L1, &ws.t1, &mut ws.t2)?;
-        self.spokes.spmm_into(Factor::U1, &ws.t2, &mut ws.t1)?;
-
-        // Map each column back to the original node ids.
-        for j in 0..k {
-            ws.r[..self.n1].copy_from_slice(ws.t1.col(j));
-            ws.r[self.n1..].copy_from_slice(ws.r2.col(j));
-            self.perm.unpermute_vec_into(&ws.r, out.col_mut(j))?;
-        }
         Ok(())
+    }
+
+    /// The spoke half: `r₁ = U₁⁻¹ L₁⁻¹ t₁` with `t₁ = c·q₁ − H₁₂ r₂`
+    /// written over `ws.q1`, leaving `r₁` in `ws.t1`.
+    fn spoke_half(&self, ws: &mut QueryWorkspace) -> Result<()> {
+        self.h12.spmm_into(&ws.r2, &mut ws.t1)?;
+        for (q, &t) in ws.q1.data_mut().iter_mut().zip(ws.t1.data()) {
+            *q = self.c * *q - t;
+        }
+        self.spokes.spmm_into(Factor::L1, &ws.q1, &mut ws.t2)?;
+        self.spokes.spmm_into(Factor::U1, &ws.t2, &mut ws.t1)
     }
 }
 
@@ -353,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn block_query_bitwise_equals_per_seed() {
+    fn every_width_is_bitwise_equal_to_width_one() {
         let g = undirected(
             12,
             &[
@@ -387,7 +402,7 @@ mod tests {
     fn block_workspace_reuses_across_widths() {
         let g = undirected(9, &[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]);
         let bear = Bear::new(&g, &BearConfig::exact(0.2)).unwrap();
-        let mut ws = crate::engine::BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         for seeds in [vec![0usize, 4, 8], vec![2], vec![1, 1, 3, 5, 7, 0, 2], vec![]] {
             let mut out = bear_sparse::DenseBlock::zeros(9, seeds.len());
             bear.query_block_into(&seeds, &mut ws, &mut out).unwrap();
@@ -398,10 +413,31 @@ mod tests {
     }
 
     #[test]
+    fn workspace_from_a_smaller_index_is_reshaped() {
+        let small = Bear::new(&undirected(3, &[(0, 1), (1, 2)]), &BearConfig::exact(0.2)).unwrap();
+        let g = undirected(9, &[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)]);
+        let bear = Bear::new(&g, &BearConfig::exact(0.2)).unwrap();
+        let mut ws = QueryWorkspace::for_bear(&small);
+        let mut out = vec![0.0; 9];
+        bear.query_into(8, &mut ws, &mut out).unwrap();
+        assert_eq!(out, bear.query(8).unwrap());
+
+        let mut ws = QueryWorkspace::for_bear(&small);
+        let mut block = bear_sparse::DenseBlock::zeros(9, 2);
+        bear.query_block_into(&[8, 5], &mut ws, &mut block).unwrap();
+        assert_eq!(block.to_columns(), bear.query_block(&[8, 5]).unwrap());
+        // And back down to the smaller index on the widened workspace.
+        let (nodes, _) = small
+            .query_top_k_pruned_in(2, 1, &crate::TopKPruneOptions::default(), &mut ws)
+            .unwrap();
+        assert_eq!(nodes, small.query_top_k(2, 1).unwrap());
+    }
+
+    #[test]
     fn block_query_validates_inputs() {
         let g = undirected(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let mut ws = crate::engine::BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         // Out-of-range seed named in the error.
         let mut out = bear_sparse::DenseBlock::zeros(5, 2);
         let err = bear.query_block_into(&[0, 9], &mut ws, &mut out).unwrap_err();

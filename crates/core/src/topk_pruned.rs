@@ -10,8 +10,8 @@
 //!
 //! The pruned path exploits that separability in the style of K-dash's
 //! exact top-k search (Fujiwara et al., PAPERS.md): compute the hub
-//! scores `r₂` exactly (bit-identical kernel sequence to the full
-//! solve), bound every unresolved spoke block from above with
+//! scores `r₂` exactly (by running the full solve's own hub half),
+//! bound every unresolved spoke block from above with
 //! precomputed factor norms, then resolve blocks *exactly* in
 //! descending bound order until the k-th best exact score strictly
 //! exceeds the best remaining upper bound. Resolved scores come out of
@@ -533,9 +533,7 @@ impl Bear {
         Ok((nodes, TopKPruneStats::fallback(self, n, reason)))
     }
 
-    /// The pruning pass proper. Returns `Fallback` without touching the
-    /// workspace's one-hot invariant (`ws.q` is restored before any
-    /// early return).
+    /// The pruning pass proper.
     fn prune_core(
         &self,
         seed: usize,
@@ -548,50 +546,33 @@ impl Bear {
             return Ok(CoreOutcome::Fallback(TopKFallbackReason::NonFiniteBounds));
         }
 
-        // One-hot seed, permuted — the same dance as `query_into`, with
-        // `ws.q` restored to all-zero immediately.
-        let mut q = std::mem::take(&mut ws.q);
-        if let Some(slot) = q.get_mut(seed) {
-            *slot = 1.0;
-        }
-        let permuted = self.perm.permute_vec_into(&q, &mut ws.q_perm);
-        if let Some(slot) = q.get_mut(seed) {
-            *slot = 0.0;
-        }
-        ws.q = q;
-        permuted?;
-        let (q1, q2) = ws.q_perm.split_at(self.n1);
-
-        // Hub sweep — the exact kernel sequence of
-        // `query_distribution_into`, so `r₂` is bit-identical to the
-        // full solve's hub scores.
-        self.spokes.matvec_into(Factor::L1, q1, &mut ws.t1)?;
-        self.spokes.matvec_into(Factor::U1, &ws.t1, &mut ws.t2)?;
-        self.h21.matvec_into(&ws.t2, &mut ws.t3)?;
-        for (t, &qv) in ws.t3.iter_mut().zip(q2) {
-            *t = qv - *t;
-        }
-        self.l2_inv.matvec_into(&ws.t3, &mut ws.t4)?;
-        self.u2_inv.matvec_into(&ws.t4, &mut ws.t3)?;
-        let (r1, r2) = ws.r.split_at_mut(self.n1);
-        for (r, &v) in r2.iter_mut().zip(&ws.t3) {
-            *r = self.c * v;
-        }
+        // The full solve's hub half at width 1, so `r₂` is bit-identical
+        // to the full solve's hub scores.
+        self.load_seeds(ws, &[seed]);
+        self.hub_half(ws)?;
+        let r2 = ws.r2.col(0);
 
         // Spoke right-hand side `t₁ = c·q₁ − H₁₂ r₂`, computed exactly
-        // for every spoke up front. CSR rows are independent dot
+        // for every spoke up front and written over `q₁`, as the full
+        // solve's spoke half does. CSR rows are independent dot
         // products, so each entry matches the full kernel bit for bit;
         // `H₁₂` holds only original graph edges, so this is the cheap
         // part of the spoke sweep. The fill-heavy `U₁⁻¹L₁⁻¹` scatter is
         // what pruning skips per unresolved block.
-        for ((i, t), &qv) in ws.t1.iter_mut().enumerate().zip(q1) {
+        let t1 = ws.q1.col_mut(0);
+        for (i, t) in t1.iter_mut().enumerate() {
             let (cols, vals) = self.h12.row(i);
             let mut acc = 0.0f64;
             for (&ci, &v) in cols.iter().zip(vals) {
                 acc += v * r2.get(ci).copied().unwrap_or(0.0);
             }
-            *t = self.c * qv - acc;
+            *t = self.c * *t - acc;
         }
+        let t1 = ws.q1.col(0);
+        // Resolved blocks scatter through `t2` into `r1`, where the full
+        // solve leaves `r₁`.
+        let t2 = ws.t2.col_mut(0);
+        let r1 = ws.t1.col_mut(0);
 
         let seed_pos = self.perm.new_of(seed);
         let seed_block = bounds.block_of(seed_pos);
@@ -602,12 +583,13 @@ impl Bear {
         let mut order: Vec<BlockBound> = Vec::with_capacity(self.block_sizes.len());
         for (b, &wm) in bounds.w_max.iter().enumerate() {
             let (bs, be) = bounds.block_range(b)?;
-            let tb = ws.t1.get(bs..be).ok_or_else(|| {
-                Error::InvalidStructure("top-k block range out of bounds".into())
-            })?;
-            let gb = bounds.g.get(bs..be).ok_or_else(|| {
-                Error::InvalidStructure("top-k block range out of bounds".into())
-            })?;
+            let tb = t1
+                .get(bs..be)
+                .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
+            let gb = bounds
+                .g
+                .get(bs..be)
+                .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
             let mut t_max = 0.0f64;
             let mut dot = 0.0f64;
             let mut bad = false;
@@ -669,13 +651,13 @@ impl Bear {
                 // exactly the k best under a strict total order, so
                 // block resolution order cannot change the answer).
                 fallback = Some(TopKFallbackReason::BoundsTooLoose);
-                self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+                self.resolve_into_heap(b, bs, be, t1, t2, r1, seed, effective_k, &mut heap)?;
                 resolved_nodes += width;
                 blocks_resolved += 1;
                 candidates += width - usize::from(seed_block == Some(b));
                 break;
             }
-            self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+            self.resolve_into_heap(b, bs, be, t1, t2, r1, seed, effective_k, &mut heap)?;
             resolved_nodes += width;
             blocks_resolved += 1;
             candidates += width - usize::from(seed_block == Some(b));
@@ -683,7 +665,7 @@ impl Bear {
         if fallback.is_some() {
             for BlockBound { b, .. } in order.into_vec() {
                 let (bs, be) = bounds.block_range(b)?;
-                self.resolve_into_heap(b, bs, be, &ws.t1, &mut ws.t2, r1, seed, effective_k, &mut heap)?;
+                self.resolve_into_heap(b, bs, be, t1, t2, r1, seed, effective_k, &mut heap)?;
                 resolved_nodes += be - bs;
                 blocks_resolved += 1;
                 candidates += (be - bs) - usize::from(seed_block == Some(b));
@@ -790,7 +772,8 @@ mod tests {
     fn pruned_matches_full_exactly() {
         for xi in [0.0, 1e-4] {
             let g = caves(8);
-            let cfg = if xi == 0.0 { BearConfig::exact(0.15) } else { BearConfig::approx(0.15, xi) };
+            let cfg =
+                if xi == 0.0 { BearConfig::exact(0.15) } else { BearConfig::approx(0.15, xi) };
             let bear = Bear::new(&g, &cfg).unwrap();
             let n = bear.num_nodes();
             for seed in 0..n {

@@ -25,14 +25,16 @@ use std::time::{Duration, Instant};
 /// Each test holds this lock for its whole body; the guard disarms every
 /// site on drop (including panics), so one failing case cannot poison
 /// the next.
-struct Serial(MutexGuard<'static, ()>);
+struct Serial {
+    _lock: MutexGuard<'static, ()>,
+}
 
 fn serial() -> Serial {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     let guard =
         LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     failpoints::clear_all();
-    Serial(guard)
+    Serial { _lock: guard }
 }
 
 impl Drop for Serial {

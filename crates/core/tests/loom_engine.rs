@@ -11,8 +11,8 @@
 //! deadlock in any schedule fails the test. The models cover the three
 //! protocols the serving layer relies on:
 //!
-//! * submit vs. steal: jobs pushed concurrently with a stealing
-//!   `try_pop` are delivered exactly once, to exactly one popper;
+//! * racing workers: jobs pushed while two workers block in `pop` are
+//!   delivered exactly once, to exactly one popper;
 //! * shutdown: `close` racing `push` either rejects the job or delivers
 //!   it — never loses it — and blocked poppers always wake;
 //! * metrics: concurrent `record` calls never lose counts and keep
@@ -32,14 +32,14 @@ use loom::thread;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// A pushed job is delivered exactly once even when a stealing
-/// `try_pop` races the blocking worker `pop`.
+/// Two workers blocked in `pop` race for the same jobs: each pushed job
+/// is delivered exactly once, to exactly one of them.
 #[test]
-fn submit_vs_steal_delivers_exactly_once() {
+fn racing_workers_deliver_exactly_once() {
     loom::model(|| {
         let q = Arc::new(JobQueue::new());
 
-        let worker = {
+        let spawn_worker = || {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut got = Vec::new();
@@ -49,15 +49,14 @@ fn submit_vs_steal_delivers_exactly_once() {
                 got
             })
         };
+        let (a, b) = (spawn_worker(), spawn_worker());
 
         q.push(1usize).unwrap();
         q.push(2usize).unwrap();
-        // Caller-assist steal: may race the worker for either job.
-        let stolen = q.try_pop();
         q.close();
 
-        let mut seen = worker.join().unwrap();
-        seen.extend(stolen);
+        let mut seen = a.join().unwrap();
+        seen.extend(b.join().unwrap());
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2], "each job delivered exactly once");
     });
@@ -85,7 +84,7 @@ fn concurrent_shutdown_never_loses_accepted_jobs() {
             assert_eq!(drained, None, "rejected job must not appear");
         }
         // Either way the queue is now closed and empty.
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.pop(), None); // closed and empty: never blocks
         assert!(q.push(8usize).is_err(), "push after close fails");
     });
 }

@@ -2,7 +2,7 @@
 //! persistence, top-k, blocked multi-RHS queries, and drop-tolerance
 //! behaviour on arbitrary graphs.
 
-use bear_core::{Bear, BearConfig, BearHubIterative, BlockWorkspace, RwrSolver};
+use bear_core::{Bear, BearConfig, BearHubIterative, QueryWorkspace, RwrSolver};
 use bear_graph::Graph;
 use bear_sparse::DenseBlock;
 use proptest::prelude::*;
@@ -122,7 +122,7 @@ proptest! {
         let seeds: Vec<usize> =
             picks.iter().map(|&p| ((p * n as f64) as usize).min(n - 1)).collect();
         let want: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
-        let mut ws = BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         let mut out = DenseBlock::zeros(n, 0);
         let mut offset = 0;
         for chunk in seeds.chunks(width) {

@@ -13,7 +13,7 @@
 
 use bear_baselines::{Inversion, Iterative, IterativeConfig, LuDecomp, QrDecomp};
 use bear_core::rwr::RwrConfig;
-use bear_core::{Bear, BearConfig, BlockWorkspace, RwrSolver};
+use bear_core::{Bear, BearConfig, QueryWorkspace, RwrSolver};
 use bear_datasets::small_suite;
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
 use bear_graph::Graph;
@@ -94,7 +94,7 @@ fn every_query_path_matches_the_dense_inversion_oracle() {
 
         // Blocked multi-RHS path, one reused workspace across widths —
         // including widths that leave a remainder chunk.
-        let mut ws = BlockWorkspace::for_bear(&bear);
+        let mut ws = QueryWorkspace::for_bear(&bear);
         let mut out = DenseBlock::zeros(n, 0);
         for width in [1usize, 3, 8] {
             let mut offset = 0;

@@ -92,10 +92,7 @@ fn check_paging_identity(g: &Graph, config: &BearConfig, seeds: &[usize]) {
     let stats = pager.stats();
     // A graph that SlashBurn classifies as all-hub has no spoke blocks
     // to page; everywhere else the one-byte rung must have faulted.
-    assert!(
-        stats.misses > 0 || pager.num_blocks() == 0,
-        "the one-byte rung must fault blocks in"
-    );
+    assert!(stats.misses > 0 || pager.num_blocks() == 0, "the one-byte rung must fault blocks in");
 
     drop(paged);
     std::fs::remove_file(&path).ok();
@@ -210,11 +207,9 @@ fn resident_load_option_matches_paged_and_in_memory() {
     let path = scratch_index();
     reference.save_v3(&path).unwrap();
 
-    let resident = Bear::load_with(
-        &path,
-        &LoadOptions { budget: MemBudget::unlimited(), resident: true },
-    )
-    .unwrap();
+    let resident =
+        Bear::load_with(&path, &LoadOptions { budget: MemBudget::unlimited(), resident: true })
+            .unwrap();
     assert!(resident.pager().is_none(), "resident load must not keep a pager");
     let paged = Bear::load(&path).unwrap();
     paged.pager().unwrap().set_budget(Some(1)).unwrap();
