@@ -8,14 +8,15 @@
 //!   (bodies are read and discarded; every endpoint takes its input
 //!   from the URL query string and headers);
 //! * responses: fixed status line, explicit `Content-Length`, optional
-//!   keep-alive;
+//!   keep-alive; the head is built in one buffer and leaves with the
+//!   body in one vectored write (DESIGN.md §14, write discipline);
 //! * no chunked transfer encoding, no `Expect: continue`, no TLS.
 //!
 //! Hard limits keep a malicious or broken peer from pinning a
 //! connection worker: header blocks over [`MAX_HEAD_BYTES`] and bodies
 //! over [`MAX_BODY_BYTES`] are rejected with a typed [`HttpError`].
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, IoSlice, Read, Write};
 
 /// Upper bound on the request line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -307,19 +308,46 @@ impl Response {
         self
     }
 
-    /// Serializes the response onto `w`.
+    /// Serializes the response onto `w`: the status line and headers
+    /// into one small head buffer, then head and body in one vectored
+    /// write, so a socket never sees a run of small writes for Nagle's
+    /// algorithm to hold back. The body is never copied.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, status_text(self.status))?;
-        write!(w, "Content-Type: {}\r\n", self.content_type)?;
-        write!(w, "Content-Length: {}\r\n", self.body.len())?;
-        write!(w, "Connection: {}\r\n", if keep_alive { "keep-alive" } else { "close" })?;
+        use std::fmt::Write as _;
+        // Room for the fixed lines plus a handful of short headers.
+        let mut head = String::with_capacity(256);
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            head,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            self.status,
+            status_text(self.status),
+            self.content_type,
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        );
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            let _ = write!(head, "{name}: {value}\r\n");
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        head.push_str("\r\n");
+        write_all_vectored(w, &mut [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)])?;
         w.flush()
     }
+}
+
+/// Writes every byte of `bufs` with `write_vectored`, resuming after
+/// short writes. A writer that accepts nothing fails with
+/// [`std::io::ErrorKind::WriteZero`] instead of spinning.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -352,10 +380,12 @@ impl ClientResponse {
 
 /// Minimal blocking HTTP client: one request per connection
 /// (`Connection: close`), used by the integration tests and the load
-/// generator. Not exposed as a general-purpose client.
+/// generator, plus [`client::read_response`] for tests that hold a
+/// keep-alive connection themselves. Not exposed as a general-purpose
+/// client.
 pub mod client {
     use super::ClientResponse;
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::time::Duration;
 
@@ -369,15 +399,21 @@ pub mod client {
     ) -> std::io::Result<ClientResponse> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let mut w = stream.try_clone()?;
-        write!(w, "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n")?;
+        // The whole request head leaves in one write.
+        let mut head =
+            format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
         for (name, value) in headers {
-            write!(w, "{name}: {value}\r\n")?;
+            head.push_str(&format!("{name}: {value}\r\n"));
         }
-        w.write_all(b"\r\n")?;
-        w.flush()?;
+        head.push_str("\r\n");
+        (&stream).write_all(head.as_bytes())?;
+        read_response(&mut BufReader::new(stream))
+    }
 
-        let mut reader = BufReader::new(stream);
+    /// Reads one response off `reader`: status line, headers, and a body
+    /// framed by `Content-Length` (or running to EOF without one). On a
+    /// keep-alive connection the reader is left at the next response.
+    pub fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
         let mut status_line = String::new();
         reader.read_line(&mut status_line)?;
         let status: u16 = status_line
@@ -580,6 +616,70 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("X-Graph-Version: 3\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+    }
+
+    /// Accepts at most 7 bytes per call, spread over as many slices as
+    /// they cover, so every head/body boundary is crossed by a short
+    /// write.
+    struct SevenBytes(Vec<u8>);
+
+    impl Write for SevenBytes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut room = 7;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.0.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(7 - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Accepts nothing: every write returns `Ok(0)`.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_send_every_byte_in_order() {
+        let resp = Response::json(200, "{\"ok\":true}".into()).header("X-Graph-Version", "3");
+        let expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                        Content-Length: 11\r\nConnection: keep-alive\r\n\
+                        X-Graph-Version: 3\r\n\r\n{\"ok\":true}";
+        let mut short = SevenBytes(Vec::new());
+        resp.write_to(&mut short, true).unwrap();
+        assert_eq!(String::from_utf8(short.0).unwrap(), expected);
+
+        // An empty body ends the response at the blank line.
+        let mut short = SevenBytes(Vec::new());
+        Response::new(404).write_to(&mut short, false).unwrap();
+        assert_eq!(
+            String::from_utf8(short.0).unwrap(),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_fails_with_write_zero() {
+        let err = Response::json(200, "{}".into()).write_to(&mut Full, true).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use crate::registry::{Registry, Tenant};
 use bear_core::engine::queue::JobQueue;
 use bear_core::{Bear, DegradedInfo, EngineConfig, QueryEngine, QueryOptions};
 use bear_sparse::{Error, Result};
+use std::fmt::Write as _;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -350,8 +351,12 @@ fn accept_loop(listener: &TcpListener, conns: &JobQueue<TcpStream>, ctx: &Server
 /// `Connection: close`, the wire breaks, or shutdown begins.
 fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
     // The read timeout doubles as the shutdown poll interval for idle
-    // keep-alive connections.
-    if stream.set_read_timeout(Some(Duration::from_millis(200))).is_err() {
+    // keep-alive connections. With Nagle's algorithm off, the last
+    // partial segment of a response leaves at once instead of waiting
+    // for the peer's delayed ACK of the segment before it.
+    if stream.set_read_timeout(Some(Duration::from_millis(200))).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else { return };
@@ -492,25 +497,14 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` with Rust's shortest round-trip representation, so
-/// a client that parses the JSON number back recovers the exact bits —
-/// the property the save→load→serve differential test pins.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Resolves the tenant for a request: explicit `graph` parameter, or
 /// the single registered graph when unambiguous.
 fn resolve_tenant(ctx: &ServerCtx, req: &Request) -> std::result::Result<Arc<Tenant>, Response> {
     let names = ctx.registry.names();
-    let name = match req.query_param("graph") {
-        Some(name) => name.to_string(),
-        None if names.len() == 1 => names[0].clone(),
-        None => {
+    let name = match (req.query_param("graph"), names.as_slice()) {
+        (Some(name), _) => name.to_string(),
+        (None, [only]) => only.clone(),
+        (None, _) => {
             return Err(Response::json(
                 400,
                 error_body(
@@ -607,7 +601,8 @@ fn handle_query(ctx: &ServerCtx, req: &Request) -> Response {
     };
     match tenant.engine.serve(seed, &opts) {
         Ok(served) => {
-            let mut body = format!("{{\"version\":{},\"seed\":{seed},\"scores\":[", tenant.version);
+            let mut body = String::with_capacity(64 + served.scores.len() * SCORE_BYTES);
+            let _ = write!(body, "{{\"version\":{},\"seed\":{seed},\"scores\":[", tenant.version);
             push_scores(&mut body, &served.scores);
             body.push_str("]}");
             tag(Response::json(200, body), &tenant, served.degraded.as_ref())
@@ -652,13 +647,19 @@ fn handle_topk(ctx: &ServerCtx, req: &Request) -> Response {
     // the pruned solver and the prefix-aware top-k cache.
     match tenant.engine.query_top_k(seed, k, &opts) {
         Ok(served) => {
-            let mut body =
-                format!("{{\"version\":{},\"seed\":{seed},\"k\":{k},\"nodes\":[", tenant.version);
+            let mut body = String::with_capacity(64 + served.nodes.len() * (24 + SCORE_BYTES));
+            let _ = write!(
+                body,
+                "{{\"version\":{},\"seed\":{seed},\"k\":{k},\"nodes\":[",
+                tenant.version
+            );
             for (i, s) in served.nodes.iter().enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
-                body.push_str(&format!("{{\"node\":{},\"score\":{}}}", s.node, json_f64(s.score)));
+                let _ = write!(body, "{{\"node\":{},\"score\":", s.node);
+                push_f64(&mut body, s.score);
+                body.push('}');
             }
             body.push_str("]}");
             tag(Response::json(200, body), &tenant, served.degraded.as_ref())
@@ -709,16 +710,19 @@ fn handle_batch(ctx: &ServerCtx, req: &Request) -> Response {
     match tenant.engine.serve_batch(&seeds, &opts) {
         Ok(answers) => {
             let degraded = answers.iter().filter(|s| !s.is_exact()).count();
-            let mut body = format!(
+            let floats: usize = answers.iter().map(|s| s.scores.len()).sum();
+            let mut body = String::with_capacity(64 + answers.len() * 32 + floats * SCORE_BYTES);
+            let _ = write!(
+                body,
                 "{{\"version\":{},\"count\":{},\"degraded\":{degraded},\"results\":[",
                 tenant.version,
                 seeds.len()
             );
-            for (i, served) in answers.iter().enumerate() {
+            for (i, (seed, served)) in seeds.iter().zip(&answers).enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
-                body.push_str(&format!("{{\"seed\":{},\"scores\":[", seeds[i]));
+                let _ = write!(body, "{{\"seed\":{seed},\"scores\":[");
                 push_scores(&mut body, &served.scores);
                 body.push_str("]}");
             }
@@ -731,12 +735,33 @@ fn handle_batch(ctx: &ServerCtx, req: &Request) -> Response {
     }
 }
 
+/// Bytes reserved per encoded score: a comma plus the shortest
+/// round-trip form of a typical RWR score (`0.000012345678901234567`;
+/// a 16-seed `batch_paged` answer averages 23.1). Only a capacity hint:
+/// longer numbers grow the body as usual.
+const SCORE_BYTES: usize = 24;
+
+/// Appends `scores` as comma-separated JSON numbers (see [`push_f64`]).
 fn push_scores(body: &mut String, scores: &[f64]) {
-    for (i, v) in scores.iter().enumerate() {
+    for (i, &v) in scores.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        body.push_str(&json_f64(*v));
+        push_f64(body, v);
+    }
+}
+
+/// Appends `v` with Rust's shortest round-trip representation, written
+/// straight into `body` with no intermediate `String`, so a client that
+/// parses the JSON number back recovers the exact bits — the property
+/// the save→load→serve differential test pins. JSON has no NaN or
+/// infinity, so non-finite values encode as `null`.
+fn push_f64(body: &mut String, v: f64) {
+    if v.is_finite() {
+        // Writing into a `String` cannot fail.
+        let _ = write!(body, "{v}");
+    } else {
+        body.push_str("null");
     }
 }
 
@@ -787,7 +812,6 @@ fn handle_admin_load(ctx: &ServerCtx, req: &Request) -> Response {
 /// `GET /metrics`: a flat text exposition (Prometheus-style lines) of
 /// the server counters plus every tenant engine's snapshot.
 fn handle_metrics(ctx: &ServerCtx) -> Response {
-    use std::fmt::Write as _;
     let m = &ctx.metrics;
     let mut out = String::new();
     let _ = writeln!(out, "bear_http_requests_total {}", m.http_requests.load(Ordering::Relaxed));
@@ -859,4 +883,32 @@ fn handle_metrics(ctx: &ServerCtx) -> Response {
         let _ = writeln!(out, "bear_avg_block_width{label} {}", s.avg_block_width());
     }
     Response::text(200, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn encoded(v: f64) -> String {
+        let mut body = String::new();
+        push_f64(&mut body, v);
+        body
+    }
+
+    #[test]
+    fn scores_encode_as_shortest_round_trip_or_null() {
+        let subnormal = f64::from_bits(1);
+        for v in [0.0, -0.0, subnormal, f64::MIN_POSITIVE, 1e-300, 1.0 / 3.0, 1e300] {
+            let text = encoded(v);
+            assert_eq!(text, format!("{v}"));
+            let back: f64 = text.parse().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{text} must parse back to the same bits");
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(encoded(v), "null");
+        }
+        let mut body = String::new();
+        push_scores(&mut body, &[0.5, f64::NAN, 1.0 / 3.0]);
+        assert_eq!(body, "0.5,null,0.3333333333333333");
+    }
 }

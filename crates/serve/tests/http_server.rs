@@ -1,13 +1,17 @@
 //! End-to-end HTTP integration tests: save→load→serve round trip
-//! (bit-identical to in-memory answers), fault-to-status mapping, and
-//! zero-downtime hot swap under concurrent load.
+//! (bit-identical to in-memory answers), fault-to-status mapping,
+//! keep-alive latency and framing, and zero-downtime hot swap under
+//! concurrent load.
 
 use bear_core::{Bear, BearConfig, EngineConfig, QueryEngine};
 use bear_graph::Graph;
-use bear_serve::{client, Registry, Server, ServerConfig, ServerHandle};
+use bear_serve::{client, ClientResponse, Registry, Server, ServerConfig, ServerHandle};
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A star graph with a chord: small enough for instant preprocessing,
 /// structured enough (hub + caves) that SlashBurn produces a real
@@ -23,6 +27,34 @@ fn test_graph() -> Graph {
     Graph::from_edges(12, &edges).unwrap()
 }
 
+/// `caves` five-node cliques, each node tied to one of `hubs` fully
+/// interconnected hubs: large enough that a 16-seed batch answer is
+/// hundreds of kilobytes.
+fn cave_graph(hubs: usize, caves: usize) -> Graph {
+    let mut edges = Vec::new();
+    for a in 0..hubs {
+        for b in 0..hubs {
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+    }
+    for c in 0..caves {
+        let base = hubs + 5 * c;
+        for i in 0..5 {
+            for j in 0..5 {
+                if i != j {
+                    edges.push((base + i, base + j));
+                }
+            }
+            let hub = (c + i) % hubs;
+            edges.push((base + i, hub));
+            edges.push((hub, base + i));
+        }
+    }
+    Graph::from_edges(hubs + 5 * caves, &edges).unwrap()
+}
+
 fn engine_config() -> EngineConfig {
     EngineConfig::builder().threads(2).queue_capacity(64).block_width(8).build().unwrap()
 }
@@ -31,7 +63,12 @@ fn engine_config() -> EngineConfig {
 /// persistence path, and serves the *reloaded* index — so every HTTP
 /// assertion below also exercises save→load fidelity.
 fn test_server(tag: &str) -> (ServerHandle, Bear, PathBuf) {
-    let reference = Bear::new(&test_graph(), &BearConfig::exact(0.15)).unwrap();
+    serve_graph(&test_graph(), tag)
+}
+
+/// [`test_server`] over any graph.
+fn serve_graph(graph: &Graph, tag: &str) -> (ServerHandle, Bear, PathBuf) {
+    let reference = Bear::new(graph, &BearConfig::exact(0.15)).unwrap();
     let path = std::env::temp_dir().join(format!("bear_serve_{tag}.idx"));
     reference.save(&path).unwrap();
     let loaded = Arc::new(Bear::load(&path).unwrap());
@@ -127,6 +164,88 @@ fn topk_and_batch_match_in_memory_answers() {
         assert!(body.contains(&serialized), "seed {seed} payload mismatch in {body}");
     }
 
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Sends one `GET target` on a keep-alive connection and reads the
+/// answer off `reader`, which wraps the same socket.
+fn keep_alive_get(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    target: &str,
+) -> ClientResponse {
+    stream.write_all(format!("GET {target} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes()).unwrap();
+    let resp = client::read_response(reader).unwrap();
+    assert_eq!(resp.header("connection"), Some("keep-alive"), "{target}");
+    resp
+}
+
+/// Regression for the keep-alive stall: a response written as several
+/// small writes waited on Nagle's algorithm for the client's delayed
+/// ACK, about 40 ms a round trip. 50 sequential `/v1/topk` requests on
+/// one connection must finish far inside 50 × 40 ms, every answer equal
+/// to the in-memory ranking; after a multi-seed `/v1/batch` answer of
+/// hundreds of kilobytes, the next response on the same connection
+/// still frames correctly.
+#[test]
+fn keep_alive_requests_do_not_stall_and_stay_framed() {
+    let (server, reference, path) = serve_graph(&cave_graph(8, 400), "keepalive");
+    let n = reference.num_nodes();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    // Build the pruned top-k bound tables outside the timed loop.
+    let warm = keep_alive_get(&mut stream, &mut reader, "/v1/topk?graph=g&seed=0&k=10");
+    assert_eq!(warm.status, 200, "{}", warm.body_str());
+    let seeds: Vec<usize> = (1..=50).map(|i| i * 37 % n).collect();
+    let started = Instant::now();
+    let bodies: Vec<String> = seeds
+        .iter()
+        .map(|seed| {
+            let target = format!("/v1/topk?graph=g&seed={seed}&k=10");
+            let resp = keep_alive_get(&mut stream, &mut reader, &target);
+            assert_eq!(resp.status, 200, "{target}: {}", resp.body_str());
+            resp.body_str()
+        })
+        .collect();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "50 keep-alive round trips took {elapsed:?}");
+    for (&seed, body) in seeds.iter().zip(&bodies) {
+        let ranked =
+            bear_core::topk::top_k_excluding_seed(&reference.query(seed).unwrap(), seed, 10);
+        let nodes: Vec<String> = ranked
+            .iter()
+            .map(|s| format!("{{\"node\":{},\"score\":{}}}", s.node, s.score))
+            .collect();
+        let expected =
+            format!("{{\"version\":1,\"seed\":{seed},\"k\":10,\"nodes\":[{}]}}", nodes.join(","));
+        assert_eq!(*body, expected, "seed {seed}");
+    }
+
+    let batch: Vec<usize> = (0..16).map(|i| i * 131 % n).collect();
+    let list = batch.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+    let resp = keep_alive_get(&mut stream, &mut reader, &format!("/v1/batch?graph=g&seeds={list}"));
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert!(resp.body.len() > 256 * 1024, "batch body is only {} bytes", resp.body.len());
+    let body = resp.body_str();
+    let results: Vec<&str> = body.split("{\"seed\":").skip(1).collect();
+    assert_eq!(results.len(), batch.len());
+    for (result, &seed) in results.iter().zip(&batch) {
+        assert!(result.starts_with(&format!("{seed},")), "results out of seed order");
+        let scores = client::json_number_array(result, "scores").expect("scores array");
+        let expected = reference.query(seed).unwrap();
+        assert_eq!(scores.len(), expected.len());
+        for (got, want) in scores.iter().zip(&expected) {
+            assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}");
+        }
+    }
+    let health = keep_alive_get(&mut stream, &mut reader, "/healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body_str(), "ok 1 graph(s)\n");
+
+    drop((stream, reader));
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
