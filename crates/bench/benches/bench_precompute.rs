@@ -3,9 +3,8 @@
 //! sparsification. The parallel path is bit-identical to serial, so the
 //! only question this answers is wall-clock speedup.
 //!
-//! `cargo bench -p bear-bench --bench bench_precompute`; the
-//! `precompute_speedup` bin records the same comparison as JSON under
-//! `results/`.
+//! `cargo bench -p bear-bench --bench bench_precompute`. The speedup is
+//! bounded by the host's cores (`std::thread::available_parallelism`).
 
 use bear_core::{Bear, BearConfig};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};

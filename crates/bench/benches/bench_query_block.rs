@@ -1,8 +1,9 @@
 //! Criterion micro-benchmark: blocked multi-RHS query kernels
 //! ([`Bear::query_block_into`]) at widths 1/4/16/64. Times a full pass
 //! over a fixed seed set so the numbers are per-query amortized and
-//! directly comparable across widths; the recordable counterpart is the
-//! `query_block_speedup` bin.
+//! directly comparable across widths. Every width is bit-identical to
+//! width 1 (`tests/golden_scores.rs`); blocking's end-to-end effect is
+//! perfbench's `batch_paged` workload, served at width 8.
 
 use bear_core::{Bear, BearConfig, QueryWorkspace};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};

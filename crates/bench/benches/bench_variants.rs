@@ -1,11 +1,17 @@
 //! Criterion micro-benchmarks for the RWR variants and production
 //! features: personalized PageRank, effective importance, top-k
-//! extraction, index save/load, dynamic edge insertion, and the
-//! iterative-hub extension.
+//! extraction (full selection and the pruned exact path), index
+//! save/load, dynamic edge insertion, and the iterative-hub extension.
 
-use bear_core::{Bear, BearConfig, BearHubIterative, DynamicBear, RwrSolver};
+use bear_core::topk::top_k_excluding_seed;
+use bear_core::{
+    Bear, BearConfig, BearHubIterative, DynamicBear, QueryWorkspace, RwrSolver, TopKPruneOptions,
+};
 use bear_datasets::dataset_by_name;
+use bear_graph::generators::{hub_and_spoke, rmat, HubSpokeConfig, RmatConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bench_variants(c: &mut Criterion) {
     let g = dataset_by_name("small_routing").unwrap().load();
@@ -49,5 +55,60 @@ fn bench_variants(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_variants);
+/// Pruned exact top-k ([`Bear::query_top_k_pruned_in`]) against the
+/// full solve plus selection, at k = 8 over 64 seeds per iteration.
+/// Both return bit-identical rankings (`tests/differential_oracle.rs`).
+///
+/// * `hub_spoke`: ~120 dense spoke blocks of up to 120 nodes behind 64
+///   hubs. Spoke back-substitution dominates and the bounds certify
+///   every seed, so pruning pays.
+/// * `rmat_scale13`: SlashBurn shreds R-MAT spokes into singleton
+///   blocks and the hub solve carries most of the flops, so pruning
+///   cannot repay its bookkeeping. Kept as the adversarial case.
+fn bench_topk_pruned(c: &mut Criterion) {
+    const K: usize = 8;
+    let hub_spoke = hub_and_spoke(
+        &HubSpokeConfig {
+            num_hubs: 64,
+            num_caves: 120,
+            max_cave_size: 120,
+            cave_density: 0.3,
+            hub_links: 2,
+            hub_density: 0.3,
+        },
+        &mut StdRng::seed_from_u64(7),
+    );
+    let rmat_graph = rmat(&RmatConfig::paper(13, 8 << 13, 0.7), &mut StdRng::seed_from_u64(42));
+
+    let mut group = c.benchmark_group("topk_pruned");
+    group.sample_size(10);
+    for (name, g) in [("hub_spoke", &hub_spoke), ("rmat_scale13", &rmat_graph)] {
+        let bear = Bear::new(g, &BearConfig::exact(0.05)).unwrap();
+        let n = bear.num_nodes();
+        let seeds: Vec<usize> = (0..64).map(|i| (i * 2654435761) % n).collect();
+        let mut ws = QueryWorkspace::for_bear(&bear);
+        let mut scores = vec![0.0; n];
+        group.bench_function(format!("{name}/full"), |b| {
+            b.iter(|| {
+                for &seed in &seeds {
+                    bear.query_into(seed, &mut ws, &mut scores).unwrap();
+                    std::hint::black_box(top_k_excluding_seed(&scores, seed, K));
+                }
+            })
+        });
+        let opts = TopKPruneOptions::default();
+        group.bench_function(format!("{name}/pruned"), |b| {
+            b.iter(|| {
+                for &seed in &seeds {
+                    std::hint::black_box(
+                        bear.query_top_k_pruned_in(seed, K, &opts, &mut ws).unwrap(),
+                    );
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_variants, bench_topk_pruned);
 criterion_main!(benches);

@@ -36,9 +36,9 @@ impl Args {
     }
 
     /// String value of `--name`. Accepts the name with or without the
-    /// leading dashes — several figure binaries look flags up as
-    /// `"--reps"` while the parser stores them stripped, which silently
-    /// ignored those flags until the lookup normalized both spellings.
+    /// leading dashes — `durability_matrix` looks flags up as
+    /// `"--dataset"` while the parser stores them stripped, and a lookup
+    /// that missed would silently ignore the flag.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.values.get(name.trim_start_matches('-')).map(|s| s.as_str())
     }

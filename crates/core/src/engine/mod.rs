@@ -52,7 +52,7 @@ pub use metrics::{Metrics, MetricsSnapshot};
 #[cfg(not(loom))]
 pub use serving::{
     CancelToken, DegradedInfo, EngineConfig, EngineConfigBuilder, OverloadPolicy, QueryEngine,
-    QueryOptions, Served, TopKServed, TopKStrategy,
+    QueryOptions, Served, TopKServed,
 };
 
 /// Preallocated buffers for Algorithm 2's block-elimination sweeps.

@@ -136,20 +136,6 @@ pub enum OverloadPolicy {
     Block,
 }
 
-/// How [`QueryEngine::query_top_k`] computes its answer. Both strategies
-/// return bit-identical rankings with exact scores; they differ only in
-/// how much of the score vector they materialize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopKStrategy {
-    /// Solve the full n-vector and select — [`Bear::query_top_k`].
-    Full,
-    /// Bound-and-prune exact path ([`Bear::query_top_k_pruned_in`]):
-    /// resolve only the spoke blocks whose upper bound could reach the
-    /// top k, falling back to the full solve when certification fails.
-    #[default]
-    Pruned,
-}
-
 /// Configuration for [`QueryEngine`]. Validated at engine construction
 /// ([`EngineConfig::validate`]); build one with [`EngineConfig::builder`]
 /// to validate eagerly.
@@ -177,8 +163,6 @@ pub struct EngineConfig {
     /// bit-identical to width 1, so this is purely a
     /// throughput/latency trade-off.
     pub block_width: usize,
-    /// How top-k queries are computed; see [`TopKStrategy`].
-    pub topk_strategy: TopKStrategy,
     /// Resident-set cap (bytes) applied to the index's block pager at
     /// engine construction, when the [`Bear`] was loaded from a v3
     /// (out-of-core) index. `None` leaves the budget from load time
@@ -197,7 +181,6 @@ impl Default for EngineConfig {
             overload: OverloadPolicy::Reject,
             default_deadline: None,
             block_width: 8,
-            topk_strategy: TopKStrategy::default(),
             spoke_residency_bytes: None,
         }
     }
@@ -280,12 +263,6 @@ impl EngineConfigBuilder {
     /// answers seed by seed).
     pub fn block_width(mut self, width: usize) -> Self {
         self.config.block_width = width;
-        self
-    }
-
-    /// How top-k queries are computed; see [`TopKStrategy`].
-    pub fn topk_strategy(mut self, strategy: TopKStrategy) -> Self {
-        self.config.topk_strategy = strategy;
         self
     }
 
@@ -376,8 +353,8 @@ impl Served {
 }
 
 /// One served top-k answer: exact ranks and scores when `degraded` is
-/// `None` (whatever the [`TopKStrategy`]), otherwise the selection over
-/// a degraded full vector, tagged with why.
+/// `None`, otherwise the selection over a degraded full vector, tagged
+/// with why.
 #[derive(Debug, Clone)]
 pub struct TopKServed {
     /// The best-scoring non-seed nodes, descending (ties by node id).
@@ -402,7 +379,7 @@ impl TopKServed {
 enum Kind {
     /// The full n-vector of RWR scores.
     Full,
-    /// The top `k` non-seed nodes (exact; strategy chosen per engine).
+    /// The top `k` non-seed nodes, exact, by the pruned top-k path.
     TopK(usize),
 }
 
@@ -480,11 +457,10 @@ impl Scratch {
         bear: &Bear,
         seeds: &[usize],
         kind: Kind,
-        topk_strategy: TopKStrategy,
         metrics: &Metrics,
     ) -> Result<Vec<Payload>> {
         let ws = self.ws.get_or_insert_with(|| QueryWorkspace::for_bear(bear));
-        if let (Kind::TopK(k), TopKStrategy::Pruned) = (kind, topk_strategy) {
+        if let Kind::TopK(k) = kind {
             return seeds
                 .iter()
                 .map(|&seed| {
@@ -546,7 +522,6 @@ pub struct QueryEngine {
     overload: OverloadPolicy,
     default_deadline: Option<Duration>,
     block_width: usize,
-    topk_strategy: TopKStrategy,
 }
 
 /// Top-k answers keyed by seed, holding the *largest-k* entry computed
@@ -599,16 +574,14 @@ impl QueryEngine {
         let queue = Arc::new(JobQueue::bounded(config.queue_capacity));
         let metrics = Arc::new(Metrics::new());
         let block_width = config.effective_block_width();
-        let topk_strategy = config.topk_strategy;
         let mut workers = Vec::with_capacity(config.threads);
         for i in 0..config.threads {
             let bear = Arc::clone(&bear);
             let worker_queue = Arc::clone(&queue);
             let metrics = Arc::clone(&metrics);
-            let spawned =
-                std::thread::Builder::new().name(format!("bear-query-{i}")).spawn(move || {
-                    worker_loop(&bear, &worker_queue, &metrics, block_width, topk_strategy)
-                });
+            let spawned = std::thread::Builder::new()
+                .name(format!("bear-query-{i}"))
+                .spawn(move || worker_loop(&bear, &worker_queue, &metrics, block_width));
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
@@ -638,7 +611,6 @@ impl QueryEngine {
             overload: config.overload,
             default_deadline: config.default_deadline,
             block_width,
-            topk_strategy,
         })
     }
 
@@ -694,7 +666,7 @@ impl QueryEngine {
 
     /// The `k` most relevant nodes w.r.t. `seed` (seed excluded) — ranks
     /// and scores identical to [`Bear::query_top_k`], computed by the
-    /// configured [`TopKStrategy`] and cached per seed.
+    /// pruned path ([`Bear::query_top_k_pruned_in`]) and cached per seed.
     ///
     /// Runs through the same request path as [`QueryEngine::serve`]: an
     /// expired deadline fails fast with [`Error::Timeout`], and with a
@@ -849,14 +821,9 @@ impl QueryEngine {
         let job = Job { seeds: misses, kind, limits: limits.clone(), reply };
         let inline = if limits.deadline.is_none() { self.caller.try_lock().ok() } else { None };
         match inline {
-            Some(mut scratch) => answer(
-                &self.bear,
-                &mut scratch,
-                job,
-                self.block_width,
-                &self.metrics,
-                self.topk_strategy,
-            ),
+            Some(mut scratch) => {
+                answer(&self.bear, &mut scratch, job, self.block_width, &self.metrics)
+            }
             None => match self.overload {
                 OverloadPolicy::Reject => self.queue.push(job)?,
                 OverloadPolicy::Block => {
@@ -957,16 +924,10 @@ fn degraded_reason(e: &Error) -> Option<DegradedReason> {
 }
 
 /// Worker body: answer jobs until the queue closes.
-fn worker_loop(
-    bear: &Bear,
-    queue: &JobQueue<Job>,
-    metrics: &Metrics,
-    block_width: usize,
-    topk_strategy: TopKStrategy,
-) {
+fn worker_loop(bear: &Bear, queue: &JobQueue<Job>, metrics: &Metrics, block_width: usize) {
     let mut scratch = Scratch::new();
     while let Some(job) = queue.pop() {
-        answer(bear, &mut scratch, job, block_width, metrics, topk_strategy);
+        answer(bear, &mut scratch, job, block_width, metrics);
     }
 }
 
@@ -977,14 +938,7 @@ fn worker_loop(
 /// computing answers nobody can use only starves the requests still
 /// inside their budget. A panic fails only its block, with
 /// [`Error::WorkerPanicked`], so the pool survives.
-fn answer(
-    bear: &Bear,
-    scratch: &mut Scratch,
-    job: Job,
-    block_width: usize,
-    metrics: &Metrics,
-    topk_strategy: TopKStrategy,
-) {
+fn answer(bear: &Bear, scratch: &mut Scratch, job: Job, block_width: usize, metrics: &Metrics) {
     // Failpoint `queue::pop`: simulate a slow dequeue path so jobs age
     // past their deadline. Only the Delay action makes sense here — pop
     // has no error channel — so that's all this site honors.
@@ -1011,7 +965,7 @@ fn answer(
         let start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!("engine::run_job");
-            scratch.solve(bear, block, kind, topk_strategy, metrics)
+            scratch.solve(bear, block, kind, metrics)
         }))
         .unwrap_or_else(|_| {
             metrics.record_worker_panic();
@@ -1166,29 +1120,22 @@ mod tests {
     }
 
     #[test]
-    fn top_k_full_strategy_matches_pruned() {
+    fn top_k_matches_full_solve_and_selection() {
         let bear = test_bear(15);
-        let pruned = QueryEngine::new(Arc::clone(&bear), config(2, 0)).unwrap();
-        let full_cfg = EngineConfig::builder()
-            .threads(2)
-            .cache_capacity(0)
-            .topk_strategy(TopKStrategy::Full)
-            .build()
-            .unwrap();
-        let full = QueryEngine::new(Arc::clone(&bear), full_cfg).unwrap();
+        let engine = QueryEngine::new(Arc::clone(&bear), config(2, 0)).unwrap();
         for seed in 0..15 {
             for k in [1, 4, 14, 20] {
-                let a = pruned.query_top_k(seed, k, &QueryOptions::default()).unwrap();
-                let b = full.query_top_k(seed, k, &QueryOptions::default()).unwrap();
-                assert_eq!(a.nodes.len(), b.nodes.len());
-                for (x, y) in a.nodes.iter().zip(b.nodes.iter()) {
+                let got = engine.query_top_k(seed, k, &QueryOptions::default()).unwrap();
+                let want = bear.query_top_k(seed, k).unwrap();
+                assert_eq!(got.nodes.len(), want.len());
+                for (x, y) in got.nodes.iter().zip(want.iter()) {
                     assert_eq!(x.node, y.node);
                     assert_eq!(x.score.to_bits(), y.score.to_bits());
                 }
             }
         }
-        let m = pruned.metrics();
-        assert!(m.topk_pruned_queries > 0, "pruned engine records pruning stats");
+        let m = engine.metrics();
+        assert!(m.topk_pruned_queries > 0, "engine records pruning stats");
     }
 
     #[test]

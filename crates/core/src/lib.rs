@@ -71,7 +71,7 @@ pub use dynamic::{DynamicBear, UpdateKind};
 #[cfg(not(loom))]
 pub use engine::{
     CancelToken, DegradedInfo, EngineConfig, EngineConfigBuilder, OverloadPolicy, QueryEngine,
-    QueryOptions, Served, TopKServed, TopKStrategy,
+    QueryOptions, Served, TopKServed,
 };
 pub use engine::{MetricsSnapshot, QueryWorkspace};
 #[cfg(not(loom))]
