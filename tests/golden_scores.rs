@@ -8,28 +8,37 @@
 //! index and on its v3 file paged under a one-block budget — and both must
 //! hash to the same pinned value. A change that moves a single bit of any
 //! answer, on any path, fails here.
+//!
+//! The index files are pinned the same way: each graph and configuration
+//! is written by `Bear::save` (v2), `Bear::save_v3` and
+//! `preprocess_to_disk` (both v3), and the FNV-1a hash of each file's
+//! bytes must match. Answers alone cannot catch a writer that reorders or
+//! reframes sections.
 
-use bear_core::{Bear, BearConfig};
+use bear_core::{preprocess_to_disk, Bear, BearConfig};
 use bear_graph::generators::{hub_and_spoke, rmat, HubSpokeConfig, RmatConfig};
 use bear_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
-/// FNV-1a over the little-endian bytes of each word.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
+}
+
 fn hash_scores<'a>(vectors: impl IntoIterator<Item = &'a [f64]>) -> u64 {
-    fnv1a(vectors.into_iter().flatten().map(|v| v.to_bits()))
+    fnv1a_words(vectors.into_iter().flatten().map(|v| v.to_bits()))
 }
 
 fn corpus() -> Vec<(&'static str, Graph)> {
@@ -63,6 +72,11 @@ fn corpus() -> Vec<(&'static str, Graph)> {
     vec![("hub_spoke", hub_spoke), ("rmat", rmat), ("dangling_loops", dangling)]
 }
 
+/// Each graph is indexed exactly and with a drop tolerance ξ > 0.
+fn configs() -> [(&'static str, BearConfig); 2] {
+    [("exact", BearConfig::exact(0.05)), ("approx", BearConfig::approx(0.05, 2e-2))]
+}
+
 /// Deterministic seeds spread over `0..n`.
 fn seeds(n: usize, count: usize) -> Vec<usize> {
     (0..count).map(|i| (i * 7_919 + 3) % n).collect()
@@ -85,7 +99,7 @@ fn answers(bear: &Bear) -> Vec<(&'static str, u64)> {
         hash_scores(cols.iter().map(Vec::as_slice))
     };
 
-    let top_k = fnv1a(single.iter().flat_map(|&s| {
+    let top_k = fnv1a_words(single.iter().flat_map(|&s| {
         bear.query_top_k_pruned(s, 10)
             .unwrap()
             .into_iter()
@@ -150,9 +164,7 @@ const GOLDEN: &[(&str, u64)] = &[
 fn every_query_path_matches_the_golden_bits() {
     let mut actual = Vec::new();
     for (graph, g) in corpus() {
-        for (config, cfg) in
-            [("exact", BearConfig::exact(0.05)), ("approx", BearConfig::approx(0.05, 2e-2))]
-        {
+        for (config, cfg) in configs() {
             let resident = Bear::new(&g, &cfg).unwrap();
             let path = scratch_index(&format!("{graph}_{config}"));
             resident.save_v3(&path).unwrap();
@@ -170,11 +182,62 @@ fn every_query_path_matches_the_golden_bits() {
             }
         }
     }
+    assert_matches_golden(&actual, GOLDEN, "answer bits");
+}
+
+/// Compares `(label, hash)` rows with a pinned table, printing the actual
+/// table on any difference so it can be re-pinned deliberately.
+fn assert_matches_golden(actual: &[(String, u64)], golden: &[(&str, u64)], what: &str) {
     let table: String =
         actual.iter().map(|(label, hash)| format!("    (\"{label}\", {hash:#018x}),\n")).collect();
-    assert_eq!(actual.len(), GOLDEN.len(), "golden table size; actual table:\n{table}");
-    for ((label, hash), (want_label, want_hash)) in actual.iter().zip(GOLDEN) {
+    assert_eq!(actual.len(), golden.len(), "golden table size; actual table:\n{table}");
+    for ((label, hash), (want_label, want_hash)) in actual.iter().zip(golden) {
         assert_eq!(label, want_label, "golden table order; actual table:\n{table}");
-        assert_eq!(hash, want_hash, "{label}: answer bits moved; actual table:\n{table}");
+        assert_eq!(hash, want_hash, "{label}: {what} moved; actual table:\n{table}");
     }
+}
+
+/// Pinned hashes of the index file bytes, keyed `graph/config/writer`.
+const GOLDEN_IMAGES: &[(&str, u64)] = &[
+    ("hub_spoke/exact/save", 0x006ec5d4b4c3b963),
+    ("hub_spoke/exact/save_v3", 0xe02ed2bc1e61f3af),
+    ("hub_spoke/exact/preprocess_to_disk", 0xe02ed2bc1e61f3af),
+    ("hub_spoke/approx/save", 0x431ec0f0adda5235),
+    ("hub_spoke/approx/save_v3", 0x27f6f79050345983),
+    ("hub_spoke/approx/preprocess_to_disk", 0x27f6f79050345983),
+    ("rmat/exact/save", 0x3aab9a0c81367916),
+    ("rmat/exact/save_v3", 0x0a8f12a3d87fdd12),
+    ("rmat/exact/preprocess_to_disk", 0x0a8f12a3d87fdd12),
+    ("rmat/approx/save", 0x0c3f009448121798),
+    ("rmat/approx/save_v3", 0x410020c7500f1226),
+    ("rmat/approx/preprocess_to_disk", 0x410020c7500f1226),
+    ("dangling_loops/exact/save", 0x5668ae337db88681),
+    ("dangling_loops/exact/save_v3", 0x03ade76dd93d0054),
+    ("dangling_loops/exact/preprocess_to_disk", 0x03ade76dd93d0054),
+    ("dangling_loops/approx/save", 0x5381540429a4e795),
+    ("dangling_loops/approx/save_v3", 0xbf5ce78270acc048),
+    ("dangling_loops/approx/preprocess_to_disk", 0xbf5ce78270acc048),
+];
+
+#[test]
+fn every_index_writer_matches_the_golden_bytes() {
+    let mut actual = Vec::new();
+    for (graph, g) in corpus() {
+        for (config, cfg) in configs() {
+            let bear = Bear::new(&g, &cfg).unwrap();
+            let path = scratch_index(&format!("image_{graph}_{config}"));
+            for writer in ["save", "save_v3", "preprocess_to_disk"] {
+                match writer {
+                    "save" => bear.save(&path),
+                    "save_v3" => bear.save_v3(&path),
+                    _ => preprocess_to_disk(&g, &cfg, &path),
+                }
+                .unwrap();
+                let hash = fnv1a(std::fs::read(&path).unwrap());
+                actual.push((format!("{graph}/{config}/{writer}"), hash));
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+    assert_matches_golden(&actual, GOLDEN_IMAGES, "image bytes");
 }
