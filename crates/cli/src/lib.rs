@@ -1170,6 +1170,37 @@ mod tests {
         std::fs::remove_file(&graph_path).ok();
     }
 
+    /// A format-v1 index (`BEARIDX1`, no checksums or framing) is no
+    /// longer read: load, verification and the quarantining load all
+    /// fail typed on the header with a detail that says how to replace
+    /// the file, and `verify-index` exits with code 5.
+    #[test]
+    fn v1_index_files_are_rejected_typed() {
+        let path = std::env::temp_dir().join("bear_cli_v1.idx");
+        let quarantined = std::env::temp_dir().join("bear_cli_v1.idx.corrupt");
+        let mut bytes = b"BEARIDX1".to_vec();
+        bytes.extend_from_slice(&[7u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let assert_header = |err: &Error| match err {
+            Error::CorruptIndex { section: "header", detail } => assert!(
+                detail.contains("BEARIDX1") && detail.contains("bear preprocess"),
+                "detail must name the format and the fix: {detail}"
+            ),
+            other => panic!("want a typed header error, got {other:?}"),
+        };
+        assert_header(&Bear::load(&path).unwrap_err());
+        assert_header(&bear_core::persist::verify_index(&path).unwrap_err());
+        let verify = Command::VerifyIndex { index: path.to_string_lossy().into_owned() };
+        let err = run(&verify, &mut Vec::new()).unwrap_err();
+        assert_header(&err);
+        assert_eq!(exit_code(&err), 5);
+
+        std::fs::remove_file(&quarantined).ok();
+        assert_header(&Bear::load_or_quarantine(&path).unwrap_err());
+        assert!(!path.exists() && quarantined.exists(), "a v1 file must be quarantined");
+        std::fs::remove_file(&quarantined).ok();
+    }
+
     #[test]
     fn rejects_bad_invocations() {
         assert!(parse(&["preprocess", "only-one"]).is_err());

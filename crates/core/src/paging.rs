@@ -729,14 +729,6 @@ pub(crate) enum SpokeFactors {
 }
 
 impl SpokeFactors {
-    /// Spoke dimension `n₁`.
-    pub(crate) fn dim(&self) -> usize {
-        match self {
-            SpokeFactors::Resident { l1_inv, .. } => l1_inv.nrows(),
-            SpokeFactors::Paged { pager } => pager.dim(),
-        }
-    }
-
     /// The pager, when paged.
     pub(crate) fn pager(&self) -> Option<&BlockPager> {
         match self {
@@ -779,7 +771,7 @@ impl SpokeFactors {
     }
 
     /// Materializes both whole matrices (fetching every block when
-    /// paged) — used by the v1/v2 writers and format conversion, never
+    /// paged) — used by the v2 writer and format conversion, never
     /// by the query path.
     pub(crate) fn to_whole(&self) -> Result<(CscMatrix, CscMatrix)> {
         match self {

@@ -68,9 +68,9 @@ fn unlimited_budget_never_fails_for_budget_reasons() {
 }
 
 /// Exceeding the budget at load time means different things per format:
-/// a fully resident v1/v2 image that does not fit is a typed
+/// a fully resident v2 image that does not fit is a typed
 /// [`Error::OutOfBudget`], while a v3 image *pages* — the same budget
-/// that rejects the resident formats serves the sharded one, with
+/// that rejects the resident format serves the sharded one, with
 /// answers bit-identical to an unlimited load.
 #[test]
 fn v3_pages_under_a_budget_that_rejects_resident_formats() {
@@ -79,23 +79,17 @@ fn v3_pages_under_a_budget_that_rejects_resident_formats() {
     let g = small_suite()[0].load();
     let bear = Bear::new(&g, &BearConfig::default()).unwrap();
     let dir = std::env::temp_dir();
-    let v1 = dir.join("bear_oom_v1.idx");
     let v2 = dir.join("bear_oom_v2.idx");
     let v3 = dir.join("bear_oom_v3.idx");
-    bear.save_v1(&v1).unwrap();
     bear.save(&v2).unwrap();
     bear.save_v3(&v3).unwrap();
 
-    // A budget one byte short of the full index: the resident formats
-    // need all of it and must refuse, while v3 only charges its hub
+    // A budget one byte short of the full index: the resident v2 image
+    // needs all of it and must refuse, while v3 only charges its hub
     // part (the spoke factors page) and loads fine.
     let full = bear.memory_bytes();
     let budget_bytes = full - 1;
     let opts = LoadOptions { budget: MemBudget::bytes(budget_bytes), resident: false };
-    assert!(
-        matches!(Bear::load_with(&v1, &opts), Err(Error::OutOfBudget { .. })),
-        "a v1 image over budget must fail typed, not load"
-    );
     assert!(
         matches!(Bear::load_with(&v2, &opts), Err(Error::OutOfBudget { .. })),
         "a v2 image over budget must fail typed, not load"
@@ -112,7 +106,7 @@ fn v3_pages_under_a_budget_that_rejects_resident_formats() {
         }
     }
 
-    for p in [&v1, &v2, &v3] {
+    for p in [&v2, &v3] {
         std::fs::remove_file(p).ok();
     }
 }
