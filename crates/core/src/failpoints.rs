@@ -17,8 +17,9 @@
 //!
 //! * `persist::load` — start of [`crate::Bear::load`];
 //! * `persist::save::write` — before the temp file is created; also
-//!   honors [`FailAction::TruncateAt`] (write only the first `k` bytes,
-//!   then fail — a crash mid-write);
+//!   honors [`FailAction::TruncateAt`] (once every byte is appended, cut
+//!   the temp file to its first `k` and fail before the fsync — a crash
+//!   mid-write);
 //! * `persist::save::sync` — after the payload write, before `fsync`;
 //! * `persist::save::rename` — before the atomic rename into place;
 //! * `persist::save::torn` — consulted via [`armed`], not [`eval`]:
