@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the RWR variants and production
 //! features: personalized PageRank, effective importance, top-k
 //! extraction (full selection and the pruned exact path), index
-//! save/load, dynamic edge insertion, and the iterative-hub extension.
+//! save/load, dynamic edge insertion, the iterative-hub extension, and
+//! the out-of-core kernel (paged blocked solve and the CRC-32 every
+//! pager fault runs).
 
 use bear_core::topk::top_k_excluding_seed;
 use bear_core::{
@@ -9,7 +11,8 @@ use bear_core::{
 };
 use bear_datasets::dataset_by_name;
 use bear_graph::generators::{hub_and_spoke, rmat, HubSpokeConfig, RmatConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
+use bear_sparse::DenseBlock;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,5 +113,42 @@ fn bench_topk_pruned(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_variants, bench_topk_pruned);
+/// The out-of-core kernel behind `batch_paged`: a width-8
+/// `query_block_into` on `web_bs_like` with the spoke factors paged from
+/// an in-memory v3 segment image capped at a third of their bytes (so
+/// the pager faults, CRC-checks and decodes segments every solve), next
+/// to the same solve on the resident index; plus CRC-32 throughput over
+/// 1 MiB, the checksum every fault verifies.
+fn bench_paged_kernel(c: &mut Criterion) {
+    const WIDTH: usize = 8;
+    let g = dataset_by_name("web_bs_like").unwrap().load();
+    let resident = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+    let paged = resident.paged_in_memory(None).unwrap();
+    let pager = paged.pager().unwrap();
+    let spoke_bytes: usize = pager.directory().iter().map(|m| m.resident_bytes()).sum();
+    pager.set_budget(Some(spoke_bytes / 3)).unwrap();
+    let n = resident.num_nodes();
+    let seeds: Vec<usize> = (0..WIDTH).map(|i| (i * 2654435761) % n).collect();
+
+    let mut group = c.benchmark_group("paged_kernel");
+    group.sample_size(10);
+    for (name, bear) in [("resident", &resident), ("paged_third", &paged)] {
+        let mut ws = QueryWorkspace::for_bear(bear);
+        let mut out = DenseBlock::zeros(n, WIDTH);
+        group.bench_function(format!("query_block_w{WIDTH}/{name}"), |b| {
+            b.iter(|| {
+                bear.query_block_into(&seeds, &mut ws, &mut out).unwrap();
+                std::hint::black_box(&out);
+            })
+        });
+    }
+    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("crc32_1mib", |b| {
+        b.iter(|| std::hint::black_box(bear_core::crc32::crc32(&data)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_variants, bench_topk_pruned, bench_paged_kernel);
 criterion_main!(benches);

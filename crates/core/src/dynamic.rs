@@ -16,7 +16,6 @@
 //! fall back to full preprocessing. [`DynamicBear::insert_edge`] reports
 //! which path was taken.
 
-use crate::paging::Factor;
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
@@ -200,17 +199,17 @@ impl DynamicBear {
         // keeps the code auditable; the dominant cost is the refactor
         // anyway. S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂ column by column.
         let mut s_coo = CooMatrix::new(n2, n2);
-        let (mut x, mut t, mut y) =
-            (DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1), DenseBlock::zeros(n2, 1));
+        let (mut x, mut t, mut z) =
+            (DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1));
+        let mut y = DenseBlock::zeros(n2, 1);
         for col in 0..n2 {
             x.fill(0.0);
             let dense_col = x.col_mut(0);
             for &(r, v) in &self.h12_cols[col] {
                 dense_col[r] = v;
             }
-            self.bear.spokes.spmm_into(Factor::L1, &x, &mut t)?;
-            self.bear.spokes.spmm_into(Factor::U1, &t, &mut x)?;
-            self.bear.h21.spmm_into(&x, &mut y)?;
+            self.bear.spokes.solve_into(&x, &mut t, &mut z)?;
+            self.bear.h21.spmm_into(&z, &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {
                 s_col[r] = v;

@@ -10,8 +10,10 @@
 //!   CRC'd **segment per diagonal block**, holding that block's
 //!   `L₁⁻¹`/`U₁⁻¹` slices as block-local CSC matrices;
 //! * [`BlockPager`] materializes segments lazily via a [`SegmentSource`]
-//!   (`pread` on a file handle; plain `std`, no mmap dependency) into an
-//!   LRU-evicted resident set capped by a byte budget;
+//!   (`pread` on a file handle; plain `std`, no mmap dependency) into a
+//!   resident set capped by a byte budget, evicting the most recently
+//!   used block other than the one just faulted (scan-resistant; see
+//!   `evict_to_limit`);
 //! * `SpokeFactors` is the dispatch point the query kernels run
 //!   through: the `Resident` variant holds the familiar whole matrices,
 //!   the `Paged` variant walks blocks through the pager.
@@ -28,8 +30,12 @@
 //! same additions in the exact same order into every `y[r]` — including
 //! the zero-input skip, so an untouched block can skip its *fetch*
 //! entirely (the paging win: a one-hot seed touches one block in the
-//! first sweep). The blocked multi-RHS kernel (`spmm_acc_inner`) and the
-//! top-k scatter replicate their resident counterparts the same way.
+//! first sweep). The same locality lets one sweep apply both factors:
+//! `L₁⁻¹`'s output on block `b` is exactly `U₁⁻¹`'s input on block `b`,
+//! so `SpokeFactors::solve_into` fetches each touched block once and
+//! runs `L` then `U` on it before moving on, where the resident arm
+//! runs two whole-matrix products. The per-row operation order is the
+//! same either way, and so is the top-k resolve of one block.
 //!
 //! # Concurrency
 //!
@@ -58,15 +64,6 @@ pub(crate) fn corrupt_shard(shard: usize, detail: impl std::fmt::Display) -> Err
     Error::CorruptIndex { section: "spoke_segment", detail: format!("shard {shard}: {detail}") }
 }
 
-/// Which spoke factor a kernel applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Factor {
-    /// `L₁⁻¹` — inverse unit-lower factor.
-    L1,
-    /// `U₁⁻¹` — inverse upper factor.
-    U1,
-}
-
 /// One diagonal block's inverted factors, stored block-locally: both
 /// matrices are `dim × dim` CSC with row indices rebased to the block.
 #[derive(Debug, Clone)]
@@ -92,13 +89,6 @@ impl FactorPair {
     /// Block dimension.
     pub fn dim(&self) -> usize {
         self.l1.nrows()
-    }
-
-    fn factor(&self, f: Factor) -> &CscMatrix {
-        match f {
-            Factor::L1 => &self.l1,
-            Factor::U1 => &self.u1,
-        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -210,32 +200,34 @@ impl<'a> SegCursor<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Validates a length prefix against the remaining payload before
-    /// any allocation (a corrupt prefix must not trigger a huge
-    /// `Vec::with_capacity`).
-    fn checked_len(&self, len: u64) -> Result<usize> {
+    /// Takes the byte span of one length-prefixed array of 8-byte
+    /// little-endian words. The prefix is checked against the remaining
+    /// payload before anything is allocated (a corrupt prefix must not
+    /// trigger a huge `Vec::with_capacity`), then the whole span is taken
+    /// at once.
+    // lint:allow(L1, array type in the signature, not an index expression)
+    fn words(&mut self) -> Result<&'a [[u8; 8]]> {
+        let len = self.u64()?;
+        let remaining = self.bytes.len() - self.pos;
         let bytes = len
             .checked_mul(8)
-            .ok_or_else(|| corrupt_shard(self.shard, format!("corrupt length prefix {len}")))?;
-        if bytes > (self.bytes.len() - self.pos) as u64 {
-            return Err(corrupt_shard(
-                self.shard,
-                format!(
-                    "corrupt length prefix {len}: needs {bytes} bytes but only {} remain",
-                    self.bytes.len() - self.pos
-                ),
-            ));
-        }
-        usize::try_from(len)
-            .map_err(|_| corrupt_shard(self.shard, format!("length {len} does not fit in usize")))
+            .and_then(|b| usize::try_from(b).ok())
+            .filter(|&b| b <= remaining)
+            .ok_or_else(|| {
+                corrupt_shard(
+                    self.shard,
+                    format!("corrupt length prefix {len}: only {remaining} bytes remain"),
+                )
+            })?;
+        let (words, _) = self.take(bytes)?.as_chunks::<8>();
+        Ok(words)
     }
 
     fn usize_array(&mut self) -> Result<Vec<usize>> {
-        let raw = self.u64()?;
-        let len = self.checked_len(raw)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let v = self.u64()?;
+        let words = self.words()?;
+        let mut out = Vec::with_capacity(words.len());
+        for &w in words {
+            let v = u64::from_le_bytes(w);
             out.push(usize::try_from(v).map_err(|_| {
                 corrupt_shard(self.shard, format!("array element {v} does not fit in usize"))
             })?);
@@ -244,16 +236,7 @@ impl<'a> SegCursor<'a> {
     }
 
     fn f64_array(&mut self) -> Result<Vec<f64>> {
-        let raw = self.u64()?;
-        let len = self.checked_len(raw)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let b = self.take(8)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            out.push(f64::from_le_bytes(a));
-        }
-        Ok(out)
+        Ok(self.words()?.iter().map(|&w| f64::from_le_bytes(w)).collect())
     }
 
     fn finish(self) -> Result<()> {
@@ -477,8 +460,11 @@ impl std::fmt::Debug for PagerInner {
     }
 }
 
-/// LRU-evicted lazy loader of spoke-block segments, shared (cheap
-/// `Clone`, one underlying cache) by every worker of an engine.
+/// Lazy loader of spoke-block segments under a byte budget, shared
+/// (cheap `Clone`, one underlying cache) by every worker of an engine.
+/// Over the budget it evicts the most recently used block other than
+/// the one just faulted, which keeps a stable resident set under the
+/// ascending sweeps of the query kernels.
 #[derive(Debug, Clone)]
 pub struct BlockPager {
     inner: Arc<PagerInner>,
@@ -576,7 +562,7 @@ impl BlockPager {
     pub fn set_budget(&self, budget_bytes: Option<usize>) -> Result<()> {
         let mut st = self.lock()?;
         st.limit = budget_bytes;
-        let evicted = evict_to_limit(&mut st);
+        let evicted = evict_to_limit(&mut st, None);
         drop(st);
         self.inner.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(())
@@ -630,7 +616,7 @@ impl BlockPager {
             evicted += 1;
         }
         st.bytes = st.bytes.saturating_add(bytes);
-        evicted += evict_to_limit(&mut st);
+        evicted += evict_to_limit(&mut st, Some(b));
         drop(st);
         self.inner.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(pair)
@@ -695,14 +681,28 @@ impl BlockPager {
     }
 }
 
-/// Evicts least-recently-used blocks until the set fits its limit,
-/// always keeping at least one block (a single block larger than the
-/// budget must stay usable). Returns how many were evicted.
-fn evict_to_limit(st: &mut ResidentSet) -> u64 {
+/// The pager's one eviction rule, run by [`BlockPager::fetch`] and
+/// [`BlockPager::set_budget`] alike: while the set is over its limit,
+/// evict the most recently used block other than `keep` (the block the
+/// caller just faulted in), and never the last block (a single block
+/// larger than the budget must stay usable). Returns how many were
+/// evicted.
+///
+/// Queries sweep the blocks in ascending order, so strict LRU would
+/// evict exactly the block the next sweep needs first and hit nothing on
+/// a cyclic scan. Evicting the most recent block instead keeps the rest
+/// of the resident set stable: once the cap is full, a sweep over more
+/// blocks than fit cycles through one slot and hits on the others.
+fn evict_to_limit(st: &mut ResidentSet, keep: Option<usize>) -> u64 {
     let Some(limit) = st.limit else { return 0 };
     let mut evicted = 0u64;
     while st.bytes > limit && st.map.len() > 1 {
-        let victim = st.map.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k);
+        let victim = st
+            .map
+            .iter()
+            .filter(|&(&b, _)| Some(b) != keep)
+            .max_by_key(|(_, e)| e.last_used)
+            .map(|(&b, _)| b);
         let Some(victim) = victim else { break };
         if let Some(e) = st.map.remove(&victim) {
             st.bytes = st.bytes.saturating_sub(e.bytes);
@@ -737,21 +737,15 @@ impl SpokeFactors {
         }
     }
 
-    /// Stored nonzeros of one factor (from the directory when paged).
-    pub(crate) fn nnz(&self, f: Factor) -> usize {
+    /// Stored nonzeros of `L₁⁻¹` and of `U₁⁻¹` (from the directory when
+    /// paged).
+    pub(crate) fn nnz(&self) -> (usize, usize) {
         match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.nnz(),
-                Factor::U1 => u1_inv.nnz(),
-            },
+            SpokeFactors::Resident { l1_inv, u1_inv } => (l1_inv.nnz(), u1_inv.nnz()),
             SpokeFactors::Paged { pager } => pager
                 .directory()
                 .iter()
-                .map(|m| match f {
-                    Factor::L1 => m.l1_nnz as usize,
-                    Factor::U1 => m.u1_nnz as usize,
-                })
-                .sum(),
+                .fold((0, 0), |(l1, u1), m| (l1 + m.l1_nnz as usize, u1 + m.u1_nnz as usize)),
         }
     }
 
@@ -814,58 +808,56 @@ impl SpokeFactors {
         Ok(pairs)
     }
 
-    /// `Y = F X` — bit-identical per column to `CscMatrix::spmm_into`
-    /// (at width 1, `CscMatrix::matvec_into`) on the whole factor. The
-    /// paged arm skips (never fetches) blocks whose input rows are all
-    /// zero.
-    pub(crate) fn spmm_into(&self, f: Factor, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
+    /// `Y = U₁⁻¹ L₁⁻¹ X` with `T` as scratch (it ends up holding
+    /// `L₁⁻¹ X`, or zero in skipped blocks): the spoke solve of both
+    /// halves of Algorithm 2 and of the Schur refresh. Column `j` of `Y`
+    /// is bit-identical to `CscMatrix::spmm_into` (at width 1,
+    /// `CscMatrix::matvec_into`) applied twice with the whole factors.
+    ///
+    /// The resident arm is exactly those two whole-matrix products. The
+    /// paged arm walks the blocks once, fetching each touched block a
+    /// single time and applying both of its factors before moving on
+    /// (Lemma 1: the factors are block diagonal, so block `b` of `Y`
+    /// depends only on block `b` of `X`); blocks whose input rows are all
+    /// zero are never fetched.
+    pub(crate) fn solve_into(
+        &self,
+        x: &DenseBlock,
+        t: &mut DenseBlock,
+        y: &mut DenseBlock,
+    ) -> Result<()> {
         match self {
-            SpokeFactors::Resident { l1_inv, u1_inv } => match f {
-                Factor::L1 => l1_inv.spmm_into(x, y),
-                Factor::U1 => u1_inv.spmm_into(x, y),
-            },
+            SpokeFactors::Resident { l1_inv, u1_inv } => {
+                l1_inv.spmm_into(x, t)?;
+                u1_inv.spmm_into(t, y)
+            }
             SpokeFactors::Paged { pager } => {
                 let n1 = pager.dim();
-                if x.nrows() != n1 || y.nrows() != n1 || x.ncols() != y.ncols() {
+                let k = x.ncols();
+                if [x.nrows(), t.nrows(), y.nrows()] != [n1; 3] || t.ncols() != k || y.ncols() != k
+                {
                     return Err(Error::DimensionMismatch {
-                        op: "paged spoke spmm",
-                        lhs: (n1, n1),
+                        op: "paged spoke solve",
+                        lhs: (n1, k),
                         rhs: (x.nrows(), x.ncols()),
                     });
                 }
+                t.fill(0.0);
                 y.fill(0.0);
-                let k = x.ncols();
                 for b in 0..pager.num_blocks() {
                     let (bs, be) = pager.block_range(b)?;
-                    // lint:allow(L1, c < be <= n1 == x.nrows() per the dimension check above)
-                    let untouched = (bs..be).all(|c| (0..k).all(|j| x[(c, j)] == 0.0));
+                    let untouched = (0..k).all(|j| x.col(j).get(bs..be).is_some_and(all_zero));
                     if untouched {
                         continue;
                     }
                     let pair = pager.fetch(b)?;
-                    let m = pair.factor(f);
-                    if m.ncols() != be - bs {
-                        return Err(corrupt_shard(b, "decoded dimension mismatch"));
-                    }
-                    // Mirrors `spmm_acc_inner`: matrix columns outer (in
-                    // ascending global order), right-hand sides inner.
-                    for c in 0..(be - bs) {
-                        let (rows, vals) = m.col(c);
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        for j in 0..k {
-                            // lint:allow(L1, bs + c < be <= n1 == x.nrows() per the dimension check above)
-                            let xc = x[(bs + c, j)];
-                            if xc == 0.0 {
-                                continue;
-                            }
-                            let yj = y.col_mut(j);
-                            for (&r, &v) in rows.iter().zip(vals) {
-                                // lint:allow(L1, r < block dim per the decoded dimension check, so bs + r < be <= n1)
-                                yj[bs + r] += v * xc;
-                            }
-                        }
+                    // Column by column within the block: every output
+                    // element still sums its block's columns in ascending
+                    // order, which is all bit-identity needs.
+                    for j in 0..k {
+                        let (xb, tb, yb) =
+                            block_slices(bs, be, x.col(j), t.col_mut(j), y.col_mut(j))?;
+                        pair.solve_block(b, xb, tb, yb)?;
                     }
                 }
                 Ok(())
@@ -873,66 +865,97 @@ impl SpokeFactors {
         }
     }
 
-    /// Column-range-restricted scatter for the pruned top-k path:
-    /// `y[bs..be] = F[:, bs..be] · x[bs..be]` for block `b` spanning
-    /// `[bs, be)`. Mirrors the resident `scatter_block` exactly — zero
-    /// the destination, accumulate columns ascending, skip exact-zero
-    /// inputs.
-    pub(crate) fn scatter_block(
+    /// The pruned top-k resolve of block `b` spanning `[bs, be)`:
+    /// `y[bs..be] = U₁⁻¹ L₁⁻¹ x[bs..be]` with `t[bs..be]` as scratch,
+    /// bit-identical to the same rows of [`SpokeFactors::solve_into`].
+    /// The paged arm fetches the block once (never, if its input rows
+    /// are all zero).
+    pub(crate) fn solve_block(
         &self,
-        f: Factor,
         b: usize,
         bs: usize,
         be: usize,
         x: &[f64],
+        t: &mut [f64],
         y: &mut [f64],
     ) -> Result<()> {
-        let range_err = || Error::InvalidStructure("top-k block range out of bounds".into());
-        y.get_mut(bs..be).ok_or_else(range_err)?.fill(0.0);
-        let xb = x.get(bs..be).ok_or_else(range_err)?;
+        let (xb, tb, yb) = block_slices(bs, be, x, t, y)?;
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv } => {
-                let m = match f {
-                    Factor::L1 => l1_inv,
-                    Factor::U1 => u1_inv,
-                };
-                for (off, &xc) in xb.iter().enumerate() {
-                    if xc == 0.0 {
-                        continue;
-                    }
-                    let (rows, vals) = m.col(bs + off);
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        if let Some(slot) = y.get_mut(r) {
-                            *slot += v * xc;
-                        }
-                    }
-                }
-                Ok(())
+                scatter(l1_inv, bs, xb, tb)?;
+                scatter(u1_inv, bs, tb, yb)
             }
             SpokeFactors::Paged { pager } => {
-                if xb.iter().all(|&v| v == 0.0) {
+                if all_zero(xb) {
+                    tb.fill(0.0);
+                    yb.fill(0.0);
                     return Ok(());
                 }
-                let pair = pager.fetch(b)?;
-                let m = pair.factor(f);
-                if m.ncols() != be - bs {
-                    return Err(corrupt_shard(b, "decoded dimension mismatch"));
-                }
-                for (off, &xc) in xb.iter().enumerate() {
-                    if xc == 0.0 {
-                        continue;
-                    }
-                    let (rows, vals) = m.col(off);
-                    for (&r, &v) in rows.iter().zip(vals) {
-                        if let Some(slot) = y.get_mut(bs + r) {
-                            *slot += v * xc;
-                        }
-                    }
-                }
-                Ok(())
+                pager.fetch(b)?.solve_block(b, xb, tb, yb)
             }
         }
     }
+}
+
+impl FactorPair {
+    /// Both factors of block `b` on its slices (block-local rows and
+    /// columns): `t = L x`, then `y = U t`.
+    fn solve_block(&self, b: usize, x: &[f64], t: &mut [f64], y: &mut [f64]) -> Result<()> {
+        if self.dim() != x.len() {
+            return Err(corrupt_shard(b, "decoded dimension mismatch"));
+        }
+        scatter(&self.l1, 0, x, t)?;
+        scatter(&self.u1, 0, t, y)
+    }
+}
+
+/// `[bs, be)` of each of the three vectors, or a typed error.
+fn block_slices<'a>(
+    bs: usize,
+    be: usize,
+    x: &'a [f64], // lint:allow(L1, slice type syntax, not an index expression)
+    t: &'a mut [f64],
+    y: &'a mut [f64],
+    // lint:allow(L1, slice types in the signature, not index expressions)
+) -> Result<(&'a [f64], &'a mut [f64], &'a mut [f64])> {
+    match (x.get(bs..be), t.get_mut(bs..be), y.get_mut(bs..be)) {
+        (Some(xb), Some(tb), Some(yb)) => Ok((xb, tb, yb)),
+        _ => Err(Error::InvalidStructure(format!("spoke block [{bs}, {be}) out of bounds"))),
+    }
+}
+
+/// Whether a block's input rows are all exact zeros: the kernels then
+/// skip the block without fetching it.
+fn all_zero(x: &[f64]) -> bool {
+    x.iter().all(|&v| v == 0.0)
+}
+
+/// `y = M[base.., base..] · x` on one diagonal block whose first row and
+/// column are `base` in `M`: zero `y`, then accumulate the columns in
+/// ascending order, skipping exact-zero inputs — the per-row operation
+/// order of `CscMatrix::matvec_into`. Block diagonality keeps every row
+/// inside the block; a row outside it is dropped.
+fn scatter(m: &CscMatrix, base: usize, x: &[f64], y: &mut [f64]) -> Result<()> {
+    if base.checked_add(x.len()).is_none_or(|end| end > m.ncols()) {
+        return Err(Error::InvalidStructure(format!(
+            "spoke block at {base} of width {} exceeds {} columns",
+            x.len(),
+            m.ncols()
+        )));
+    }
+    y.fill(0.0);
+    for (c, &xc) in (base..).zip(x) {
+        if xc == 0.0 {
+            continue;
+        }
+        let (rows, vals) = m.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            if let Some(slot) = r.checked_sub(base).and_then(|i| y.get_mut(i)) {
+                *slot += v * xc;
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -974,26 +997,12 @@ mod tests {
     fn build_image(pairs: &[FactorPair]) -> (Vec<u8>, Vec<SegmentMeta>, Vec<usize>) {
         let mut image = vec![0u8; 8]; // pretend 8-byte header
         let mut dir = Vec::new();
-        let mut sizes = Vec::new();
         for (b, pair) in pairs.iter().enumerate() {
-            let payload = encode_segment(b, pair);
-            let offset = image.len() as u64;
-            image.extend_from_slice(SEGMENT_TAG);
-            image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            image.extend_from_slice(&payload);
-            let crc = crate::crc32::crc32(&payload);
-            image.extend_from_slice(&crc.to_le_bytes());
-            dir.push(SegmentMeta {
-                offset,
-                frame_len: (payload.len() + SEGMENT_FRAME_OVERHEAD) as u64,
-                crc,
-                block_dim: pair.dim() as u64,
-                l1_nnz: pair.l1.nnz() as u64,
-                u1_nnz: pair.u1.nnz() as u64,
-            });
-            sizes.push(pair.dim());
+            let (frame, meta) = crate::persist::segment_frame(b, pair, image.len() as u64);
+            image.extend_from_slice(&frame);
+            dir.push(meta);
         }
-        (image, dir, sizes)
+        (image, dir, pairs.iter().map(FactorPair::dim).collect())
     }
 
     fn pager_over(pairs: &[FactorPair], budget: Option<usize>) -> BlockPager {
@@ -1035,8 +1044,15 @@ mod tests {
         assert_eq!(st.evictions, 0);
     }
 
+    /// `misses − resident_blocks == evictions`: every miss inserts a
+    /// block, and every block that leaves the set was evicted.
+    fn assert_conserved(pager: &BlockPager) {
+        let st = pager.stats();
+        assert_eq!(st.misses - st.resident_blocks, st.evictions, "{st:?}");
+    }
+
     #[test]
-    fn tiny_budget_evicts_lru_but_keeps_one_block() {
+    fn tiny_budget_evicts_most_recent_but_keeps_the_faulted_block() {
         let pairs = [toy_pair(6, 0.1), toy_pair(6, 0.2), toy_pair(6, 0.3)];
         let pager = pager_over(&pairs, Some(1)); // smaller than any block
         let a = pager.fetch(0).unwrap();
@@ -1045,9 +1061,175 @@ mod tests {
         let st = pager.stats();
         assert_eq!(st.resident_blocks, 1, "budget of one byte keeps exactly one block");
         assert_eq!(st.evictions, 2);
+        // The block just faulted is the one kept: fetching it again hits.
+        pager.fetch(2).unwrap();
+        assert_eq!(pager.stats().hits, 1);
+        assert_conserved(&pager);
         // The Arc handed out before eviction is still fully usable.
         assert_eq!(a.dim(), 6);
         assert_eq!(a.l1.nnz(), pairs[0].l1.nnz());
+    }
+
+    /// The cyclic scan the query kernels produce: ascending sweeps over
+    /// `N` blocks under a cap that fits `C` of them. Strict LRU evicts
+    /// exactly the block the next sweep needs first and gets 0 hits per
+    /// sweep; the most-recently-used rule keeps `C − 1` blocks resident
+    /// across sweeps.
+    #[test]
+    fn repeated_sweeps_hit_a_stable_resident_set() {
+        const N: usize = 12;
+        let pairs: Vec<FactorPair> = (0..N).map(|b| toy_pair(5, 0.1 * b as f64)).collect();
+        let block_bytes = pairs[0].memory_bytes();
+        assert!(pairs.iter().all(|p| p.memory_bytes() == block_bytes));
+        for fit in [1usize, 2, 3, 5, 11] {
+            let pager = pager_over(&pairs, Some(fit * block_bytes));
+            for sweep in 0..6 {
+                let before = pager.stats().hits;
+                for b in 0..N {
+                    pager.fetch(b).unwrap();
+                }
+                let hits = pager.stats().hits - before;
+                if sweep > 0 {
+                    assert!(hits as usize >= fit - 1, "cap {fit}, sweep {sweep}: {hits} hits");
+                }
+                assert!(pager.stats().resident_bytes as usize <= fit * block_bytes);
+                assert_conserved(&pager);
+            }
+        }
+    }
+
+    #[test]
+    fn conservation_holds_across_fetches_and_budget_changes() {
+        let pairs: Vec<FactorPair> = (1..=7).map(|d| toy_pair(d, 0.05 * d as f64)).collect();
+        let total: usize = pairs.iter().map(FactorPair::memory_bytes).sum();
+        let pager = pager_over(&pairs, Some(total / 3));
+        let budgets = [Some(1), None, Some(total / 2), Some(pairs[6].memory_bytes()), Some(0)];
+        let mut x = 7usize;
+        for step in 0..200 {
+            x = (x * 31 + 11) % 97;
+            pager.fetch(x % pairs.len()).unwrap();
+            if step % 17 == 0 {
+                pager.set_budget(budgets[(step / 17) % budgets.len()]).unwrap();
+            }
+            assert_conserved(&pager);
+            assert!(pager.stats().resident_blocks >= 1);
+        }
+    }
+
+    /// A hub (node 0) joined to `chains` chains of `len` nodes each:
+    /// SlashBurn removes the hub and every chain is its own spoke block.
+    fn hub_and_chains(chains: usize, len: usize) -> bear_graph::Graph {
+        let mut edges = Vec::new();
+        for ch in 0..chains {
+            let first = 1 + ch * len;
+            edges.push((0, first));
+            for i in first..first + len - 1 {
+                edges.push((i, i + 1));
+            }
+        }
+        let sym: Vec<(usize, usize)> = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        bear_graph::Graph::from_edges(1 + chains * len, &sym).unwrap()
+    }
+
+    fn fetches(pager: &BlockPager) -> u64 {
+        let st = pager.stats();
+        st.hits + st.misses
+    }
+
+    /// One width-k paged solve runs two spoke sweeps (the hub half and
+    /// the spoke half), and each sweep fetches a touched block once:
+    /// `hits + misses ≤ 2 × blocks touched` (applying `L₁⁻¹` and `U₁⁻¹`
+    /// in separate sweeps took up to 4×). Unlimited budget, so every
+    /// touched block misses exactly once.
+    #[test]
+    fn fused_solve_fetches_each_touched_block_once_per_sweep() {
+        use crate::precompute::{Bear, BearConfig};
+        let bear = Bear::new(&hub_and_chains(10, 3), &BearConfig::exact(0.15)).unwrap();
+        assert!(bear.block_sizes.len() >= 8, "blocks: {:?}", bear.block_sizes);
+        for seeds in [vec![0], vec![2], vec![1, 4, 7, 10, 13, 16, 19, 22], vec![30, 30, 5]] {
+            let paged = bear.paged_in_memory(None).unwrap();
+            let pager = paged.pager().unwrap();
+            assert_eq!(paged.query_block(&seeds).unwrap(), bear.query_block(&seeds).unwrap());
+            let touched = pager.stats().misses;
+            assert!(touched >= 1);
+            assert!(fetches(pager) <= 2 * touched, "seeds {seeds:?}: {:?}", pager.stats());
+        }
+    }
+
+    /// The pruned top-k resolve of one block fetches it exactly once,
+    /// and matches the resident resolve bit for bit.
+    #[test]
+    fn top_k_block_resolve_fetches_once() {
+        use crate::precompute::{Bear, BearConfig};
+        let bear = Bear::new(&hub_and_chains(6, 4), &BearConfig::exact(0.15)).unwrap();
+        let paged = bear.paged_in_memory(None).unwrap();
+        let pager = paged.pager().unwrap();
+        let n1 = pager.dim();
+        for b in 0..pager.num_blocks() {
+            let (bs, be) = pager.block_range(b).unwrap();
+            let mut x = vec![0.0; n1];
+            for (i, v) in x[bs..be].iter_mut().enumerate() {
+                *v = 0.5 + i as f64;
+            }
+            let (mut t, mut y) = (vec![0.0; n1], vec![0.0; n1]);
+            let before = fetches(pager);
+            paged.spokes.solve_block(b, bs, be, &x, &mut t, &mut y).unwrap();
+            assert_eq!(fetches(pager) - before, 1, "block {b}");
+            let (mut t_res, mut y_res) = (vec![0.0; n1], vec![0.0; n1]);
+            bear.spokes.solve_block(b, bs, be, &x, &mut t_res, &mut y_res).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y[bs..be]), bits(&y_res[bs..be]), "block {b}");
+        }
+    }
+
+    fn assert_shard_corrupt(got: Result<FactorPair>, shard: usize, case: &str) {
+        match got {
+            Err(Error::CorruptIndex { section: "spoke_segment", detail }) => {
+                assert!(detail.starts_with(&format!("shard {shard}: ")), "{case}: {detail}");
+            }
+            Err(other) => panic!("{case}: expected spoke_segment corruption, got {other}"),
+            Ok(_) => panic!("{case}: hostile payload decoded"),
+        }
+    }
+
+    /// Every truncation, a trailing byte, and hostile length prefixes on
+    /// each of the six arrays (`u64::MAX`, a count whose byte length
+    /// overflows, one element more than remains) fail typed, naming the
+    /// shard, without panicking. (`SegCursor::words` checks a prefix
+    /// against the remaining payload before anything is allocated, so
+    /// no array's capacity exceeds the payload.)
+    #[test]
+    fn decode_segment_rejects_hostile_payloads_typed() {
+        let (shard, dim) = (3, 5);
+        let bytes = encode_segment(shard, &toy_pair(dim, 0.3));
+        assert!(decode_segment(&bytes, shard, dim).is_ok());
+        for cut in 0..bytes.len() {
+            assert_shard_corrupt(
+                decode_segment(&bytes[..cut], shard, dim),
+                shard,
+                &format!("truncated to {cut} bytes"),
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_shard_corrupt(decode_segment(&trailing, shard, dim), shard, "one trailing byte");
+
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let mut prefix = 16; // after block index and dimension
+        for array in 0..6 {
+            let remaining = (bytes.len() - prefix - 8) as u64 / 8;
+            for bad in [u64::MAX, u64::MAX / 8 + 1, remaining + 1] {
+                let mut hostile = bytes.clone();
+                hostile[prefix..prefix + 8].copy_from_slice(&bad.to_le_bytes());
+                assert_shard_corrupt(
+                    decode_segment(&hostile, shard, dim),
+                    shard,
+                    &format!("array {array}: length prefix {bad}"),
+                );
+            }
+            prefix += 8 + 8 * word(prefix) as usize;
+        }
+        assert_eq!(prefix, bytes.len(), "walked all six arrays");
     }
 
     #[test]
@@ -1096,6 +1278,12 @@ mod tests {
         assert_eq!(pager.stats().resident_blocks, 3);
         pager.set_budget(Some(1)).unwrap();
         assert_eq!(pager.stats().resident_blocks, 1);
+        // Every later fault keeps only itself, and still serves.
+        for b in [1, 0, 2, 2, 1] {
+            assert_eq!(pager.fetch(b).unwrap().dim(), 8);
+            assert_eq!(pager.stats().resident_blocks, 1);
+        }
+        assert_conserved(&pager);
         // Unlimited again: blocks re-accumulate.
         pager.set_budget(None).unwrap();
         for b in 0..3 {

@@ -57,8 +57,8 @@
 //! flips over real images to hold that contract.
 
 use crate::paging::{
-    corrupt_shard, BlockPager, FactorPair, FileSource, SegmentMeta, SegmentSource, SpokeFactors,
-    SEGMENT_FRAME_OVERHEAD, SEGMENT_TAG,
+    corrupt_shard, BlockPager, FactorPair, FileSource, MemSource, SegmentMeta, SegmentSource,
+    SpokeFactors, SEGMENT_FRAME_OVERHEAD, SEGMENT_TAG,
 };
 use crate::precompute::Bear;
 use crate::solver::RwrSolver as _;
@@ -483,6 +483,23 @@ fn apply_torn_injection(_tmp: &Path) -> Result<()> {
     Ok(())
 }
 
+/// Frames block `b`'s segment for a v3 image, to be placed at byte
+/// `offset`: the frame bytes and the directory entry that locates them.
+pub(crate) fn segment_frame(b: usize, pair: &FactorPair, offset: u64) -> (Vec<u8>, SegmentMeta) {
+    let payload = crate::paging::encode_segment(b, pair);
+    let mut frame = Vec::with_capacity(payload.len() + SEGMENT_FRAME_OVERHEAD);
+    let crc = push_section(&mut frame, SEGMENT_TAG, &payload);
+    let meta = SegmentMeta {
+        offset,
+        frame_len: frame.len() as u64,
+        crc,
+        block_dim: pair.dim() as u64,
+        l1_nnz: pair.l1.nnz() as u64,
+        u1_nnz: pair.u1.nnz() as u64,
+    };
+    (frame, meta)
+}
+
 /// Streams a v3 image to disk block by block: preprocessing hands each
 /// finished block's factors to [`V3StreamWriter::write_segment`] and
 /// drops them, so peak RSS stays independent of total index size.
@@ -505,17 +522,8 @@ impl V3StreamWriter {
     /// Appends the next block's segment (blocks must arrive in ascending
     /// block order).
     pub(crate) fn write_segment(&mut self, pair: &FactorPair) -> Result<()> {
-        let payload = crate::paging::encode_segment(self.dir.len(), pair);
-        let mut frame = Vec::with_capacity(payload.len() + SEGMENT_FRAME_OVERHEAD);
-        let crc = push_section(&mut frame, SEGMENT_TAG, &payload);
-        self.dir.push(SegmentMeta {
-            offset: self.file.len,
-            frame_len: frame.len() as u64,
-            crc,
-            block_dim: pair.dim() as u64,
-            l1_nnz: pair.l1.nnz() as u64,
-            u1_nnz: pair.u1.nnz() as u64,
-        });
+        let (frame, meta) = segment_frame(self.dir.len(), pair, self.file.len);
+        self.dir.push(meta);
         self.file.append(&frame)
     }
 
@@ -581,6 +589,24 @@ impl Bear {
             writer.write_segment(pair)?;
         }
         writer.finish(&self.resident_parts())
+    }
+
+    /// A copy of this index whose spoke factors page from an in-memory
+    /// v3 segment region ([`MemSource`]) under `budget_bytes` (`None` =
+    /// unlimited): the out-of-core query path, CRC check and decode on
+    /// every fault included, without a file. For benchmarks and tests;
+    /// answers are bit-identical to this index's.
+    pub fn paged_in_memory(&self, budget_bytes: Option<usize>) -> Result<Bear> {
+        let mut image = V3.magic.to_vec();
+        let mut dir = Vec::with_capacity(self.block_sizes.len());
+        for (b, pair) in self.spokes.split_pairs(&self.block_sizes)?.iter().enumerate() {
+            let (frame, meta) = segment_frame(b, pair, image.len() as u64);
+            image.extend_from_slice(&frame);
+            dir.push(meta);
+        }
+        let pager =
+            BlockPager::new(Box::new(MemSource(image)), dir, &self.block_sizes, budget_bytes)?;
+        Ok(Bear { spokes: SpokeFactors::Paged { pager }, ..self.clone() })
     }
 }
 

@@ -14,7 +14,7 @@
 //! 9. (BEAR-Approx) drop entries below the drop tolerance `ξ` from all
 //!    six precomputed matrices.
 
-use crate::paging::{Factor, FactorPair, SpokeFactors};
+use crate::paging::{FactorPair, SpokeFactors};
 use crate::persist::{ResidentParts, V3StreamWriter};
 use crate::rwr::{build_h, RwrConfig};
 use crate::stats::{PrecomputedStats, StageTimings};
@@ -605,14 +605,15 @@ impl Bear {
     /// Per-matrix nonzero counts and byte sizes of the precomputed data
     /// (the paper's Table 4 columns).
     pub fn stats(&self) -> PrecomputedStats {
+        let (nnz_l1_inv, nnz_u1_inv) = self.spokes.nnz();
         PrecomputedStats {
             n: self.num_nodes(),
             n1: self.n1,
             n2: self.n2,
             num_blocks: self.block_sizes.len(),
             sum_block_sq: self.block_sizes.iter().map(|&b| (b as u128) * (b as u128)).sum(),
-            nnz_l1_inv: self.spokes.nnz(Factor::L1),
-            nnz_u1_inv: self.spokes.nnz(Factor::U1),
+            nnz_l1_inv,
+            nnz_u1_inv,
             nnz_l2_inv: self.l2_inv.nnz(),
             nnz_u2_inv: self.u2_inv.nnz(),
             nnz_h12: self.h12.nnz(),

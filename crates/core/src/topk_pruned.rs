@@ -89,7 +89,7 @@
 use std::collections::BinaryHeap;
 
 use crate::engine::QueryWorkspace;
-use crate::paging::{Factor, SpokeFactors};
+use crate::paging::SpokeFactors;
 use crate::precompute::Bear;
 use crate::topk::{score_desc, top_k_excluding_seed, ScoredNode};
 use bear_sparse::{Error, Result};
@@ -706,8 +706,7 @@ impl Bear {
         effective_k: usize,
         heap: &mut BinaryHeap<HeapItem>,
     ) -> Result<()> {
-        self.spokes.scatter_block(Factor::L1, b, bs, be, t1, t2)?;
-        self.spokes.scatter_block(Factor::U1, b, bs, be, t2, r1)?;
+        self.spokes.solve_block(b, bs, be, t1, t2, r1)?;
         let r1b = r1
             .get(bs..be)
             .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;
