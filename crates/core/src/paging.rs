@@ -48,6 +48,7 @@
 //! suite with a one-block budget). Hit/miss/eviction counters are
 //! atomics surfaced through [`PagerStats`] and the serving `/metrics`.
 
+use crate::persist::SectionReader;
 use crate::sync::{Mutex, MutexGuard};
 use bear_sparse::mem::{sparse_bytes, MemoryUsage};
 use bear_sparse::{CscMatrix, DenseBlock, Error, Result};
@@ -165,91 +166,6 @@ pub(crate) fn encode_segment(block_index: usize, pair: &FactorPair) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked cursor over a segment payload; every failure is a
-/// typed `CorruptIndex { section: "spoke_segment", .. }` naming the
-/// shard.
-struct SegCursor<'a> {
-    bytes: &'a [u8], // lint:allow(L1, slice type syntax, not an index expression)
-    pos: usize,
-    shard: usize,
-}
-
-impl<'a> SegCursor<'a> {
-    // lint:allow(L1, slice type in the signature, not an index expression)
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let s = self.pos.checked_add(n).and_then(|end| self.bytes.get(self.pos..end)).ok_or_else(
-            || {
-                corrupt_shard(
-                    self.shard,
-                    format!(
-                        "payload truncated: needed {n} bytes at offset {}, payload is {} bytes",
-                        self.pos,
-                        self.bytes.len()
-                    ),
-                )
-            },
-        )?;
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Takes the byte span of one length-prefixed array of 8-byte
-    /// little-endian words. The prefix is checked against the remaining
-    /// payload before anything is allocated (a corrupt prefix must not
-    /// trigger a huge `Vec::with_capacity`), then the whole span is taken
-    /// at once.
-    // lint:allow(L1, array type in the signature, not an index expression)
-    fn words(&mut self) -> Result<&'a [[u8; 8]]> {
-        let len = self.u64()?;
-        let remaining = self.bytes.len() - self.pos;
-        let bytes = len
-            .checked_mul(8)
-            .and_then(|b| usize::try_from(b).ok())
-            .filter(|&b| b <= remaining)
-            .ok_or_else(|| {
-                corrupt_shard(
-                    self.shard,
-                    format!("corrupt length prefix {len}: only {remaining} bytes remain"),
-                )
-            })?;
-        let (words, _) = self.take(bytes)?.as_chunks::<8>();
-        Ok(words)
-    }
-
-    fn usize_array(&mut self) -> Result<Vec<usize>> {
-        let words = self.words()?;
-        let mut out = Vec::with_capacity(words.len());
-        for &w in words {
-            let v = u64::from_le_bytes(w);
-            out.push(usize::try_from(v).map_err(|_| {
-                corrupt_shard(self.shard, format!("array element {v} does not fit in usize"))
-            })?);
-        }
-        Ok(out)
-    }
-
-    fn f64_array(&mut self) -> Result<Vec<f64>> {
-        Ok(self.words()?.iter().map(|&w| f64::from_le_bytes(w)).collect())
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(corrupt_shard(
-                self.shard,
-                format!("{} unconsumed bytes at end of payload", self.bytes.len() - self.pos),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Decodes a segment payload, running the full structural audit
 /// (`try_from_parts`) on both matrices — a checksum-valid segment can
 /// still have been written with broken structure or non-finite values.
@@ -258,7 +174,7 @@ pub(crate) fn decode_segment(
     expect_block: usize,
     expect_dim: usize,
 ) -> Result<FactorPair> {
-    let mut cur = SegCursor { bytes: payload, pos: 0, shard: expect_block };
+    let mut cur = SectionReader::for_shard(payload, expect_block);
     let stored_block = cur.u64()?;
     if stored_block != expect_block as u64 {
         return Err(corrupt_shard(
@@ -1195,7 +1111,7 @@ mod tests {
     /// Every truncation, a trailing byte, and hostile length prefixes on
     /// each of the six arrays (`u64::MAX`, a count whose byte length
     /// overflows, one element more than remains) fail typed, naming the
-    /// shard, without panicking. (`SegCursor::words` checks a prefix
+    /// shard, without panicking. (`SectionReader::words` checks a prefix
     /// against the remaining payload before anything is allocated, so
     /// no array's capacity exceeds the payload.)
     #[test]

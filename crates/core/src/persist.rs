@@ -614,46 +614,57 @@ impl Bear {
 // Section parsing
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked cursor over one section payload. Every read reports
-/// the owning section on failure, so a truncated inner array surfaces as
-/// `CorruptIndex { section: "h12", .. }` rather than a generic error.
-struct SectionReader<'a> {
+/// Bounds-checked cursor over one section or spoke-segment payload —
+/// the one decoder for both formats' length-prefixed arrays. Every read
+/// reports the owning section on failure, so a truncated inner array
+/// surfaces as `CorruptIndex { section: "h12", .. }` rather than a
+/// generic error; a segment's errors are `spoke_segment` and name the
+/// shard.
+pub(crate) struct SectionReader<'a> {
     bytes: &'a [u8],
     pos: usize,
     section: &'static str,
+    /// The spoke block a segment payload holds; `None` for a section.
+    shard: Option<usize>,
 }
 
 impl<'a> SectionReader<'a> {
     fn new(bytes: &'a [u8], section: &'static str) -> Self {
-        SectionReader { bytes, pos: 0, section }
+        SectionReader { bytes, pos: 0, section, shard: None }
+    }
+
+    /// A cursor over the payload of the segment holding spoke block
+    /// `shard`.
+    pub(crate) fn for_shard(bytes: &'a [u8], shard: usize) -> Self {
+        SectionReader { bytes, pos: 0, section: "spoke_segment", shard: Some(shard) }
+    }
+
+    fn corrupt(&self, detail: impl std::fmt::Display) -> Error {
+        match self.shard {
+            Some(shard) => corrupt_shard(shard, detail),
+            None => corrupt(self.section, detail.to_string()),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            corrupt(
-                self.section,
-                format!(
-                    "payload truncated: needed {n} bytes at offset {}, payload is {} bytes",
-                    self.pos,
-                    self.bytes.len()
-                ),
-            )
+            self.corrupt(format_args!(
+                "payload truncated: needed {n} bytes at offset {}, payload is {} bytes",
+                self.pos,
+                self.bytes.len()
+            ))
         })?;
         let s = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(s)
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(le_u64(self.take(8)?))
     }
 
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes({
-            let mut a = [0u8; 8];
-            a.copy_from_slice(self.take(8)?);
-            a
-        }))
+        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Remaining unread payload bytes.
@@ -661,54 +672,50 @@ impl<'a> SectionReader<'a> {
         self.bytes.len() - self.pos
     }
 
-    /// Validates a length prefix of `len` 8-byte elements against the
-    /// remaining payload *before* any allocation.
-    fn check_len(&self, len: u64) -> Result<()> {
+    /// Takes one length-prefixed array of 8-byte little-endian words as
+    /// a single span. The prefix is checked against the remaining payload
+    /// before anything is allocated, so a corrupt prefix cannot trigger a
+    /// huge `Vec::with_capacity`.
+    fn words(&mut self) -> Result<&'a [[u8; 8]]> {
+        let len = self.u64()?;
+        let remaining = self.remaining();
         let bytes = len
             .checked_mul(8)
-            .ok_or_else(|| corrupt(self.section, format!("corrupt length prefix {len}")))?;
-        if bytes > self.remaining() as u64 {
-            return Err(corrupt(
-                self.section,
-                format!(
-                    "corrupt length prefix {len}: needs {bytes} bytes but only {} remain",
-                    self.remaining()
-                ),
-            ));
-        }
-        Ok(())
+            .and_then(|b| usize::try_from(b).ok())
+            .filter(|&b| b <= remaining)
+            .ok_or_else(|| {
+                self.corrupt(format_args!(
+                    "corrupt length prefix {len}: only {remaining} bytes remain"
+                ))
+            })?;
+        let (words, _) = self.take(bytes)?.as_chunks::<8>();
+        Ok(words)
     }
 
-    fn usize_array(&mut self) -> Result<Vec<usize>> {
-        let len = self.u64()?;
-        self.check_len(len)?;
-        let len = checked_usize(len, "array length").map_err(wrap(self.section))?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(checked_usize(self.u64()?, "array element").map_err(wrap(self.section))?);
+    pub(crate) fn usize_array(&mut self) -> Result<Vec<usize>> {
+        let words = self.words()?;
+        let mut out = Vec::with_capacity(words.len());
+        for &w in words {
+            let v = u64::from_le_bytes(w);
+            out.push(usize::try_from(v).map_err(|_| {
+                self.corrupt(format_args!("array element {v} does not fit in usize"))
+            })?);
         }
         Ok(out)
     }
 
-    fn f64_array(&mut self) -> Result<Vec<f64>> {
-        let len = self.u64()?;
-        self.check_len(len)?;
-        let len = checked_usize(len, "array length").map_err(wrap(self.section))?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+    pub(crate) fn f64_array(&mut self) -> Result<Vec<f64>> {
+        Ok(self.words()?.iter().map(|&w| f64::from_le_bytes(w)).collect())
     }
 
     /// Rejects trailing garbage — a payload longer than its content
     /// means the frame length lies about the structure inside it.
-    fn finish(self) -> Result<()> {
+    pub(crate) fn finish(self) -> Result<()> {
         if self.pos != self.bytes.len() {
-            return Err(corrupt(
-                self.section,
-                format!("{} unconsumed bytes at end of payload", self.bytes.len() - self.pos),
-            ));
+            return Err(self.corrupt(format_args!(
+                "{} unconsumed bytes at end of payload",
+                self.bytes.len() - self.pos
+            )));
         }
         Ok(())
     }

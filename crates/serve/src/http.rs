@@ -6,7 +6,9 @@
 //!
 //! * requests: request line + headers, optional `Content-Length` body
 //!   (bodies are read and discarded; every endpoint takes its input
-//!   from the URL query string and headers);
+//!   from the URL query string and headers); conflicting
+//!   `Content-Length` values and any `Transfer-Encoding` are rejected,
+//!   so a body can never be parsed as the next keep-alive request;
 //! * responses: fixed status line, explicit `Content-Length`, optional
 //!   keep-alive; the head is built in one buffer and leaves with the
 //!   body in one vectored write (DESIGN.md §14, write discipline);
@@ -213,22 +215,52 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    let body_len = body_length(&headers)?;
     let (path, query) = parse_target(target);
     let request =
         Request { keep_alive: keep_alive_of(version, &headers), method, path, query, headers };
-    // Read and discard any body so the next keep-alive request parses
-    // from a clean stream position.
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| HttpError::BadRequest(format!("bad content-length '{len}'")))?;
-        if len > MAX_BODY_BYTES {
-            return Err(HttpError::TooLarge);
-        }
-        std::io::copy(&mut reader.by_ref().take(len as u64), &mut std::io::sink())
-            .map_err(|e| escalate(HttpError::Io(e)))?;
+    // Read and discard the body so the next keep-alive request parses
+    // from a clean stream position; a body cut short by EOF leaves the
+    // stream position unknown, so it is a torn read.
+    let drained = std::io::copy(&mut reader.by_ref().take(body_len), &mut std::io::sink())
+        .map_err(|e| escalate(HttpError::Io(e)))?;
+    if drained < body_len {
+        return Err(HttpError::TornRead(std::io::ErrorKind::UnexpectedEof.into()));
     }
     Ok(Some(request))
+}
+
+/// The body length the headers frame, in bytes (0 without a
+/// `Content-Length`). Anything that would let two parsers disagree on
+/// where this request ends — and so read body bytes as the next request
+/// on a keep-alive stream — is rejected: `Content-Length` values that
+/// differ, a value that is not plain decimal digits, and any
+/// `Transfer-Encoding` (this server does not decode chunked bodies).
+fn body_length(headers: &[(String, String)]) -> Result<u64, HttpError> {
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::BadRequest("transfer-encoding is not supported".into()));
+    }
+    let mut len = None;
+    for (_, value) in headers.iter().filter(|(k, _)| k == "content-length") {
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::BadRequest(format!("bad content-length '{value}'")));
+        }
+        // All digits: a parse failure can only be overflow.
+        let this = value.parse::<u64>().map_err(|_| HttpError::TooLarge)?;
+        match len {
+            Some(prev) if prev != this => {
+                return Err(HttpError::BadRequest(format!(
+                    "conflicting content-length values {prev} and {this}"
+                )))
+            }
+            _ => len = Some(this),
+        }
+    }
+    let len = len.unwrap_or(0);
+    if len > MAX_BODY_BYTES as u64 {
+        return Err(HttpError::TooLarge);
+    }
+    Ok(len)
 }
 
 /// HTTP/1.1 defaults to keep-alive unless `Connection: close`; HTTP/1.0
@@ -284,12 +316,13 @@ impl Response {
         }
     }
 
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    /// A JSON response. `body` is the finished JSON text: the encoders
+    /// build it as bytes, error bodies as a `String`.
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response {
             status,
             headers: Vec::new(),
-            body: body.into_bytes(),
+            body: body.into(),
             content_type: "application/json",
         }
     }
@@ -603,9 +636,150 @@ mod tests {
         assert_eq!(second.path, "/healthz");
     }
 
+    /// Every outcome `read_request` may give untrusted bytes: a parsed
+    /// request, a clean EOF, or a typed error — reaching this at all
+    /// means it did not panic.
+    fn typed(result: &Result<Option<Request>, HttpError>) -> &'static str {
+        match result {
+            Ok(Some(_)) => "request",
+            Ok(None) => "eof",
+            Err(HttpError::BadRequest(_)) => "bad_request",
+            Err(HttpError::TooLarge) => "too_large",
+            Err(HttpError::Io(_)) => "io",
+            Err(HttpError::TornRead(_)) => "torn_read",
+        }
+    }
+
+    /// `prefix`, then `filler` forever, counting the bytes handed out:
+    /// a peer that never stops sending.
+    struct Endless {
+        prefix: Vec<u8>,
+        filler: u8,
+        served: usize,
+    }
+
+    impl std::io::Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            for (i, slot) in buf.iter_mut().enumerate() {
+                *slot = self.prefix.get(self.served + i).copied().unwrap_or(self.filler);
+            }
+            self.served += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    /// Parses off an [`Endless`] stream and returns the outcome with the
+    /// number of bytes it pulled off the wire.
+    fn parse_endless(prefix: &[u8], filler: u8) -> (&'static str, usize) {
+        let mut reader =
+            BufReader::with_capacity(1024, Endless { prefix: prefix.to_vec(), filler, served: 0 });
+        let outcome = typed(&read_request(&mut reader));
+        (outcome, reader.get_ref().served)
+    }
+
+    const WITH_BODY: &str = "POST /admin/load?graph=g&index=x HTTP/1.1\r\nHost: a\r\n\
+                             Content-Length: 5\r\nX-Deadline-Ms: 9\r\n\r\nhello";
+
+    #[test]
+    fn mutation_sweep_gives_typed_outcomes_never_a_panic() {
+        let raw = WITH_BODY.as_bytes();
+        // Truncation at every offset: only the empty stream is a clean
+        // EOF and only the whole request parses; a cut inside the body
+        // is a torn read, and every other cut a typed error.
+        for cut in 0..=raw.len() {
+            let outcome = typed(&read_request(&mut BufReader::new(&raw[..cut])));
+            match cut {
+                0 => assert_eq!(outcome, "eof"),
+                c if c == raw.len() => assert_eq!(outcome, "request"),
+                c if c >= raw.len() - 5 => assert_eq!(outcome, "torn_read", "cut at {c}"),
+                c => assert!(outcome != "request" && outcome != "eof", "cut at {c}: {outcome}"),
+            }
+        }
+        // Byte flips and substitutions at every offset: any typed
+        // outcome, never a panic.
+        for at in 0..raw.len() {
+            for sub in [raw[at] ^ 0x01, raw[at] ^ 0x20, raw[at] ^ 0x80, b'\n', b':', b'-', 0] {
+                let mut bytes = raw.to_vec();
+                bytes[at] = sub;
+                bytes.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+                let mut reader = BufReader::new(bytes.as_slice());
+                let _ = typed(&read_request(&mut reader));
+            }
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_one_plain_decimal_value() {
+        let with = |headers: &str| {
+            let raw = format!("POST / HTTP/1.1\r\n{headers}\r\n12345GET / HTTP/1.1\r\n\r\n");
+            typed(&parse(&raw))
+        };
+        for bad in ["-1", "+5", "5.0", "0x10", "abc", "5,5", "5 5", "", "\u{0665}"] {
+            assert_eq!(with(&format!("Content-Length: {bad}\r\n")), "bad_request", "{bad:?}");
+        }
+        // Too large for u64, or over the body bound: refused before any
+        // body byte is read.
+        for huge in ["99999999999999999999999999", "18446744073709551615", "1048577"] {
+            assert_eq!(with(&format!("Content-Length: {huge}\r\n")), "too_large", "{huge}");
+        }
+        // Differing duplicates would let two parsers frame the request
+        // differently; equal duplicates frame it one way.
+        assert_eq!(with("Content-Length: 5\r\nContent-Length: 0\r\n"), "bad_request");
+        assert_eq!(with("Content-Length: 0\r\ncontent-length: 5\r\n"), "bad_request");
+        assert_eq!(with("Content-Length: 5\r\nContent-Length: 05\r\n"), "request");
+        // Any Transfer-Encoding: this server does not decode chunked
+        // bodies, so reading past the head would desync the stream.
+        for te in ["chunked", "identity", "gzip, chunked"] {
+            assert_eq!(with(&format!("Transfer-Encoding: {te}\r\n")), "bad_request", "{te}");
+            let both = format!("Content-Length: 5\r\nTransfer-Encoding: {te}\r\n");
+            assert_eq!(with(&both), "bad_request", "{te}");
+        }
+    }
+
+    #[test]
+    fn hostile_streams_are_cut_off_at_the_size_bounds() {
+        // A request line or a header that never ends is refused at the
+        // head bound: the parser pulls at most the bound plus one buffer
+        // refill off the wire, and keeps at most the bound plus one byte.
+        let bound = MAX_HEAD_BYTES + 1 + 1024;
+        for prefix in [&b"GET /"[..], b"GET / HTTP/1.1\r\nX-Filler: "] {
+            let (outcome, read) = parse_endless(prefix, b'a');
+            assert_eq!(outcome, "too_large");
+            assert!(read <= bound, "read {read} bytes");
+        }
+        // Endless short headers add up to the same bound.
+        let mut many = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..4_000 {
+            many.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
+        }
+        let (outcome, read) = parse_endless(&many, b'\n');
+        assert_eq!(outcome, "too_large");
+        assert!(read <= bound, "read {read} bytes");
+        // A 100k-seed batch does not fit in a request head.
+        let seeds: Vec<String> = (0..100_000).map(|s| s.to_string()).collect();
+        let batch = format!("GET /v1/batch?graph=g&seeds={} HTTP/1.1\r\n\r\n", seeds.join(","));
+        let (outcome, read) = parse_endless(batch.as_bytes(), b'\n');
+        assert_eq!(outcome, "too_large");
+        assert!(read <= bound, "read {read} bytes of a {}-byte request", batch.len());
+        // A body over its bound is refused before any of it is read.
+        let head = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let (outcome, read) = parse_endless(head.as_bytes(), b'x');
+        assert_eq!(outcome, "too_large");
+        assert!(read <= 1024, "read {read} bytes");
+        // A body at the bound is drained, not buffered whole, and the
+        // next request on the stream parses.
+        let head = format!("POST / HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
+        let mut stream = head.into_bytes();
+        stream.resize(stream.len() + MAX_BODY_BYTES, b'x');
+        stream.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+        let mut reader = BufReader::new(stream.as_slice());
+        assert_eq!(typed(&read_request(&mut reader)), "request");
+        assert_eq!(read_request(&mut reader).unwrap().unwrap().path, "/next");
+    }
+
     #[test]
     fn response_serialization_round_trips_through_client_parser() {
-        let resp = Response::json(200, "{\"ok\":true}".into()).header("X-Graph-Version", "3");
+        let resp = Response::json(200, "{\"ok\":true}").header("X-Graph-Version", "3");
         let mut wire = Vec::new();
         resp.write_to(&mut wire, false).unwrap();
         let text = String::from_utf8(wire).unwrap();
@@ -655,7 +829,7 @@ mod tests {
 
     #[test]
     fn short_vectored_writes_send_every_byte_in_order() {
-        let resp = Response::json(200, "{\"ok\":true}".into()).header("X-Graph-Version", "3");
+        let resp = Response::json(200, "{\"ok\":true}").header("X-Graph-Version", "3");
         let expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
                         Content-Length: 11\r\nConnection: keep-alive\r\n\
                         X-Graph-Version: 3\r\n\r\n{\"ok\":true}";
@@ -675,7 +849,7 @@ mod tests {
 
     #[test]
     fn a_writer_that_accepts_nothing_fails_with_write_zero() {
-        let err = Response::json(200, "{}".into()).write_to(&mut Full, true).unwrap_err();
+        let err = Response::json(200, "{}").write_to(&mut Full, true).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 

@@ -35,13 +35,17 @@
 //! a strict total order). Answers are bit-identical to ranking the
 //! full score vector.
 //!
-//! Score payloads use Rust's shortest round-trip `f64` formatting, so
-//! parsing the JSON numbers back recovers bit-identical values — the
-//! save→load→serve differential tests pin this.
+//! Score payloads are the shortest round-trip decimal of each `f64`,
+//! byte for byte what `format!("{v}")` writes, produced by the std-only
+//! Ryū encoder in [`float`]; parsing the JSON numbers back recovers
+//! bit-identical values — the save→load→serve differential tests and
+//! the root package's wire-encoding test pin this.
 
+pub mod float;
 pub mod http;
 pub mod registry;
 pub mod server;
+mod sync;
 
 pub use http::{client, ClientResponse, Request, Response};
 pub use registry::{Registry, Tenant};

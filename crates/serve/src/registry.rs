@@ -24,9 +24,10 @@
 //! tags responses with `X-Graph-Version` observes a monotone sequence
 //! for any single connection.
 
+use crate::sync::RwLock;
 use bear_core::QueryEngine;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// One published index version of a named graph.
 pub struct Tenant {

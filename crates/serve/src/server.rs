@@ -31,13 +31,14 @@
 //! served, and workers get [`ServerConfig::drain`] to finish before
 //! being force-detached.
 
+use crate::float::push_f64;
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::{Registry, Tenant};
 use bear_core::engine::queue::JobQueue;
 use bear_core::{Bear, DegradedInfo, EngineConfig, QueryEngine, QueryOptions};
 use bear_sparse::{Error, Result};
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -601,10 +602,11 @@ fn handle_query(ctx: &ServerCtx, req: &Request) -> Response {
     };
     match tenant.engine.serve(seed, &opts) {
         Ok(served) => {
-            let mut body = String::with_capacity(64 + served.scores.len() * SCORE_BYTES);
+            let mut body = Vec::with_capacity(64 + served.scores.len() * SCORE_BYTES);
+            // Writing into a `Vec<u8>` cannot fail.
             let _ = write!(body, "{{\"version\":{},\"seed\":{seed},\"scores\":[", tenant.version);
             push_scores(&mut body, &served.scores);
-            body.push_str("]}");
+            body.extend_from_slice(b"]}");
             tag(Response::json(200, body), &tenant, served.degraded.as_ref())
         }
         Err(e) => tag(error_response(&e), &tenant, None),
@@ -647,7 +649,7 @@ fn handle_topk(ctx: &ServerCtx, req: &Request) -> Response {
     // the pruned solver and the prefix-aware top-k cache.
     match tenant.engine.query_top_k(seed, k, &opts) {
         Ok(served) => {
-            let mut body = String::with_capacity(64 + served.nodes.len() * (24 + SCORE_BYTES));
+            let mut body = Vec::with_capacity(64 + served.nodes.len() * (24 + SCORE_BYTES));
             let _ = write!(
                 body,
                 "{{\"version\":{},\"seed\":{seed},\"k\":{k},\"nodes\":[",
@@ -655,13 +657,13 @@ fn handle_topk(ctx: &ServerCtx, req: &Request) -> Response {
             );
             for (i, s) in served.nodes.iter().enumerate() {
                 if i > 0 {
-                    body.push(',');
+                    body.push(b',');
                 }
                 let _ = write!(body, "{{\"node\":{},\"score\":", s.node);
                 push_f64(&mut body, s.score);
-                body.push('}');
+                body.push(b'}');
             }
-            body.push_str("]}");
+            body.extend_from_slice(b"]}");
             tag(Response::json(200, body), &tenant, served.degraded.as_ref())
         }
         Err(e) => tag(error_response(&e), &tenant, None),
@@ -711,7 +713,7 @@ fn handle_batch(ctx: &ServerCtx, req: &Request) -> Response {
         Ok(answers) => {
             let degraded = answers.iter().filter(|s| !s.is_exact()).count();
             let floats: usize = answers.iter().map(|s| s.scores.len()).sum();
-            let mut body = String::with_capacity(64 + answers.len() * 32 + floats * SCORE_BYTES);
+            let mut body = Vec::with_capacity(64 + answers.len() * 32 + floats * SCORE_BYTES);
             let _ = write!(
                 body,
                 "{{\"version\":{},\"count\":{},\"degraded\":{degraded},\"results\":[",
@@ -720,13 +722,13 @@ fn handle_batch(ctx: &ServerCtx, req: &Request) -> Response {
             );
             for (i, (seed, served)) in seeds.iter().zip(&answers).enumerate() {
                 if i > 0 {
-                    body.push(',');
+                    body.push(b',');
                 }
                 let _ = write!(body, "{{\"seed\":{seed},\"scores\":[");
                 push_scores(&mut body, &served.scores);
-                body.push_str("]}");
+                body.extend_from_slice(b"]}");
             }
-            body.push_str("]}");
+            body.extend_from_slice(b"]}");
             let first_degraded = answers.iter().find_map(|s| s.degraded.as_ref());
             tag(Response::json(200, body), &tenant, first_degraded)
                 .header("X-Degraded-Count", degraded.to_string())
@@ -737,31 +739,20 @@ fn handle_batch(ctx: &ServerCtx, req: &Request) -> Response {
 
 /// Bytes reserved per encoded score: a comma plus the shortest
 /// round-trip form of a typical RWR score (`0.000012345678901234567`;
-/// a 16-seed `batch_paged` answer averages 23.1). Only a capacity hint:
+/// a 16-seed `batch_paged` answer averages 23.3). Only a capacity hint:
 /// longer numbers grow the body as usual.
 const SCORE_BYTES: usize = 24;
 
-/// Appends `scores` as comma-separated JSON numbers (see [`push_f64`]).
-fn push_scores(body: &mut String, scores: &[f64]) {
+/// Appends `scores` as comma-separated JSON numbers, each the shortest
+/// round-trip decimal or `null` (see [`push_f64`]), so a client that
+/// parses them back recovers the exact bits — the property the
+/// save→load→serve differential test pins.
+fn push_scores(body: &mut Vec<u8>, scores: &[f64]) {
     for (i, &v) in scores.iter().enumerate() {
         if i > 0 {
-            body.push(',');
+            body.push(b',');
         }
         push_f64(body, v);
-    }
-}
-
-/// Appends `v` with Rust's shortest round-trip representation, written
-/// straight into `body` with no intermediate `String`, so a client that
-/// parses the JSON number back recovers the exact bits — the property
-/// the save→load→serve differential test pins. JSON has no NaN or
-/// infinity, so non-finite values encode as `null`.
-fn push_f64(body: &mut String, v: f64) {
-    if v.is_finite() {
-        // Writing into a `String` cannot fail.
-        let _ = write!(body, "{v}");
-    } else {
-        body.push_str("null");
     }
 }
 
@@ -890,9 +881,9 @@ mod tests {
     use super::*;
 
     fn encoded(v: f64) -> String {
-        let mut body = String::new();
+        let mut body = Vec::new();
         push_f64(&mut body, v);
-        body
+        String::from_utf8(body).unwrap()
     }
 
     #[test]
@@ -907,8 +898,8 @@ mod tests {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(encoded(v), "null");
         }
-        let mut body = String::new();
+        let mut body = Vec::new();
         push_scores(&mut body, &[0.5, f64::NAN, 1.0 / 3.0]);
-        assert_eq!(body, "0.5,null,0.3333333333333333");
+        assert_eq!(body, b"0.5,null,0.3333333333333333");
     }
 }

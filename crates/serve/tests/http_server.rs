@@ -508,3 +508,36 @@ fn hot_swap_under_load_drops_nothing() {
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// A request whose framing two parsers could read differently —
+/// differing `Content-Length` values, or a chunked body this server does
+/// not decode — is answered `400` and the connection closed, so the
+/// body bytes (here a second, smuggled request) are never parsed as the
+/// next request on the keep-alive stream.
+#[test]
+fn ambiguous_framing_is_refused_and_the_connection_closed() {
+    let (server, _, path) = test_server("framing");
+    let smuggled = "GET /v1/query?graph=g&seed=1 HTTP/1.1\r\nHost: test\r\n\r\n";
+    let conflicting = format!(
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\nContent-Length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    let chunked = format!(
+        "GET /healthz HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+        smuggled.len()
+    );
+    for raw in [conflicting, chunked] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let resp = client::read_response(&mut reader).unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body_str());
+        assert_eq!(resp.header("connection"), Some("close"));
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut reader, &mut rest).unwrap();
+        assert!(rest.is_empty(), "a second response followed: {}", String::from_utf8_lossy(&rest));
+    }
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}

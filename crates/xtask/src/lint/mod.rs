@@ -1,4 +1,4 @@
-//! `bear-lint`: repo-specific static analysis with a ratcheting baseline.
+//! `bear-lint`: repo-specific static analysis; any finding fails.
 //!
 //! `cargo xtask analyze lint` runs five rules that generic tooling
 //! cannot express (see DESIGN.md §15):
@@ -15,26 +15,22 @@
 //! * **L5 error-taxonomy completeness** — every `Error` variant has an
 //!   explicit HTTP-status arm and CLI exit-code arm.
 //!
-//! Findings check against a committed ratchet baseline
-//! (`crates/xtask/lint-baseline.toml`); intentional exceptions are
-//! written in the source as `// lint:allow(L1, reason)` with a mandatory
-//! reason.
+//! There is no baseline of tolerated findings: every finding fails the
+//! gate. Intentional exceptions are written in the source as
+//! `// lint:allow(L1, reason)` with a mandatory reason, where a reviewer
+//! sees them.
 
-pub mod baseline;
 pub mod report;
 pub mod rules;
 pub mod source;
 
-use baseline::{Baseline, Comparison};
 use report::Finding;
 use source::SourceFile;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Process exit code when unbaselined findings are present.
-pub const EXIT_NEW_FINDINGS: u8 = 5;
-/// Process exit code when the baseline carries stale (paid-down) entries.
-pub const EXIT_STALE_BASELINE: u8 = 6;
+/// Process exit code when there are findings.
+pub const EXIT_FINDINGS: u8 = 5;
 /// Process exit code for a usage error.
 pub const EXIT_USAGE: u8 = 2;
 
@@ -55,8 +51,8 @@ impl RuleScope {
     }
 }
 
-/// Everything one lint run needs: the root, per-rule scopes, the L5
-/// enum/mapping coordinates, and the baseline path.
+/// Everything one lint run needs: the root, per-rule scopes, and the L5
+/// enum/mapping coordinates.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Directory all relative paths resolve against.
@@ -74,8 +70,6 @@ pub struct LintConfig {
     /// L5 mapping functions: `(relative file, fn name)` each of which
     /// must name every enum variant.
     pub l5_targets: Vec<(String, String)>,
-    /// Baseline file location (absolute, or relative to `root`).
-    pub baseline: PathBuf,
 }
 
 impl LintConfig {
@@ -118,23 +112,13 @@ impl LintConfig {
                     "crates/serve/src".into(),
                     "crates/cli/src".into(),
                 ],
-                exclude: vec!["crates/core/src/sync.rs".into()],
+                exclude: vec!["crates/core/src/sync.rs".into(), "crates/serve/src/sync.rs".into()],
             },
             l5_enum: Some(("crates/sparse/src/error.rs".into(), "Error".into())),
             l5_targets: vec![
                 ("crates/serve/src/server.rs".into(), "error_response".into()),
                 ("crates/cli/src/lib.rs".into(), "exit_code".into()),
             ],
-            baseline: PathBuf::from("crates/xtask/lint-baseline.toml"),
-        }
-    }
-
-    /// The baseline path resolved against the root.
-    pub fn baseline_path(&self) -> PathBuf {
-        if self.baseline.is_absolute() {
-            self.baseline.clone()
-        } else {
-            self.root.join(&self.baseline)
         }
     }
 }
@@ -315,8 +299,6 @@ pub enum Format {
 /// Parsed `analyze lint` flags.
 #[derive(Debug)]
 pub struct LintOptions {
-    /// Rewrite the baseline from current findings (shrink-only).
-    pub update_baseline: bool,
     /// Report format.
     pub format: Format,
     /// Write the report here instead of stdout.
@@ -326,11 +308,10 @@ pub struct LintOptions {
 impl LintOptions {
     /// Parses CLI flags; returns a usage message on failure.
     pub fn parse(args: &[String]) -> Result<LintOptions, String> {
-        let mut opts = LintOptions { update_baseline: false, format: Format::Text, output: None };
+        let mut opts = LintOptions { format: Format::Text, output: None };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--update-baseline" => opts.update_baseline = true,
                 "--format" => match it.next().map(String::as_str) {
                     Some("text") => opts.format = Format::Text,
                     Some("json") => opts.format = Format::Json,
@@ -352,106 +333,26 @@ impl LintOptions {
     }
 }
 
-/// Checks findings against the baseline and emits the report. Returns
-/// the process exit code (0 clean, [`EXIT_NEW_FINDINGS`],
-/// [`EXIT_STALE_BASELINE`]).
+/// Scans, emits the report, and returns the process exit code: 0 when
+/// clean, [`EXIT_FINDINGS`] when anything was found.
 pub fn check(config: &LintConfig, opts: &LintOptions) -> io::Result<u8> {
     let findings = scan(config)?;
-    let baseline_path = config.baseline_path();
-    let loaded = Baseline::load(&baseline_path)?;
-
-    if opts.update_baseline {
-        return update_baseline(&findings, loaded, &baseline_path);
-    }
-
-    let baseline = loaded.unwrap_or_default();
-    let cmp = baseline.compare(&findings);
-    emit_report(&cmp, &baseline, opts)?;
-    if !cmp.new.is_empty() {
-        eprintln!(
-            "lint: {} new finding(s) (exit {EXIT_NEW_FINDINGS}); fix them or add `// lint:allow(RULE, reason)`",
-            cmp.new.len()
-        );
-        Ok(EXIT_NEW_FINDINGS)
-    } else if !cmp.stale.is_empty() {
-        eprintln!(
-            "lint: {} stale baseline entr{} (debt paid down — run `cargo xtask analyze lint --update-baseline`; exit {EXIT_STALE_BASELINE})",
-            cmp.stale.len(),
-            if cmp.stale.len() == 1 { "y" } else { "ies" }
-        );
-        Ok(EXIT_STALE_BASELINE)
-    } else {
-        eprintln!(
-            "lint: clean ({} finding(s), all baselined; baseline entries {})",
-            findings.len(),
-            baseline.total()
-        );
-        Ok(0)
-    }
-}
-
-/// The `--update-baseline` path: bootstrap a missing baseline, otherwise
-/// shrink it (never grow — new findings still fail).
-fn update_baseline(findings: &[Finding], loaded: Option<Baseline>, path: &Path) -> io::Result<u8> {
-    let next = Baseline::from_findings(findings);
-    match loaded {
-        None => {
-            next.store(path)?;
-            eprintln!(
-                "lint: bootstrapped baseline with {} finding(s) in {} entr{} at {}",
-                next.total(),
-                next.entries.len(),
-                if next.entries.len() == 1 { "y" } else { "ies" },
-                path.display()
-            );
-            Ok(0)
-        }
-        Some(prev) => {
-            let cmp = prev.compare(findings);
-            if !cmp.new.is_empty() {
-                eprint!("{}", report::render_text(&cmp.new));
-                eprintln!(
-                    "lint: refusing to grow the baseline ({} new finding(s)); fix them or add `// lint:allow(RULE, reason)`",
-                    cmp.new.len()
-                );
-                return Ok(EXIT_NEW_FINDINGS);
-            }
-            let removed = prev.total() - next.total();
-            next.store(path)?;
-            eprintln!(
-                "lint: baseline updated, {} tolerated finding(s) removed ({} remain)",
-                removed,
-                next.total()
-            );
-            Ok(0)
-        }
-    }
-}
-
-/// Writes the report in the requested format to stdout or `--output`.
-fn emit_report(cmp: &Comparison, baseline: &Baseline, opts: &LintOptions) -> io::Result<()> {
     let body = match opts.format {
-        Format::Text => {
-            // Text mode reports actionable rows only: new findings, then
-            // stale entries.
-            let mut text = report::render_text(&cmp.new);
-            for (rule, file, fingerprint) in &cmp.stale {
-                text.push_str(&format!(
-                    "{file}: [{rule}] stale baseline entry (fixed): {fingerprint}\n"
-                ));
-            }
-            text
-        }
-        Format::Json => {
-            let stale: Vec<_> = cmp.stale.to_vec();
-            report::render_json(&cmp.statuses, &stale, baseline.total())
-        }
+        Format::Text => report::render_text(&findings),
+        Format::Json => report::render_json(&findings),
     };
     match &opts.output {
-        Some(path) => std::fs::write(path, body),
-        None => {
-            print!("{body}");
-            Ok(())
-        }
+        Some(path) => std::fs::write(path, body)?,
+        None => print!("{body}"),
+    }
+    if findings.is_empty() {
+        eprintln!("lint: clean");
+        Ok(0)
+    } else {
+        eprintln!(
+            "lint: {} finding(s) (exit {EXIT_FINDINGS}); fix them or add `// lint:allow(RULE, reason)`",
+            findings.len()
+        );
+        Ok(EXIT_FINDINGS)
     }
 }

@@ -3,7 +3,7 @@
 use super::source::SourceFile;
 
 /// One lint finding, anchored to a `file:line` span and carrying a
-/// content fingerprint so the ratchet baseline survives line drift.
+/// content fingerprint that identifies it across line drift.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     /// Path relative to the lint root (`/` separators).
@@ -17,8 +17,7 @@ pub struct Finding {
     /// Human-readable description of the violation.
     pub message: String,
     /// Stable identity content: the trimmed source line (or a synthetic
-    /// key for structural findings). Baseline entries match on
-    /// `(rule, file, fingerprint)`.
+    /// key for structural findings).
     pub fingerprint: String,
 }
 
@@ -60,11 +59,6 @@ impl Finding {
             fingerprint,
         }
     }
-
-    /// The baseline identity key.
-    pub fn key(&self) -> (String, String, String) {
-        (self.rule.clone(), self.file.clone(), self.fingerprint.clone())
-    }
 }
 
 /// Renders findings as one `file:line: [rule/category] message` row each.
@@ -79,46 +73,23 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders the full report as JSON (no external dependencies): findings
-/// with their baseline status plus stale baseline entries and a summary.
-pub fn render_json(
-    findings: &[(Finding, bool)],
-    stale: &[(String, String, String)],
-    baseline_total: usize,
-) -> String {
+/// Renders the report as JSON (no external dependencies): every finding
+/// and a summary count.
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, (f, baselined)) in findings.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rule\": {}, \"category\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"fingerprint\": {}, \"status\": {}}}{}\n",
+            "    {{\"rule\": {}, \"category\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"fingerprint\": {}}}{}\n",
             json_str(&f.rule),
             json_str(&f.category),
             json_str(&f.file),
             f.line,
             json_str(&f.message),
             json_str(&f.fingerprint),
-            json_str(if *baselined { "baselined" } else { "new" }),
             if i + 1 < findings.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n  \"stale\": [\n");
-    for (i, (rule, file, fingerprint)) in stale.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"fingerprint\": {}}}{}\n",
-            json_str(rule),
-            json_str(file),
-            json_str(fingerprint),
-            if i + 1 < stale.len() { "," } else { "" },
-        ));
-    }
-    let new = findings.iter().filter(|(_, b)| !*b).count();
-    out.push_str(&format!(
-        "  ],\n  \"summary\": {{\"total\": {}, \"baselined\": {}, \"new\": {}, \"stale\": {}, \"baseline_entries\": {}}}\n}}\n",
-        findings.len(),
-        findings.len() - new,
-        new,
-        stale.len(),
-        baseline_total,
-    ));
+    out.push_str(&format!("  ],\n  \"summary\": {{\"total\": {}}}\n}}\n", findings.len()));
     out
 }
 

@@ -16,18 +16,16 @@
 //! * `miri` — the sparse kernel unit tests under Miri (nightly),
 //!   skipped with a notice when `cargo +nightly miri` is unavailable
 //!   (e.g. offline dev containers);
-//! * `lint` — the repo-specific static analysis with a ratcheting
-//!   baseline (`bear-lint`, DESIGN.md §15): hot-path panic/alloc
-//!   freedom, trust boundaries, sync-shim discipline, error-taxonomy
-//!   completeness.
+//! * `lint` — the repo-specific static analysis (`bear-lint`, DESIGN.md
+//!   §15): hot-path panic/alloc freedom, trust boundaries, sync-shim
+//!   discipline, error-taxonomy completeness. Any finding fails.
 //!
 //! `cargo xtask analyze <step>...` runs a subset. Any failing step makes
 //! the driver exit nonzero; a summary table is printed either way.
 //!
 //! `cargo xtask analyze lint` on its own accepts lint-specific flags
-//! (`--update-baseline`, `--format json`, `--output PATH`) and uses
-//! distinct exit codes: 5 for new (unbaselined) findings, 6 for a stale
-//! baseline entry that `--update-baseline` should remove.
+//! (`--format json`, `--output PATH`) and exits 5 when there are
+//! findings.
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -72,7 +70,7 @@ const STEPS: &[Step] = &[
     Step { name: "miri", description: "Miri on bear-sparse kernel unit tests", run: run_miri },
     Step {
         name: "lint",
-        description: "bear-lint: repo rules L1-L5 against the ratchet baseline",
+        description: "bear-lint: repo rules L1-L5, any finding fails",
         run: run_lint,
     },
 ];
@@ -92,8 +90,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Lint-specific flags (and a bare `analyze lint`) take the dedicated
-    // path with distinct exit codes (5 = new findings, 6 = stale
-    // baseline) instead of the summary-table loop.
+    // path with its own exit code (5 = findings) instead of the
+    // summary-table loop.
     let (names, flags): (Vec<&String>, Vec<&String>) =
         selected.iter().partition(|a| !a.starts_with("--"));
     let lint_alone = names.len() == 1 && names[0] == "lint";
@@ -148,10 +146,9 @@ fn print_usage() {
     }
     eprintln!(
         "\nlint flags (only with `analyze lint`):\n  \
-         --update-baseline   remove paid-down debt from the ratchet baseline\n  \
          --format text|json  report format (default text)\n  \
          --output PATH       write the report to PATH instead of stdout\n\
-         lint exit codes: 5 = new findings, 6 = stale baseline entries"
+         lint exit code: 5 = findings"
     );
 }
 
@@ -176,11 +173,9 @@ fn run_lint_cli(root: &Path, flag_args: &[String]) -> ExitCode {
     }
 }
 
-/// The umbrella-mode lint step: deny-new text mode against the committed
-/// baseline.
+/// The umbrella-mode lint step: text mode, any finding fails.
 fn run_lint(root: &Path) -> Outcome {
-    let opts =
-        lint::LintOptions { update_baseline: false, format: lint::Format::Text, output: None };
+    let opts = lint::LintOptions { format: lint::Format::Text, output: None };
     let config = lint::LintConfig::workspace(root);
     match lint::check(&config, &opts) {
         Ok(0) => Outcome::Passed,

@@ -1,15 +1,11 @@
 //! Integration tests for the bear-lint engine (`xtask::lint`):
 //! fixture-driven true-positive/true-negative checks per rule,
-//! allow-directive semantics, ratchet behavior (new findings fail, stale
-//! entries fail until `--update-baseline`, the baseline never grows),
-//! and a clean-at-HEAD scan of the real workspace.
+//! allow-directive semantics, the gate (any finding fails, a clean tree
+//! passes), and a clean-at-HEAD scan of the real workspace.
 
 use std::path::{Path, PathBuf};
-use xtask::lint::baseline::Baseline;
 use xtask::lint::report::Finding;
-use xtask::lint::{
-    self, Format, LintConfig, LintOptions, RuleScope, EXIT_NEW_FINDINGS, EXIT_STALE_BASELINE,
-};
+use xtask::lint::{self, Format, LintConfig, LintOptions, RuleScope, EXIT_FINDINGS};
 
 /// The committed fixture tree (`crates/xtask/tests/fixtures`).
 fn fixture_root() -> PathBuf {
@@ -29,7 +25,6 @@ fn fixture_config() -> LintConfig {
             ("errors/map.rs".into(), "full_map".into()),
             ("errors/map.rs".into(), "partial_map".into()),
         ],
-        baseline: PathBuf::from("no-such-baseline.toml"),
     }
 }
 
@@ -136,7 +131,6 @@ impl TempDir {
             l4: RuleScope::default(),
             l5_enum: None,
             l5_targets: Vec::new(),
-            baseline: PathBuf::from("baseline.toml"),
         }
     }
 }
@@ -148,81 +142,41 @@ impl Drop for TempDir {
 }
 
 fn text_opts() -> LintOptions {
-    LintOptions { update_baseline: false, format: Format::Text, output: None }
+    LintOptions { format: Format::Text, output: None }
 }
 
-// One unwrap per line: the fingerprint is the trimmed line text, so
-// removing the `+ b.unwrap()` line leaves the others' identities intact
-// (stale-only), and repeating it exceeds the baselined count (new).
-const TWO_UNWRAPS: &str =
-    "pub fn f(a: Option<u8>, b: Option<u8>) -> u8 {\n    a.unwrap()\n        + b.unwrap()\n}\n";
-const THREE_UNWRAPS: &str = "pub fn f(a: Option<u8>, b: Option<u8>) -> u8 {\n    a.unwrap()\n        + b.unwrap()\n        + b.unwrap()\n}\n";
-const ONE_UNWRAP: &str = "pub fn f(a: Option<u8>, b: Option<u8>) -> u8 {\n    a.unwrap()\n}\n";
+const ONE_UNWRAP: &str = "pub fn f(a: Option<u8>) -> u8 {\n    a.unwrap()\n}\n";
+const ALLOWED_UNWRAP: &str =
+    "pub fn f(a: Option<u8>) -> u8 {\n    // lint:allow(L1, the caller checked)\n    a.unwrap()\n}\n";
+const CLEAN: &str = "pub fn f(a: Option<u8>) -> u8 {\n    a.unwrap_or(0)\n}\n";
 
 #[test]
-fn ratchet_new_findings_fail_then_baseline_tolerates_them() {
-    let dir = TempDir::new("ratchet-new");
-    dir.write_hot(TWO_UNWRAPS);
+fn any_finding_fails_the_gate_and_a_clean_tree_passes() {
+    let dir = TempDir::new("gate");
     let config = dir.config();
-
-    // No baseline yet: every finding is new.
-    assert_eq!(lint::check(&config, &text_opts()).unwrap(), EXIT_NEW_FINDINGS);
-
-    // Bootstrap, then the same debt is tolerated.
-    let update = LintOptions { update_baseline: true, ..text_opts() };
-    assert_eq!(lint::check(&config, &update).unwrap(), 0);
-    assert_eq!(lint::check(&config, &text_opts()).unwrap(), 0);
-
-    // A new finding (a repeated line whose count now exceeds its
-    // baselined count) fails despite the baseline.
-    dir.write_hot(THREE_UNWRAPS);
-    assert_eq!(lint::check(&config, &text_opts()).unwrap(), EXIT_NEW_FINDINGS);
-
-    // --update-baseline refuses to grow: still failing, file unchanged.
-    let before = std::fs::read_to_string(config.baseline_path()).unwrap();
-    assert_eq!(lint::check(&config, &update).unwrap(), EXIT_NEW_FINDINGS);
-    let after = std::fs::read_to_string(config.baseline_path()).unwrap();
-    assert_eq!(before, after, "a failing --update-baseline must not touch the file");
-}
-
-#[test]
-fn ratchet_paid_down_debt_is_stale_until_updated() {
-    let dir = TempDir::new("ratchet-stale");
-    dir.write_hot(TWO_UNWRAPS);
-    let config = dir.config();
-    let update = LintOptions { update_baseline: true, ..text_opts() };
-    assert_eq!(lint::check(&config, &update).unwrap(), 0);
-
-    // Fix part of the debt: the leftover baseline entry is stale and
-    // fails the gate so the recorded debt cannot silently regrow.
+    // No baseline can tolerate a finding: one is enough to fail.
     dir.write_hot(ONE_UNWRAP);
-    assert_eq!(lint::check(&config, &text_opts()).unwrap(), EXIT_STALE_BASELINE);
-
-    // --update-baseline shrinks it; the gate is clean again and the
-    // recorded total went down.
-    let before = Baseline::load(&config.baseline_path()).unwrap().unwrap().total();
-    assert_eq!(lint::check(&config, &update).unwrap(), 0);
-    let after = Baseline::load(&config.baseline_path()).unwrap().unwrap().total();
-    assert!(after < before, "baseline must shrink ({before} -> {after})");
+    assert_eq!(lint::check(&config, &text_opts()).unwrap(), EXIT_FINDINGS);
+    // A reasoned allow, or the fix itself, passes.
+    dir.write_hot(ALLOWED_UNWRAP);
     assert_eq!(lint::check(&config, &text_opts()).unwrap(), 0);
+    dir.write_hot(CLEAN);
+    assert_eq!(lint::check(&config, &text_opts()).unwrap(), 0);
+    // The retired ratchet flag is a usage error, not a silent no-op.
+    assert!(LintOptions::parse(&["--update-baseline".to_string()]).is_err());
 }
 
 #[test]
-fn json_report_carries_statuses_and_summary() {
+fn json_report_carries_findings_and_summary() {
     let dir = TempDir::new("json");
     dir.write_hot(ONE_UNWRAP);
     let config = dir.config();
     let out_path = dir.0.join("report.json");
-    let opts = LintOptions {
-        update_baseline: false,
-        format: Format::Json,
-        output: Some(out_path.clone()),
-    };
-    assert_eq!(lint::check(&config, &opts).unwrap(), EXIT_NEW_FINDINGS);
+    let opts = LintOptions { format: Format::Json, output: Some(out_path.clone()) };
+    assert_eq!(lint::check(&config, &opts).unwrap(), EXIT_FINDINGS);
     let report = std::fs::read_to_string(&out_path).unwrap();
     assert!(report.contains("\"rule\": \"L1\""), "{report}");
-    assert!(report.contains("\"status\": \"new\""), "{report}");
-    assert!(report.contains("\"summary\""), "{report}");
+    assert!(report.contains("\"summary\": {\"total\": 1}"), "{report}");
 }
 
 #[test]
@@ -231,12 +185,6 @@ fn workspace_scan_is_clean_at_head() {
         .parent()
         .and_then(Path::parent)
         .expect("workspace root");
-    let config = LintConfig::workspace(root);
-    let findings = lint::scan(&config).expect("workspace scan");
-    let baseline = Baseline::load(&config.baseline_path())
-        .expect("read baseline")
-        .expect("crates/xtask/lint-baseline.toml is committed");
-    let cmp = baseline.compare(&findings);
-    assert!(cmp.new.is_empty(), "unbaselined findings at HEAD: {:#?}", cmp.new);
-    assert!(cmp.stale.is_empty(), "stale baseline entries at HEAD: {:?}", cmp.stale);
+    let findings = lint::scan(&LintConfig::workspace(root)).expect("workspace scan");
+    assert!(findings.is_empty(), "findings at HEAD: {findings:#?}");
 }
