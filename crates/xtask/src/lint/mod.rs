@@ -17,8 +17,8 @@
 //!
 //! There is no baseline of tolerated findings: every finding fails the
 //! gate. Intentional exceptions are written in the source as
-//! `// lint:allow(L1, reason)` with a mandatory reason, where a reviewer
-//! sees them.
+//! `// lint:allow(L1, reason)` with a mandatory reason, next to the code
+//! they excuse.
 
 pub mod report;
 pub mod rules;
