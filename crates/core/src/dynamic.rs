@@ -208,7 +208,7 @@ impl DynamicBear {
             for &(r, v) in &self.h12_cols[col] {
                 dense_col[r] = v;
             }
-            self.bear.spokes.solve_into(&x, &mut t, &mut z)?;
+            self.bear.spokes.solve_into(&x, &mut t, &mut z, false)?;
             self.bear.h21.spmm_into(&z, &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {

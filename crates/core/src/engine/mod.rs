@@ -66,7 +66,11 @@ pub use serving::{
 /// Every call reshapes the blocks in place to its index's partition and
 /// its own width ([`DenseBlock::reset`]), keeping their backing
 /// allocations, so one workspace serves any width and any index, and a
-/// serving worker allocates nothing in steady state.
+/// resident-index solve reuses it without allocating. A paged solve
+/// allocates beside it: every fault reads and decodes its segment into
+/// fresh buffers, each paged sweep lists its `k` columns, and a back
+/// sweep split in two (DESIGN.md §18) spawns one scoped helper thread.
+/// A full-vector answer is a fresh `n`-vector per seed either way.
 pub struct QueryWorkspace {
     /// Permuted right-hand sides, spoke part (`n1 × k`); the spoke half
     /// overwrites them with `t₁ = c·q₁ − H₁₂ r₂`.

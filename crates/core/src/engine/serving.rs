@@ -52,7 +52,7 @@ use crate::fallback::{DegradedReason, FallbackSolver};
 use crate::precompute::Bear;
 use crate::topk::{top_k_excluding_seed, ScoredNode};
 use crate::topk_pruned::TopKPruneOptions;
-use bear_sparse::{DenseBlock, Error, Result};
+use bear_sparse::{Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 // Locks go through the `crate::sync` shim (L4): under `cfg(not(loom))` —
@@ -436,22 +436,22 @@ type Reply = (Vec<usize>, Result<Vec<Payload>>);
 /// reached the caller.
 type Solved = HashMap<usize, (Result<Payload>, Duration)>;
 
-/// The buffers one thread answers blocks with, reused across requests.
-/// The workspace is allocated on first use.
+/// The workspace one thread answers blocks with, reused across
+/// requests and allocated on first use.
 struct Scratch {
     ws: Option<QueryWorkspace>,
-    out: DenseBlock,
 }
 
 impl Scratch {
     fn new() -> Self {
-        Scratch { ws: None, out: DenseBlock::zeros(0, 0) }
+        Scratch { ws: None }
     }
 
-    /// Exact answers for `seeds`, in order: pruned top-k seed by seed, or
-    /// else one blocked multi-RHS solve ([`Bear::query_block_into`]),
-    /// whose columns are bit-identical to [`Bear::query`]. Both run on
-    /// the one workspace.
+    /// Exact answers for `seeds` (validated by the caller), in order:
+    /// pruned top-k seed by seed, or else one blocked multi-RHS solve
+    /// written straight into one fresh answer vector per seed, whose
+    /// scores are bit-identical to [`Bear::query`]. Both run on the one
+    /// workspace.
     fn solve(
         &mut self,
         bear: &Bear,
@@ -475,14 +475,11 @@ impl Scratch {
                 })
                 .collect();
         }
-        self.out.reset(bear.num_nodes(), seeds.len());
-        bear.query_block_into(seeds, ws, &mut self.out)?;
-        Ok(self
-            .out
-            .columns()
-            .zip(seeds)
-            .map(|(col, &seed)| kind.shape(seed, col.to_vec()))
-            .collect())
+        let mut answers: Vec<Vec<f64>> =
+            seeds.iter().map(|_| vec![0.0; bear.num_nodes()]).collect();
+        bear.load_seeds(ws, seeds);
+        bear.solve_loaded(ws, answers.iter_mut().map(Vec::as_mut_slice))?;
+        Ok(answers.into_iter().zip(seeds).map(|(scores, &seed)| kind.shape(seed, scores)).collect())
     }
 }
 

@@ -735,49 +735,23 @@ impl SpokeFactors {
     /// single time and applying both of its factors before moving on
     /// (Lemma 1: the factors are block diagonal, so block `b` of `Y`
     /// depends only on block `b` of `X`); blocks whose input rows are all
-    /// zero are never fetched.
+    /// zero are never fetched. With `split`, a paged sweep whose touched
+    /// blocks hold more than [`SPLIT_SWEEP_FLOOR`] stored nonzeros runs
+    /// as two block ranges on two threads ([`paged_solve`]); the output
+    /// bits are the same either way.
     pub(crate) fn solve_into(
         &self,
         x: &DenseBlock,
         t: &mut DenseBlock,
         y: &mut DenseBlock,
+        split: bool,
     ) -> Result<()> {
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv } => {
                 l1_inv.spmm_into(x, t)?;
                 u1_inv.spmm_into(t, y)
             }
-            SpokeFactors::Paged { pager } => {
-                let n1 = pager.dim();
-                let k = x.ncols();
-                if [x.nrows(), t.nrows(), y.nrows()] != [n1; 3] || t.ncols() != k || y.ncols() != k
-                {
-                    return Err(Error::DimensionMismatch {
-                        op: "paged spoke solve",
-                        lhs: (n1, k),
-                        rhs: (x.nrows(), x.ncols()),
-                    });
-                }
-                t.fill(0.0);
-                y.fill(0.0);
-                for b in 0..pager.num_blocks() {
-                    let (bs, be) = pager.block_range(b)?;
-                    let untouched = (0..k).all(|j| x.col(j).get(bs..be).is_some_and(all_zero));
-                    if untouched {
-                        continue;
-                    }
-                    let pair = pager.fetch(b)?;
-                    // Column by column within the block: every output
-                    // element still sums its block's columns in ascending
-                    // order, which is all bit-identity needs.
-                    for j in 0..k {
-                        let (xb, tb, yb) =
-                            block_slices(bs, be, x.col(j), t.col_mut(j), y.col_mut(j))?;
-                        pair.solve_block(b, xb, tb, yb)?;
-                    }
-                }
-                Ok(())
-            }
+            SpokeFactors::Paged { pager } => paged_solve(pager, x, t, y, split),
         }
     }
 
@@ -822,6 +796,146 @@ impl FactorPair {
         }
         scatter(&self.l1, 0, x, t)?;
         scatter(&self.u1, 0, t, y)
+    }
+}
+
+/// Stored nonzeros (`l1_nnz + u1_nnz` in the segment directory) that
+/// the touched blocks of a paged sweep must exceed before the sweep is
+/// split in two: below it, a scoped helper thread costs more than half
+/// the sweep saves. A `web_bs_like` back sweep touches every block, about
+/// 406,000 nonzeros in all.
+pub const SPLIT_SWEEP_FLOOR: u64 = 1 << 15;
+
+/// The paged arm of [`SpokeFactors::solve_into`]. One ascending sweep
+/// over all blocks, or, with `split` and more than [`SPLIT_SWEEP_FLOOR`]
+/// touched nonzeros, two sweeps over the contiguous block ranges
+/// `[0, s)` and `[s, blocks)`, balanced by the touched blocks' directory
+/// nonzeros and run by [`bear_sparse::parallel::run_chunked`] (the lower
+/// range on the calling thread). Each output row belongs to exactly one
+/// block and each block to exactly one range, so every row is still
+/// written by the same block-local [`scatter`] in the same order, and
+/// each touched block is still fetched once per sweep: bit-identical to
+/// one sweep.
+fn paged_solve(
+    pager: &BlockPager,
+    x: &DenseBlock,
+    t: &mut DenseBlock,
+    y: &mut DenseBlock,
+    split: bool,
+) -> Result<()> {
+    let n1 = pager.dim();
+    let k = x.ncols();
+    if [x.nrows(), t.nrows(), y.nrows()] != [n1; 3] || t.ncols() != k || y.ncols() != k {
+        return Err(Error::DimensionMismatch {
+            op: "paged spoke solve",
+            lhs: (n1, k),
+            rhs: (x.nrows(), x.ncols()),
+        });
+    }
+    t.fill(0.0);
+    y.fill(0.0);
+    let whole = Part {
+        blocks: 0..pager.num_blocks(),
+        base: 0,
+        x: x.columns().collect(),
+        t: t.columns_mut().collect(),
+        y: y.columns_mut().collect(),
+    };
+    let at = if split { split_block_of(pager, &whole.x)? } else { None };
+    let Some(s) = at else { return whole.sweep(pager) };
+    let parts = whole.split_at(s, pager.block_range(s)?.0);
+    bear_sparse::parallel::run_chunked(parts.into(), "paged spoke sweep", |part| {
+        part.sweep(pager)
+    })?;
+    Ok(())
+}
+
+/// Where to split a paged sweep over the input columns `xs`: the block
+/// `s` that starts the upper range, chosen so the touched blocks'
+/// directory nonzeros on either side are as even as block boundaries
+/// allow, or `None` when the touched blocks hold no more than
+/// [`SPLIT_SWEEP_FLOOR`] or one side would hold none of them.
+fn split_block_of(pager: &BlockPager, xs: &[&[f64]]) -> Result<Option<usize>> {
+    let cost = |b: usize| -> Result<u64> {
+        let (bs, be) = pager.block_range(b)?;
+        if xs.iter().all(|col| col.get(bs..be).is_some_and(all_zero)) {
+            return Ok(0);
+        }
+        Ok(pager.directory().get(b).map_or(0, |m| m.l1_nnz.saturating_add(m.u1_nnz)))
+    };
+    let blocks = pager.num_blocks();
+    let mut total = 0u64;
+    for b in 0..blocks {
+        total = total.saturating_add(cost(b)?);
+    }
+    if total <= SPLIT_SWEEP_FLOOR {
+        return Ok(None);
+    }
+    let mut below = 0u64;
+    for b in 0..blocks {
+        let through = below.saturating_add(cost(b)?);
+        if through.saturating_mul(2) >= total {
+            // Split before or after block `b`, whichever is more even.
+            let (s, lower) =
+                if total - 2 * below < 2 * through - total { (b, below) } else { (b + 1, through) };
+            return Ok((lower > 0 && lower < total).then_some(s));
+        }
+        below = through;
+    }
+    Ok(None)
+}
+
+/// One block range of a paged sweep with its rows of every column:
+/// `x[j]`, `t[j]` and `y[j]` hold column `j`'s rows from `base` (the
+/// first row of the range's first block) to the end of the range.
+struct Part<'a> {
+    blocks: std::ops::Range<usize>,
+    base: usize,
+    x: Vec<&'a [f64]>, // lint:allow(L1, slice type syntax, not an index expression)
+    t: Vec<&'a mut [f64]>,
+    y: Vec<&'a mut [f64]>,
+}
+
+impl<'a> Part<'a> {
+    /// Splits this part into the blocks before `s` and from `s` on,
+    /// where `row` is block `s`'s first row.
+    fn split_at(self, s: usize, row: usize) -> [Part<'a>; 2] {
+        let at = row.saturating_sub(self.base);
+        let (x_lo, x_hi) = self.x.into_iter().map(|c| c.split_at(at.min(c.len()))).unzip();
+        let (t_lo, t_hi) = self.t.into_iter().map(|c| c.split_at_mut(at.min(c.len()))).unzip();
+        let (y_lo, y_hi) = self.y.into_iter().map(|c| c.split_at_mut(at.min(c.len()))).unzip();
+        [
+            Part { blocks: self.blocks.start..s, base: self.base, x: x_lo, t: t_lo, y: y_lo },
+            Part { blocks: s..self.blocks.end, base: row, x: x_hi, t: t_hi, y: y_hi },
+        ]
+    }
+
+    /// One ascending sweep over the part's blocks: fetch every touched
+    /// block once and run both of its factors on each column's rows of
+    /// it. `t` and `y` arrive zeroed, and untouched blocks stay zero.
+    /// Column by column within a block: every output element still sums
+    /// its block's columns in ascending order, which is all bit-identity
+    /// needs.
+    fn sweep(mut self, pager: &BlockPager) -> Result<()> {
+        for b in self.blocks {
+            let (bs, be) = pager.block_range(b)?;
+            let (Some(lo), Some(hi)) = (bs.checked_sub(self.base), be.checked_sub(self.base))
+            else {
+                return Err(Error::InvalidStructure(format!(
+                    "spoke block [{bs}, {be}) starts before its sweep's row {}",
+                    self.base
+                )));
+            };
+            if self.x.iter().all(|col| col.get(lo..hi).is_some_and(all_zero)) {
+                continue;
+            }
+            let pair = pager.fetch(b)?;
+            for ((xc, tc), yc) in self.x.iter().zip(self.t.iter_mut()).zip(self.y.iter_mut()) {
+                let (xb, tb, yb) = block_slices(lo, hi, xc, tc, yc)?;
+                pair.solve_block(b, xb, tb, yb)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1095,6 +1209,75 @@ mod tests {
             bear.spokes.solve_block(b, bs, be, &x, &mut t_res, &mut y_res).unwrap();
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&y[bs..be]), bits(&y_res[bs..be]), "block {b}");
+        }
+    }
+
+    /// Directory nonzeros of every block together.
+    fn total_nnz(pager: &BlockPager) -> u64 {
+        pager.directory().iter().map(|m| m.l1_nnz + m.u1_nnz).sum()
+    }
+
+    /// A width-`k` input with nonzeros in every block (a back sweep's
+    /// `c·q₁ − H₁₂ r₂` is dense) and a few exact zeros.
+    fn dense_input(n1: usize, k: usize) -> DenseBlock {
+        let mut x = DenseBlock::zeros(n1, k);
+        for j in 0..k {
+            for (i, v) in x.col_mut(j).iter_mut().enumerate() {
+                if (i + j) % 7 != 3 {
+                    *v = 0.25 + ((i * 31 + j * 17) % 13) as f64 / 8.0;
+                }
+            }
+        }
+        x
+    }
+
+    /// The split sweep against the resident one: widths 1, 8 and 16,
+    /// under unlimited, a third of the factors, and one-byte budgets,
+    /// on a graph whose blocks cross [`SPLIT_SWEEP_FLOOR`] (the sweep
+    /// splits) and on one below it (it does not). Every output bit
+    /// matches, a fresh unlimited pager fetches each touched block
+    /// exactly once per split sweep, and the counters reconcile.
+    #[test]
+    fn split_sweep_is_bit_identical_and_fetches_each_block_once() {
+        use crate::precompute::{Bear, BearConfig};
+        let bits = |m: &DenseBlock| m.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (chains, len, splits) in [(48, 30, true), (10, 3, false)] {
+            let bear = Bear::new(&hub_and_chains(chains, len), &BearConfig::exact(0.15)).unwrap();
+            let n1 = bear.n1;
+            let probe = bear.paged_in_memory(None).unwrap();
+            let pager = probe.pager().unwrap();
+            assert!(pager.num_blocks() >= 8, "blocks: {:?}", bear.block_sizes);
+            assert_eq!(total_nnz(pager) > SPLIT_SWEEP_FLOOR, splits, "{:?}", pager.directory());
+            let total: usize = pager.directory().iter().map(SegmentMeta::resident_bytes).sum();
+            for k in [1, 8, 16] {
+                let x = dense_input(n1, k);
+                let columns: Vec<&[f64]> = x.columns().collect();
+                assert_eq!(split_block_of(pager, &columns).unwrap().is_some(), splits, "k {k}");
+                let touched = (0..pager.num_blocks())
+                    .filter(|&b| {
+                        let (bs, be) = pager.block_range(b).unwrap();
+                        columns.iter().any(|col| !all_zero(&col[bs..be]))
+                    })
+                    .count() as u64;
+                let (mut t, mut want) = (DenseBlock::zeros(n1, k), DenseBlock::zeros(n1, k));
+                bear.spokes.solve_into(&x, &mut t, &mut want, true).unwrap();
+                for budget in [None, Some(total / 3), Some(1)] {
+                    let paged = bear.paged_in_memory(budget).unwrap();
+                    let pager = paged.pager().unwrap();
+                    let mut y = DenseBlock::zeros(n1, k);
+                    for sweep in 1..=3u64 {
+                        paged.spokes.solve_into(&x, &mut t, &mut y, true).unwrap();
+                        assert_eq!(bits(&y), bits(&want), "k {k}, budget {budget:?}");
+                        let st = pager.stats();
+                        if budget.is_none() {
+                            // Every touched block misses once, then hits
+                            // once per later sweep.
+                            assert_eq!((st.misses, st.hits), (touched, (sweep - 1) * touched));
+                        }
+                        assert_conserved(pager);
+                    }
+                }
+            }
         }
     }
 

@@ -11,7 +11,8 @@
 //!   so a body can never be parsed as the next keep-alive request;
 //! * responses: fixed status line, explicit `Content-Length`, optional
 //!   keep-alive; the head is built in one buffer and leaves with the
-//!   body in one vectored write (DESIGN.md §14, write discipline);
+//!   body's parts in one vectored write (DESIGN.md §14, write
+//!   discipline);
 //! * no chunked transfer encoding, no `Expect: continue`, no TLS.
 //!
 //! Hard limits keep a malicious or broken peer from pinning a
@@ -299,8 +300,9 @@ pub struct Response {
     /// Extra headers beyond the always-emitted `Content-Length`,
     /// `Content-Type`, and `Connection`.
     pub headers: Vec<(String, String)>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body bytes, as parts sent back to back (a body encoded
+    /// in pieces is never concatenated).
+    pub body: Vec<Vec<u8>>,
     /// `Content-Type` value.
     pub content_type: &'static str,
 }
@@ -319,12 +321,13 @@ impl Response {
     /// A JSON response. `body` is the finished JSON text: the encoders
     /// build it as bytes, error bodies as a `String`.
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status,
-            headers: Vec::new(),
-            body: body.into(),
-            content_type: "application/json",
-        }
+        Response::json_parts(status, vec![body.into()])
+    }
+
+    /// A JSON response whose text is the concatenation of `parts`, sent
+    /// as they are.
+    pub fn json_parts(status: u16, parts: Vec<Vec<u8>>) -> Self {
+        Response { status, headers: Vec::new(), body: parts, content_type: "application/json" }
     }
 
     /// A plain-text response.
@@ -332,7 +335,7 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            body: body.into().into_bytes(),
+            body: vec![body.into().into_bytes()],
             content_type: "text/plain; charset=utf-8",
         }
     }
@@ -344,9 +347,10 @@ impl Response {
     }
 
     /// Serializes the response onto `w`: the status line and headers
-    /// into one small head buffer, then head and body in one vectored
-    /// write, so a socket never sees a run of small writes for Nagle's
-    /// algorithm to hold back. The body is never copied.
+    /// into one small head buffer, then head and body parts in one
+    /// vectored write, so a socket never sees a run of small writes for
+    /// Nagle's algorithm to hold back. `Content-Length` is the parts'
+    /// total; the body is never copied.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
         use std::fmt::Write as _;
         // Room for the fixed lines plus a handful of short headers.
@@ -358,14 +362,18 @@ impl Response {
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.len(),
+            self.body.iter().map(Vec::len).sum::<usize>(),
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
             let _ = write!(head, "{name}: {value}\r\n");
         }
         head.push_str("\r\n");
-        write_all_vectored(w, &mut [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)])?;
+        let mut bufs: Vec<IoSlice<'_>> = std::iter::once(head.as_bytes())
+            .chain(self.body.iter().map(Vec::as_slice))
+            .map(IoSlice::new)
+            .collect();
+        write_all_vectored(w, &mut bufs)?;
         w.flush()
     }
 }
@@ -844,6 +852,46 @@ mod tests {
             String::from_utf8(short.0).unwrap(),
             "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain; charset=utf-8\r\n\
              Content-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+    }
+
+    /// Accepts one byte per call, from the first non-empty slice.
+    struct OneByte(Vec<u8>);
+
+    impl Write for OneByte {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            match bufs.iter().find(|b| !b.is_empty()) {
+                Some(buf) => {
+                    self.0.push(buf[0]);
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A body in parts (one of them empty) leaves head and parts in
+    /// order, one byte per write, under a `Content-Length` that is the
+    /// parts' total.
+    #[test]
+    fn multi_part_body_written_one_byte_at_a_time_arrives_in_order() {
+        let parts = vec![b"{\"a\":".to_vec(), Vec::new(), b"[1,".to_vec(), b"2]}".to_vec()];
+        let resp = Response::json_parts(200, parts).header("X-Graph-Version", "3");
+        let mut slow = OneByte(Vec::new());
+        resp.write_to(&mut slow, false).unwrap();
+        assert_eq!(
+            String::from_utf8(slow.0).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 11\r\nConnection: close\r\n\
+             X-Graph-Version: 3\r\n\r\n{\"a\":[1,2]}"
         );
     }
 

@@ -250,6 +250,54 @@ fn keep_alive_requests_do_not_stall_and_stay_framed() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A `/v1/batch` answer above the encoder's split floor is encoded as
+/// two halves on two threads and sent as two parts: the body is byte
+/// for byte the serial encoding (built here with `Display`, which the
+/// score encoder matches), and `Content-Length` equals the body bytes
+/// that arrive before the server closes the connection. Odd and even
+/// seed counts split unevenly and evenly; two seeds stay below the
+/// floor.
+#[test]
+fn split_batch_encoding_is_byte_identical_and_framed() {
+    let (server, reference, path) = serve_graph(&cave_graph(8, 400), "split_encode");
+    let n = reference.num_nodes();
+    for count in [16usize, 9, 2] {
+        let seeds: Vec<usize> = (0..count).map(|i| (i * 131 + 7) % n).collect();
+        assert_eq!(count * n > bear_serve::server::SPLIT_ENCODE_FLOOR, count > 2, "n {n}");
+        let list = seeds.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let request =
+            format!("GET /v1/batch?graph=g&seeds={list} HTTP/1.1\r\nConnection: close\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut wire = Vec::new();
+        std::io::Read::read_to_end(&mut stream, &mut wire).unwrap();
+        let split = wire.windows(4).position(|w| w == b"\r\n\r\n").expect("end of head");
+        let (head, body) = (String::from_utf8_lossy(&wire[..split]), &wire[split + 4..]);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse::<usize>().ok())
+            .expect("Content-Length");
+        assert_eq!(length, body.len(), "{count} seeds: Content-Length against bytes read");
+
+        let mut want = format!("{{\"version\":1,\"count\":{count},\"degraded\":0,\"results\":[");
+        for (i, &seed) in seeds.iter().enumerate() {
+            if i > 0 {
+                want.push(',');
+            }
+            let scores = reference.query(seed).unwrap();
+            let scores: Vec<String> = scores.iter().map(|v| format!("{v}")).collect();
+            want.push_str(&format!("{{\"seed\":{seed},\"scores\":[{}]}}", scores.join(",")));
+        }
+        want.push_str("]}");
+        assert!(body == want.as_bytes(), "{count} seeds: body differs from the serial encoding");
+    }
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// A `/v1/batch` is one engine request: its distinct seeds are answered
 /// in blocks of up to `block_width`, so `/metrics` reports a realized
 /// block width above 1, and every vector stays bit-identical to

@@ -114,6 +114,11 @@ impl DenseBlock {
         self.data.chunks_exact(self.nrows.max(1)).take(self.ncols)
     }
 
+    /// Iterates over the columns as contiguous mutable slices.
+    pub fn columns_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        self.data.chunks_exact_mut(self.nrows.max(1)).take(self.ncols)
+    }
+
     /// Sets every entry to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);

@@ -22,22 +22,28 @@
 //!   whose factorization cost grows like `size²`; the largest blocks are
 //!   placed first and chunks are balanced by total cost.
 //!
-//! [`run_chunked`] is the shared execution core: it fans the chunks out
-//! over scoped threads, joins them in order, and converts worker panics
-//! into the typed [`Error::KernelPanicked`] instead of aborting the
-//! process (consistent with the query engine's worker-panic containment).
+//! [`run_chunked`] is the shared execution core: it runs the first chunk
+//! on the calling thread and the others on scoped helper threads, joins
+//! them in order, runs a chunk inline when its helper cannot be spawned
+//! or the process has one core, and converts panics into the typed
+//! [`Error::KernelPanicked`] instead of aborting the process (consistent
+//! with the query engine's worker-panic containment). The serving path
+//! uses it too, for its two fixed two-way splits (DESIGN.md §18).
 //!
-//! Thread-spawn overhead is a few hundred microseconds per call, so the
-//! parallel paths only pay off once the serial kernel takes milliseconds —
-//! i.e. on the large hub-heavy inputs where BEAR's preprocessing actually
-//! hurts; callers (e.g. `BearConfig::threads`) should keep `threads = 1`
-//! for small inputs.
+//! A scoped spawn costs tens of microseconds, so the parallel paths only
+//! pay off once the serial kernel takes milliseconds — i.e. on the large
+//! hub-heavy inputs where BEAR's preprocessing actually hurts; callers
+//! (e.g. `BearConfig::threads`) should keep `threads = 1` for small
+//! inputs, and the serving splits only engage above a work floor.
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::{Error, Result};
 use crate::ops::spgemm;
 use crate::triangular::{spsolve, SpSolveWorkspace, Triangle};
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
 
 /// Splits `0..n` into at most `parts` contiguous ranges of near-equal
 /// length.
@@ -95,42 +101,98 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `work` over `chunks` on one scoped thread per chunk and returns
-/// the per-chunk results **in input order**.
+/// Cores this process may run on (`available_parallelism`, read once:
+/// on Linux each call reads the affinity mask and the cgroup CPU quota
+/// files).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `work` over `chunks` and returns the per-chunk results **in
+/// input order**: the first chunk on the calling thread, every other
+/// chunk on its own scoped helper thread.
 ///
-/// This is the shared execution core of every parallel kernel. It
-/// replaces the per-call `thread::scope` + `join().expect("no panics")`
-/// pattern: a panicking worker no longer aborts the process — the panic
-/// is captured at the join and mapped to [`Error::KernelPanicked`]
-/// (tagged with `kernel` for diagnosis). Error reporting is
-/// deterministic: the first failing chunk in input order wins.
+/// This is the shared execution core of every parallel kernel and of
+/// the serving path's two splits (the paged spoke back sweep and the
+/// `/v1/batch` encoder). It never makes a result depend on where a
+/// chunk ran:
 ///
-/// With zero or one chunk the work runs inline on the calling thread, so
-/// small inputs pay no spawn overhead.
+/// * with zero or one chunk, or when the process may run on one core
+///   only, every chunk runs inline on the calling thread, in order;
+/// * a helper that cannot be spawned (`Builder::spawn_scoped` fails,
+///   e.g. under a thread limit) is not an error: its chunk runs inline
+///   on the calling thread instead;
+/// * a panicking chunk no longer aborts the process or unwinds into the
+///   caller — the panic is captured and mapped to
+///   [`Error::KernelPanicked`] (tagged with `kernel` for diagnosis).
+///
+/// Error reporting is deterministic: the first failing chunk in input
+/// order wins.
 pub fn run_chunked<I, T, F>(chunks: Vec<I>, kernel: &'static str, work: F) -> Result<Vec<T>>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> Result<T> + Sync,
 {
-    if chunks.len() <= 1 {
-        return chunks.into_iter().map(work).collect();
+    run_chunked_with(chunks, kernel, work, std::thread::Builder::new)
+}
+
+/// [`run_chunked`] with the helper threads built by `builder` (tests
+/// pass one whose spawns fail).
+fn run_chunked_with<I, T, F, B>(
+    chunks: Vec<I>,
+    kernel: &'static str,
+    work: F,
+    builder: B,
+) -> Result<Vec<T>>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> Result<T> + Sync,
+    B: Fn() -> std::thread::Builder,
+{
+    let run = |chunk: I| -> Result<T> {
+        catch_unwind(AssertUnwindSafe(|| work(chunk))).unwrap_or_else(|payload| {
+            Err(Error::KernelPanicked { kernel, detail: panic_message(&*payload) })
+        })
+    };
+    if chunks.len() <= 1 || cores() == 1 {
+        return chunks.into_iter().map(run).collect();
     }
-    let results: Vec<Result<T>> = std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> =
-            chunks.into_iter().map(|chunk| scope.spawn(move || work(chunk))).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(payload) => {
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next();
+    // Each helper chunk waits in a slot: a spawned helper takes it out,
+    // and a failed spawn leaves it for the calling thread.
+    let slots: Vec<Mutex<Option<I>>> = chunks.map(|chunk| Mutex::new(Some(chunk))).collect();
+    let run_slot = |slot: &Mutex<Option<I>>| match slot.lock().ok().and_then(|mut held| held.take())
+    {
+        Some(chunk) => run(chunk),
+        None => Err(Error::KernelPanicked { kernel, detail: "chunk taken twice".into() }),
+    };
+    std::thread::scope(|scope| {
+        let run_slot = &run_slot;
+        let helpers: Vec<_> = slots
+            .iter()
+            .map(|slot| builder().spawn_scoped(scope, move || run_slot(slot)).ok())
+            .collect();
+        let mut results = Vec::with_capacity(slots.len() + 1);
+        results.extend(first.map(run));
+        for (slot, helper) in slots.iter().zip(helpers) {
+            results.push(match helper.map(|h| h.join()) {
+                Some(Ok(result)) => result,
+                // `run` caught the chunk's own panic; this one was raised
+                // outside it.
+                Some(Err(payload)) => {
                     Err(Error::KernelPanicked { kernel, detail: panic_message(&*payload) })
                 }
-            })
-            .collect()
-    });
-    results.into_iter().collect()
+                None => run_slot(slot),
+            });
+        }
+        results
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Parallel triangular inversion: like
@@ -346,6 +408,49 @@ mod tests {
             }
             other => panic!("expected KernelPanicked, got {other:?}"),
         }
+    }
+
+    /// The first chunk runs on the calling thread, never on a helper.
+    #[test]
+    fn run_chunked_runs_the_first_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on =
+            run_chunked(vec![0usize, 1, 2], "test", |_| Ok(std::thread::current().id())).unwrap();
+        assert_eq!(ran_on[0], caller);
+        assert_eq!(ran_on.len(), 3);
+    }
+
+    /// A helper whose spawn fails (a stack no address space can hold:
+    /// the spawn is refused before any thread starts) is not an error:
+    /// its chunk runs inline, results stay in input order, and a panic
+    /// in such a chunk is still contained.
+    #[test]
+    fn run_chunked_runs_unspawnable_chunks_inline() {
+        let unspawnable = || std::thread::Builder::new().stack_size(1 << 60);
+        let caller = std::thread::current().id();
+        let out = run_chunked_with(
+            (0..4usize).collect(),
+            "test",
+            |i| Ok((i * 10, std::thread::current().id())),
+            unspawnable,
+        )
+        .unwrap();
+        assert_eq!(out.iter().map(|&(v, _)| v).collect::<Vec<_>>(), vec![0, 10, 20, 30]);
+        assert!(out.iter().all(|&(_, id)| id == caller));
+
+        let err = run_chunked_with(
+            vec![0usize, 1, 2],
+            "inline_panic",
+            |i| {
+                if i == 1 {
+                    panic!("injected fault in chunk {i}");
+                }
+                Ok(i)
+            },
+            unspawnable,
+        )
+        .unwrap_err();
+        assert!(matches!(err, Error::KernelPanicked { kernel: "inline_panic", .. }), "{err:?}");
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! `query_top_k_pruned` — is **bit-identical** (f64 bits and node
 //! order) to the fully resident in-memory index, for every residency
 //! budget from everything-resident down to at most one block, and even
-//! while another thread forces evictions mid-query.
+//! while another thread forces evictions mid-query; and the back sweep
+//! split in two block ranges on two threads is bit-identical too.
 //!
 //! This is the contract that makes the v3 format safe to serve: paging
 //! is a pure space/time trade — it may never perturb a single bit of
 //! an answer.
 
+use bear_core::paging::SPLIT_SWEEP_FLOOR;
 use bear_core::{Bear, BearConfig, LoadOptions};
 use bear_graph::Graph;
 use bear_sparse::mem::MemBudget;
@@ -221,4 +223,62 @@ fn resident_load_option_matches_paged_and_in_memory() {
     }
 
     std::fs::remove_file(&path).ok();
+}
+
+/// A hub (node 0) joined to `chains` chains of `len` nodes each:
+/// SlashBurn removes the hub and every chain becomes its own spoke
+/// block, whose inverted factors are dense triangles (`len²` stored
+/// nonzeros a block, about).
+fn hub_and_chains(chains: usize, len: usize) -> Graph {
+    let mut edges = Vec::new();
+    for ch in 0..chains {
+        let first = 1 + ch * len;
+        edges.extend([(0, first), (first, 0)]);
+        for i in first..first + len - 1 {
+            edges.extend([(i, i + 1), (i + 1, i)]);
+        }
+    }
+    Graph::from_edges(1 + chains * len, &edges).unwrap()
+}
+
+/// The split back sweep through the public query paths: on a graph
+/// whose spoke blocks cross [`SPLIT_SWEEP_FLOOR`] (every back sweep
+/// touches every block, so it splits) and on one below it (it never
+/// does), `query_block` at widths 1, 8 and 16 under unlimited, a third
+/// of the factors, and one-byte budgets is bit-identical to the
+/// resident index. A fresh unlimited load fetches each touched block
+/// once per sweep (`hits + misses ≤ 2 × misses` over the hub half's
+/// forward sweep and the split back sweep), and the counters reconcile
+/// after every batch.
+#[test]
+fn split_back_sweep_stays_bit_identical_and_fetches_once() {
+    for (g, splits) in [(hub_and_chains(48, 30), true), (blocky_graph(), false)] {
+        let reference = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+        let path = scratch_index();
+        reference.save_v3(&path).unwrap();
+        let n = g.num_nodes();
+        for k in [1usize, 8, 16] {
+            let seeds: Vec<usize> = (0..k).map(|i| (i * 97 + 1) % n).collect();
+            let want = reference.query_block(&seeds).unwrap();
+            let paged = Bear::load(&path).unwrap();
+            let pager = paged.pager().expect("v3 load is paged");
+            let dir = pager.directory();
+            let nnz: u64 = dir.iter().map(|m| m.l1_nnz + m.u1_nnz).sum();
+            assert_eq!(nnz > SPLIT_SWEEP_FLOOR, splits, "spoke nonzeros {nnz}");
+            let total: usize = dir.iter().map(|m| m.resident_bytes()).sum();
+            for budget in [None, Some(total / 3), Some(1)] {
+                pager.set_budget(budget).unwrap();
+                let got = paged.query_block(&seeds).unwrap();
+                for (j, (gc, wc)) in got.iter().zip(&want).enumerate() {
+                    assert_bits_eq(gc, wc, &format!("width {k} column {j} budget {budget:?}"));
+                }
+                let st = pager.stats();
+                if budget.is_none() {
+                    assert!(st.hits + st.misses <= 2 * st.misses, "width {k}: {st:?}");
+                }
+                assert_eq!(st.misses - st.resident_blocks, st.evictions, "width {k}: {st:?}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
