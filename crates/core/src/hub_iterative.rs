@@ -12,7 +12,7 @@
 //! identical spoke-side machinery (`L₁⁻¹`, `U₁⁻¹`, `H₁₂`, `H₂₁`),
 //! Schur-side storage reduced from `nnz(L₂⁻¹)+nnz(U₂⁻¹)` to `nnz(S)`.
 
-use crate::precompute::BearConfig;
+use crate::precompute::{reduce_to_schur, BearConfig, ResidentSpokes, RUN_ROWS};
 use crate::rwr::validate_distribution;
 use crate::solver::RwrSolver;
 use bear_graph::Graph;
@@ -39,25 +39,26 @@ pub struct BearHubIterative {
 impl BearHubIterative {
     /// Preprocesses `g`: the same pipeline as [`crate::Bear::new`] up to the
     /// Schur complement (Algorithm 1 lines 1–7), but keeps `S` as-is
-    /// instead of factoring and inverting it.
+    /// instead of factoring and inverting it. Only `S` is sparsified.
     pub fn new(g: &Graph, config: &BearConfig) -> Result<Self> {
-        // `preprocess_to_schur` validates the config, so `drop_tolerance`
-        // is finite and non-negative here.
-        let parts = crate::precompute::preprocess_to_schur(g, config)?;
+        let mut spokes = ResidentSpokes::default();
+        // `reduce_to_schur` validates the config, so `drop_tolerance` is
+        // finite and non-negative here.
+        let reduced = reduce_to_schur(g, config, 0.0, RUN_ROWS, &mut spokes)?;
         let s = bear_sparse::sparsify::par_drop_tolerance_csr(
-            &parts.s,
+            &reduced.s,
             config.drop_tolerance,
             config.effective_threads(),
         )?;
         Ok(BearHubIterative {
-            l1_inv: parts.l1_inv,
-            u1_inv: parts.u1_inv,
+            l1_inv: spokes.l1_inv.finish(),
+            u1_inv: spokes.u1_inv.finish(),
             s,
-            h12: parts.h12,
-            h21: parts.h21,
-            perm: parts.perm,
-            n1: parts.n1,
-            n2: parts.n2,
+            h12: reduced.h12,
+            h21: reduced.h21,
+            perm: reduced.perm,
+            n1: reduced.n1,
+            n2: reduced.n2,
             c: config.rwr.c,
             solve_opts: SolveOptions { rel_tolerance: 1e-12, max_iterations: 10_000 },
         })

@@ -19,13 +19,17 @@ use crate::persist::{ResidentParts, V3StreamWriter};
 use crate::rwr::{build_h, RwrConfig};
 use crate::stats::{PrecomputedStats, StageTimings};
 use bear_graph::{slashburn, Graph, SlashBurnConfig};
+use bear_sparse::lu::validate_block_layout;
 use bear_sparse::mem::{MemBudget, MemoryUsage};
-use bear_sparse::parallel::{par_invert_triangular, par_spgemm};
+use bear_sparse::parallel::{par_invert_triangular, par_spgemm, run_by_cost};
 use bear_sparse::sparsify::{drop_tolerance_csc, par_drop_tolerance_csc, par_drop_tolerance_csr};
 use bear_sparse::triangular::Triangle;
-use bear_sparse::{ops, BlockDiagLu, CscMatrix, CsrMatrix, Error, Permutation, Result, SparseLu};
+use bear_sparse::{
+    ops, BlockDiagBuilder, CscMatrix, CsrMatrix, Error, Permutation, Result, SparseLu,
+};
+use std::ops::Range;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration for BEAR preprocessing.
 #[derive(Debug, Clone, Copy)]
@@ -111,33 +115,142 @@ impl BearConfig {
     }
 }
 
-/// Intermediate preprocessing state shared by [`Bear`] and the
-/// iterative-hub variant: everything up to (and including) the Schur
-/// complement, before `S` is factored.
-#[derive(Debug, Clone)]
-pub(crate) struct PreprocessParts {
-    pub(crate) l1_inv: CscMatrix,
-    pub(crate) u1_inv: CscMatrix,
+/// Rows of `H₁₁` per run of the block stage (see [`reduce_to_schur`]):
+/// enough blocks per run to keep the workers busy and to fold the Schur
+/// complement rarely, few enough that one run's factors stay small.
+pub(crate) const RUN_ROWS: usize = 4096;
+
+/// Receives each diagonal block's inverted factors `(L₁⁻¹, U₁⁻¹)`,
+/// block-local and in block order, from [`reduce_to_schur`].
+pub(crate) trait SpokeSink {
+    /// Takes the next block's factors and returns the bytes of spoke
+    /// factors the sink holds in memory afterwards; the caller charges
+    /// them, with `H₁₂` and `H₂₁`, against the budget.
+    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize>;
+}
+
+/// The in-memory sink: appends every block to the whole block-diagonal
+/// factors.
+#[derive(Debug, Default)]
+pub(crate) struct ResidentSpokes {
+    pub(crate) l1_inv: BlockDiagBuilder,
+    pub(crate) u1_inv: BlockDiagBuilder,
+}
+
+impl SpokeSink for ResidentSpokes {
+    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize> {
+        self.l1_inv.push(&l1);
+        self.u1_inv.push(&u1);
+        Ok(self.l1_inv.memory_bytes() + self.u1_inv.memory_bytes())
+    }
+}
+
+/// The streamed sink: each block becomes one v3 segment, and only the
+/// block being written is held.
+impl SpokeSink for V3StreamWriter {
+    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize> {
+        let held = l1.memory_bytes() + u1.memory_bytes();
+        self.write_segment(&FactorPair::new(l1, u1)?)?;
+        Ok(held)
+    }
+}
+
+/// Splits the diagonal blocks into runs of consecutive blocks: a run
+/// grows while its rows stay within `run_rows`, and a block larger than
+/// that is a run alone. Yields `(block range, row range)` per run.
+fn runs(
+    block_sizes: &[usize],
+    run_rows: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+    let (mut first, mut r0) = (0, 0);
+    std::iter::from_fn(move || {
+        let &size = block_sizes.get(first)?;
+        let (mut last, mut r1) = (first + 1, r0 + size);
+        while let Some(&next) = block_sizes.get(last) {
+            if r1 - r0 + next > run_rows {
+                break;
+            }
+            r1 += next;
+            last += 1;
+        }
+        let run = (first..last, r0..r1);
+        (first, r0) = (last, r1);
+        Some(run)
+    })
+}
+
+/// One diagonal block of `H₁₁` after [`block_stage`].
+struct Block {
+    /// `L₁⁻¹` of the block, entries below the spoke drop tolerance gone.
+    l1: CscMatrix,
+    /// `U₁⁻¹` of the block, likewise.
+    u1: CscMatrix,
+    /// The undropped `L₁⁻¹` by rows, for the Schur product.
+    l1_rows: CsrMatrix,
+    /// The undropped `U₁⁻¹` by rows, likewise.
+    u1_rows: CsrMatrix,
+    /// Time spent factoring, inverting (with the row copies) and
+    /// sparsifying.
+    spent: [Duration; 3],
+}
+
+/// Algorithm 1 lines 5 and 9 for the diagonal block of `size` rows from
+/// `off`: factor it, invert its factors, copy them by rows for the Schur
+/// product, then drop entries below `spoke_xi`. One worker does all of
+/// it while the block is in cache.
+fn block_stage(h11: &CsrMatrix, off: usize, size: usize, spoke_xi: f64) -> Result<Block> {
+    let end = off + size;
+    let t0 = Instant::now();
+    let lu = SparseLu::factor(&h11.submatrix(off, end, off, end)?.to_csc())?;
+    let t1 = Instant::now();
+    let (l1, u1) = lu.invert_factors()?;
+    let (l1_rows, u1_rows) = (l1.to_csr(), u1.to_csr());
+    let t2 = Instant::now();
+    let (l1, u1) = if spoke_xi > 0.0 {
+        (drop_tolerance_csc(&l1, spoke_xi), drop_tolerance_csc(&u1, spoke_xi))
+    } else {
+        (l1, u1)
+    };
+    Ok(Block { l1, u1, l1_rows, u1_rows, spent: [t1 - t0, t2 - t1, t2.elapsed()] })
+}
+
+/// Algorithm 1 up to the Schur complement: everything
+/// [`reduce_to_schur`] leaves besides the spoke factors it sent to its
+/// sink. [`Reduced::factor_schur`] takes it through lines 8–9.
+#[derive(Debug)]
+pub(crate) struct Reduced {
+    /// The Schur complement, hubs reordered (line 7).
+    pub(crate) s: CsrMatrix,
     pub(crate) h12: CsrMatrix,
     pub(crate) h21: CsrMatrix,
-    pub(crate) s: CsrMatrix,
+    /// Full ordering: the hub reorder on top of SlashBurn's.
     pub(crate) perm: Permutation,
     pub(crate) n1: usize,
     pub(crate) n2: usize,
     pub(crate) block_sizes: Vec<usize>,
-    pub(crate) degrees: Vec<usize>,
-    /// Stage timings for lines 1–7; the Schur-side stages are filled in
-    /// by [`Bear::new`].
+    /// Stage timings for lines 1–7 and the spoke half of line 9.
     pub(crate) timings: StageTimings,
 }
 
 /// Runs Algorithm 1 lines 1–7: build `H`, SlashBurn-reorder, partition,
-/// block-factor `H₁₁` and invert its factors, form the Schur complement,
+/// factor and invert `H₁₁` block by block, form the Schur complement,
 /// and reorder the hubs. Stops before factoring `S`.
 ///
-/// All heavy kernels run on `config.effective_threads()` workers; the
-/// output is bit-identical for every thread count.
-pub(crate) fn preprocess_to_schur(g: &Graph, config: &BearConfig) -> Result<PreprocessParts> {
+/// Lemma 1 makes lines 5–6 a per-block job, so the spoke blocks go
+/// through in runs of consecutive blocks (see [`runs`]). Per run, the
+/// blocks go through [`block_stage`] on `config.effective_threads()`
+/// workers, largest first; the run's rows of `U₁⁻¹L₁⁻¹H₁₂` come from
+/// one pair of SpGEMMs and are folded into `S` (see
+/// [`SchurAccumulator`]); then each block's factors go to `sink`. Only
+/// one run's blocks are alive at a time beyond what the sink keeps, and
+/// the output is bit-identical for every thread count and run length.
+pub(crate) fn reduce_to_schur(
+    g: &Graph,
+    config: &BearConfig,
+    spoke_xi: f64,
+    run_rows: usize,
+    sink: &mut impl SpokeSink,
+) -> Result<Reduced> {
     config.validate()?;
     let n = g.num_nodes();
     let threads = config.effective_threads();
@@ -160,44 +273,62 @@ pub(crate) fn preprocess_to_schur(g: &Graph, config: &BearConfig) -> Result<Prep
     let h = ordering.perm.permute_symmetric(&h)?;
     timings.slashburn = stage.elapsed();
 
-    // Line 4: partition.
+    // Line 4: partition. An entry of H₁₁ outside its diagonal blocks
+    // would be lost by the per-block slicing below.
     let stage = Instant::now();
     let h11 = h.submatrix(0, n1, 0, n1)?;
-    let mut h12 = h.submatrix(0, n1, n1, n)?;
-    let mut h21 = h.submatrix(n1, n, 0, n1)?;
+    let h12 = h.submatrix(0, n1, n1, n)?;
+    let h21 = h.submatrix(n1, n, 0, n1)?;
     let h22 = h.submatrix(n1, n, n1, n)?;
-    config.budget.check(h12.memory_bytes() + h21.memory_bytes())?;
+    drop(h);
+    let offsets = validate_block_layout(&h11, &ordering.block_sizes)?;
+    let hub_bytes = h12.memory_bytes() + h21.memory_bytes();
+    config.budget.check(hub_bytes)?;
     timings.partition = stage.elapsed();
 
-    // Line 5: block-diagonal LU of H₁₁ and inverted factors, with the
-    // independent blocks scheduled across the workers (cost-balanced by
-    // Σ block_size², largest blocks first).
-    let stage = Instant::now();
-    let block_lu = BlockDiagLu::par_factor(&h11.to_csc(), &ordering.block_sizes, threads)?;
-    timings.factor_h11 = stage.elapsed();
-    let stage = Instant::now();
-    let (l1_inv, u1_inv) = block_lu.par_invert_factors(threads)?;
-    config.budget.check(
-        h12.memory_bytes() + h21.memory_bytes() + l1_inv.memory_bytes() + u1_inv.memory_bytes(),
-    )?;
-    timings.invert_h11 = stage.elapsed();
+    // Lines 5–6 (and line 9 for the spoke factors), one run at a time.
+    let mut schur = SchurAccumulator::new(n2);
+    for (blocks, rows) in runs(&ordering.block_sizes, run_rows) {
+        let (sizes, starts) = (&ordering.block_sizes[blocks.clone()], &offsets[blocks]);
+        let costs: Vec<u128> = sizes.iter().map(|&size| (size as u128).pow(2)).collect();
+        let stage = Instant::now();
+        let done = run_by_cost(&costs, threads, "precompute::block_stage", |b| {
+            block_stage(&h11, starts[b], sizes[b], spoke_xi)
+        })?;
+        // The workers' time in each step splits the stage's wall time.
+        let wall = stage.elapsed();
+        let spent: [Duration; 3] =
+            std::array::from_fn(|k| done.iter().map(|block| block.spent[k]).sum());
+        let busy: Duration = spent.iter().sum();
+        let steps = [&mut timings.factor_h11, &mut timings.invert_h11, &mut timings.sparsify];
+        if !busy.is_zero() {
+            for (step, t) in steps.into_iter().zip(spent) {
+                *step += wall.mul_f64(t.as_secs_f64() / busy.as_secs_f64());
+            }
+        }
 
-    // Line 6: Schur complement S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂; the three
-    // SpGEMMs split row ranges across workers (par_spgemm delegates to
-    // the serial kernel for one thread or tiny inputs).
-    let stage = Instant::now();
-    let r1 = par_spgemm(&l1_inv.to_csr(), &h12, threads)?;
-    let r2 = par_spgemm(&u1_inv.to_csr(), &r1, threads)?;
-    let r3 = par_spgemm(&h21, &r2, threads)?;
-    let mut s = ops::sub(&h22, &r3)?;
+        // Line 6 for the run's rows: one pair of products, folded once.
+        let stage = Instant::now();
+        let l1 = ops::block_diag(done.iter().map(|block| &block.l1_rows))?;
+        let r = par_spgemm(&l1, &h12.submatrix(rows.start, rows.end, 0, n2)?, threads)?;
+        let u1 = ops::block_diag(done.iter().map(|block| &block.u1_rows))?;
+        let r = par_spgemm(&u1, &r, threads)?;
+        schur.scatter_run(&h21, rows.start, rows.end, &r)?;
+        timings.schur += stage.elapsed();
+        for block in done {
+            config.budget.check(hub_bytes + sink.push(block.l1, block.u1)?)?;
+        }
+    }
 
+    let stage = Instant::now();
+    let mut s = ops::sub(&h22, &schur.finish())?;
     // Line 7: reorder hubs ascending by degree within S.
     let hub_perm =
         if config.reorder_hubs { hub_degree_ordering(&s) } else { Permutation::identity(n2) };
     s = hub_perm.permute_symmetric(&s)?;
-    h12 = hub_perm.permute_cols(&h12)?;
-    h21 = hub_perm.permute_rows(&h21)?;
-    timings.schur = stage.elapsed();
+    let h12 = hub_perm.permute_cols(&h12)?;
+    let h21 = hub_perm.permute_rows(&h21)?;
+    timings.schur += stage.elapsed();
 
     // Full ordering = hub reorder on top of the SlashBurn ordering.
     let mut full_forward: Vec<usize> = (0..n).collect();
@@ -207,32 +338,52 @@ pub(crate) fn preprocess_to_schur(g: &Graph, config: &BearConfig) -> Result<Prep
     let hub_lift = Permutation::from_new_to_old(full_forward)?;
     let perm = hub_lift.compose(&ordering.perm)?;
 
-    Ok(PreprocessParts {
-        l1_inv,
-        u1_inv,
-        h12,
-        h21,
-        s,
-        perm,
-        n1,
-        n2,
-        block_sizes: ordering.block_sizes,
-        degrees: g.undirected_degrees(),
-        timings,
-    })
+    Ok(Reduced { s, h12, h21, perm, n1, n2, block_sizes: ordering.block_sizes, timings })
 }
 
-/// Persistent per-row Gustavson accumulators for the streamed Schur
-/// complement: `r3 = H₂₁ · (U₁⁻¹ L₁⁻¹ H₁₂)` is assembled one spoke
-/// block at a time while only that block's factors are in memory.
+impl Reduced {
+    /// Line 8: LU of `S` and its inverted factors `(L₂⁻¹, U₂⁻¹)`, which
+    /// are returned; line 9: entries below ξ dropped from them and from
+    /// `H₁₂` and `H₂₁`.
+    fn factor_schur(&mut self, config: &BearConfig) -> Result<(CscMatrix, CscMatrix)> {
+        let threads = config.effective_threads();
+
+        // The factorization is inherently sequential (each column
+        // depends on the previous ones); the inversion is one
+        // independent solve per column and splits across the workers.
+        let stage = Instant::now();
+        let s_lu = SparseLu::factor(&self.s.to_csc())?;
+        self.timings.factor_schur = stage.elapsed();
+        let stage = Instant::now();
+        let l2_inv = par_invert_triangular(s_lu.l(), Triangle::Lower, true, threads)?;
+        let u2_inv = par_invert_triangular(s_lu.u(), Triangle::Upper, false, threads)?;
+        self.timings.invert_schur = stage.elapsed();
+
+        let xi = config.drop_tolerance;
+        if xi == 0.0 {
+            return Ok((l2_inv, u2_inv));
+        }
+        let stage = Instant::now();
+        self.h12 = par_drop_tolerance_csr(&self.h12, xi, threads)?;
+        self.h21 = par_drop_tolerance_csr(&self.h21, xi, threads)?;
+        let l2_inv = par_drop_tolerance_csc(&l2_inv, xi, threads)?;
+        let u2_inv = par_drop_tolerance_csc(&u2_inv, xi, threads)?;
+        self.timings.sparsify += stage.elapsed();
+        Ok((l2_inv, u2_inv))
+    }
+}
+
+/// Persistent per-row Gustavson accumulators for the Schur complement:
+/// `r3 = H₂₁ · (U₁⁻¹ L₁⁻¹ H₁₂)` is assembled one run of spoke blocks at
+/// a time while only that run's factors are in memory.
 ///
 /// The global kernel ([`ops::spgemm`]) scatters, for each output row
 /// `i`, the rows of `B` referenced by `H₂₁`'s row `i` in ascending
 /// column order. Per-row state (accumulator, first-touch marks, touched
 /// list, and a cursor into `H₂₁`'s row that advances monotonically
-/// through the block ranges) replays exactly that (i, k) visitation
-/// order across block boundaries, so the gathered matrix is
-/// bit-identical to the one-shot product.
+/// through the run ranges) replays exactly that (i, k) visitation order
+/// across run boundaries, so the gathered matrix is bit-identical to the
+/// one-shot product.
 struct SchurAccumulator {
     n2: usize,
     /// Row-major `n2 × n2` dense accumulators.
@@ -255,29 +406,23 @@ impl SchurAccumulator {
         }
     }
 
-    /// Folds in block `[bs, be)`: `r2b` holds the rows `[bs, be)` of
-    /// `U₁⁻¹ L₁⁻¹ H₁₂` (block-local row indices).
-    fn scatter_block(
-        &mut self,
-        h21: &CsrMatrix,
-        bs: usize,
-        be: usize,
-        r2b: &CsrMatrix,
-    ) -> Result<()> {
+    /// Folds in the run of rows `[rs, re)`: `r2` holds the rows
+    /// `[rs, re)` of `U₁⁻¹ L₁⁻¹ H₁₂` (run-local row indices).
+    fn scatter_run(&mut self, h21: &CsrMatrix, rs: usize, re: usize, r2: &CsrMatrix) -> Result<()> {
         for i in 0..self.n2 {
             let (cols, vals) = h21.row(i);
             let base = i * self.n2;
             let cur = &mut self.cursor[i];
-            while *cur < cols.len() && cols[*cur] < be {
+            while *cur < cols.len() && cols[*cur] < re {
                 let k = cols[*cur];
                 let aik = vals[*cur];
                 *cur += 1;
-                let kk = k.checked_sub(bs).ok_or_else(|| {
+                let kk = k.checked_sub(rs).ok_or_else(|| {
                     Error::InvalidStructure(format!(
-                        "H21 column {k} revisited below block start {bs}"
+                        "H21 column {k} revisited below run start {rs}"
                     ))
                 })?;
-                let (b_cols, b_vals) = r2b.row(kk);
+                let (b_cols, b_vals) = r2.row(kk);
                 for (&j, &bkj) in b_cols.iter().zip(b_vals) {
                     if !self.mark[base + j] {
                         self.mark[base + j] = true;
@@ -318,142 +463,49 @@ impl SchurAccumulator {
 }
 
 /// Runs Algorithm 1 and streams the result straight to a v3 on-disk
-/// index at `path`, never holding more than one spoke block's inverted
-/// factors in memory: peak preprocessing RSS is bounded by the graph,
-/// the hub-side matrices, and the largest single block — independent of
-/// the total index size.
+/// index at `path`, never holding more than one run of spoke blocks'
+/// inverted factors in memory: peak preprocessing RSS is bounded by the
+/// graph, the hub-side matrices, the `n₂ × n₂` Schur accumulator and one
+/// run — independent of the total index size.
 ///
 /// The output is byte-for-byte identical to
-/// `Bear::new(g, config)?.save_v3(path)`: per-block factorization and
-/// inversion follow the exact code path of [`BlockDiagLu::factor`], the
-/// Schur complement is accumulated in the global kernel's visitation
-/// order (see `SchurAccumulator`), and the drop tolerance filters per
-/// entry so filtering each block equals slicing the filtered whole.
+/// `Bear::new(g, config)?.save_v3(path)`: both run the same pipeline
+/// (`reduce_to_schur`) and differ only in where the spoke blocks go.
 ///
 /// `config.budget` bounds the *resident working set* (hub matrices plus
-/// one block), not the total index written — that is the point of the
-/// streamed path. `config.threads` parallelizes only the hub-side
-/// kernels; the per-block pipeline is sequential so at most one block
-/// is alive at a time.
+/// the block being written), not the total index written — that is the
+/// point of the streamed path. `config.threads` parallelizes the block
+/// stage of each run as well as the hub-side kernels.
 pub fn preprocess_to_disk(g: &Graph, config: &BearConfig, path: &Path) -> Result<()> {
+    preprocess_to_disk_in_runs(g, config, path, RUN_ROWS)
+}
+
+/// [`preprocess_to_disk`] with runs of `run_rows` rows.
+fn preprocess_to_disk_in_runs(
+    g: &Graph,
+    config: &BearConfig,
+    path: &Path,
+    run_rows: usize,
+) -> Result<()> {
     config.validate()?;
-    let n = g.num_nodes();
-    let threads = config.effective_threads();
-    let xi = config.drop_tolerance;
-
-    // Lines 1–4: same front as `preprocess_to_schur`.
-    let h = build_h(g, &config.rwr)?;
-    let mut sb_config = match config.slashburn_k {
-        Some(k) => SlashBurnConfig::with_k(k),
-        None => SlashBurnConfig::paper_default(n),
-    };
-    sb_config.sort_blocks_by_degree = config.sort_blocks_by_degree;
-    let ordering = slashburn(g, &sb_config)?;
-    let (n1, n2) = (ordering.n_spokes, ordering.n_hubs);
-    let h = ordering.perm.permute_symmetric(&h)?;
-    let h11 = h.submatrix(0, n1, 0, n1)?;
-    let mut h12 = h.submatrix(0, n1, n1, n)?;
-    let mut h21 = h.submatrix(n1, n, 0, n1)?;
-    let h22 = h.submatrix(n1, n, n1, n)?;
-    drop(h);
-    config.budget.check(h12.memory_bytes() + h21.memory_bytes())?;
-
-    // Same block-layout validation as `BlockDiagLu::factor`: an entry
-    // outside the claimed diagonal blocks would be silently dropped by
-    // the per-block submatrix slicing and corrupt the factors.
-    let total: usize = ordering.block_sizes.iter().sum();
-    if total != n1 {
-        return Err(Error::InvalidStructure(format!("block sizes sum to {total}, expected {n1}")));
-    }
-    let mut block_of = vec![0usize; n1];
-    let mut off = 0usize;
-    for (bid, &sz) in ordering.block_sizes.iter().enumerate() {
-        block_of[off..off + sz].fill(bid);
-        off += sz;
-    }
-    for (r, c, _) in h11.iter() {
-        if block_of[r] != block_of[c] {
-            return Err(Error::InvalidStructure(format!(
-                "entry ({r}, {c}) crosses block boundary"
-            )));
-        }
-    }
-
-    // Lines 5–6, fused per block: factor, invert, fold the block's Schur
-    // contribution (undropped factors — `Bear::new` sparsifies only
-    // after the Schur complement is formed), sparsify, stream the
-    // segment out, free the block.
     let mut writer = V3StreamWriter::create(path)?;
-    let mut schur = SchurAccumulator::new(n2);
-    let mut off = 0usize;
-    for &sz in &ordering.block_sizes {
-        let sub = h11.submatrix(off, off + sz, off, off + sz)?;
-        let lu = SparseLu::factor(&sub.to_csc())?;
-        let (l1b, u1b) = lu.invert_factors()?;
-        let h12b = h12.submatrix(off, off + sz, 0, n2)?;
-        let r1b = ops::spgemm(&l1b.to_csr(), &h12b)?;
-        let r2b = ops::spgemm(&u1b.to_csr(), &r1b)?;
-        schur.scatter_block(&h21, off, off + sz, &r2b)?;
-        let (l1b, u1b) = if xi > 0.0 {
-            (drop_tolerance_csc(&l1b, xi), drop_tolerance_csc(&u1b, xi))
-        } else {
-            (l1b, u1b)
-        };
-        config.budget.check(
-            h12.memory_bytes() + h21.memory_bytes() + l1b.memory_bytes() + u1b.memory_bytes(),
-        )?;
-        writer.write_segment(&FactorPair::new(l1b, u1b)?)?;
-        off += sz;
-    }
-    let r3 = schur.finish();
-    let mut s = ops::sub(&h22, &r3)?;
-
-    // Line 7: reorder hubs ascending by degree within S.
-    let hub_perm =
-        if config.reorder_hubs { hub_degree_ordering(&s) } else { Permutation::identity(n2) };
-    s = hub_perm.permute_symmetric(&s)?;
-    h12 = hub_perm.permute_cols(&h12)?;
-    h21 = hub_perm.permute_rows(&h21)?;
-    let mut full_forward: Vec<usize> = (0..n).collect();
-    for new_hub in 0..n2 {
-        full_forward[n1 + new_hub] = n1 + hub_perm.old_of(new_hub);
-    }
-    let hub_lift = Permutation::from_new_to_old(full_forward)?;
-    let perm = hub_lift.compose(&ordering.perm)?;
-
-    // Line 8: LU of S and inverted factors.
-    let s_lu = SparseLu::factor(&s.to_csc())?;
-    let l2_inv = par_invert_triangular(s_lu.l(), Triangle::Lower, true, threads)?;
-    let u2_inv = par_invert_triangular(s_lu.u(), Triangle::Upper, false, threads)?;
-
-    // Line 9 for the resident matrices (the segments are already
-    // sparsified per block above).
-    let (l2_inv, u2_inv, h12, h21) = if xi > 0.0 {
-        (
-            par_drop_tolerance_csc(&l2_inv, xi, threads)?,
-            par_drop_tolerance_csc(&u2_inv, xi, threads)?,
-            par_drop_tolerance_csr(&h12, xi, threads)?,
-            par_drop_tolerance_csr(&h21, xi, threads)?,
-        )
-    } else {
-        (l2_inv, u2_inv, h12, h21)
-    };
+    let mut reduced = reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut writer)?;
+    let (l2_inv, u2_inv) = reduced.factor_schur(config)?;
+    let Reduced { h12, h21, perm, n1, n2, block_sizes, .. } = &reduced;
     config.budget.check(
         l2_inv.memory_bytes() + u2_inv.memory_bytes() + h12.memory_bytes() + h21.memory_bytes(),
     )?;
-
-    let degrees = g.undirected_degrees();
     writer.finish(&ResidentParts {
-        n1,
-        n2,
+        n1: *n1,
+        n2: *n2,
         c: config.rwr.c,
-        perm: &perm,
-        block_sizes: &ordering.block_sizes,
-        degrees: &degrees,
+        perm,
+        block_sizes,
+        degrees: &g.undirected_degrees(),
         l2_inv: &l2_inv,
         u2_inv: &u2_inv,
-        h12: &h12,
-        h21: &h21,
+        h12,
+        h21,
     })
 }
 
@@ -496,65 +548,36 @@ pub struct Bear {
 impl Bear {
     /// Runs Algorithm 1 on `g`.
     pub fn new(g: &Graph, config: &BearConfig) -> Result<Self> {
+        Self::new_in_runs(g, config, RUN_ROWS)
+    }
+
+    /// [`Bear::new`] with runs of `run_rows` rows.
+    fn new_in_runs(g: &Graph, config: &BearConfig, run_rows: usize) -> Result<Self> {
         let start = Instant::now();
-        let parts = preprocess_to_schur(g, config)?;
-        let mut timings = parts.timings;
-        let threads = config.effective_threads();
-
-        // Line 8: LU of S and inverted factors. The factorization is
-        // inherently sequential (each column depends on the previous
-        // ones); the inversion is one independent solve per column and
-        // splits across the workers.
-        let stage = Instant::now();
-        let s_lu = SparseLu::factor(&parts.s.to_csc())?;
-        timings.factor_schur = stage.elapsed();
-        let stage = Instant::now();
-        let l2_inv = par_invert_triangular(s_lu.l(), Triangle::Lower, true, threads)?;
-        let u2_inv = par_invert_triangular(s_lu.u(), Triangle::Upper, false, threads)?;
-        timings.invert_schur = stage.elapsed();
-
-        // Line 9: drop tolerance (BEAR-Approx only); each of the six
-        // matrices is filtered in parallel row/column ranges.
-        let stage = Instant::now();
-        let xi = config.drop_tolerance;
-        let (l1_inv, u1_inv, l2_inv, u2_inv, h12, h21) = if xi > 0.0 {
-            (
-                par_drop_tolerance_csc(&parts.l1_inv, xi, threads)?,
-                par_drop_tolerance_csc(&parts.u1_inv, xi, threads)?,
-                par_drop_tolerance_csc(&l2_inv, xi, threads)?,
-                par_drop_tolerance_csc(&u2_inv, xi, threads)?,
-                par_drop_tolerance_csr(&parts.h12, xi, threads)?,
-                par_drop_tolerance_csr(&parts.h21, xi, threads)?,
-            )
-        } else {
-            (parts.l1_inv, parts.u1_inv, l2_inv, u2_inv, parts.h12, parts.h21)
-        };
-        timings.sparsify = stage.elapsed();
-        timings.total = start.elapsed();
-
-        let total_bytes = l1_inv.memory_bytes()
-            + u1_inv.memory_bytes()
-            + l2_inv.memory_bytes()
-            + u2_inv.memory_bytes()
-            + h12.memory_bytes()
-            + h21.memory_bytes();
-        config.budget.check(total_bytes)?;
-
-        Ok(Bear {
-            spokes: SpokeFactors::Resident { l1_inv, u1_inv },
+        let mut spokes = ResidentSpokes::default();
+        let mut reduced = reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut spokes)?;
+        let (l2_inv, u2_inv) = reduced.factor_schur(config)?;
+        reduced.timings.total = start.elapsed();
+        let bear = Bear {
+            spokes: SpokeFactors::Resident {
+                l1_inv: spokes.l1_inv.finish(),
+                u1_inv: spokes.u1_inv.finish(),
+            },
             l2_inv,
             u2_inv,
-            h12,
-            h21,
-            perm: parts.perm,
-            n1: parts.n1,
-            n2: parts.n2,
+            h12: reduced.h12,
+            h21: reduced.h21,
+            perm: reduced.perm,
+            n1: reduced.n1,
+            n2: reduced.n2,
             c: config.rwr.c,
-            block_sizes: parts.block_sizes,
-            degrees: parts.degrees,
-            timings,
+            block_sizes: reduced.block_sizes,
+            degrees: g.undirected_degrees(),
+            timings: reduced.timings,
             topk_bounds: std::sync::OnceLock::new(),
-        })
+        };
+        config.budget.check(bear.stats().bytes)?;
+        Ok(bear)
     }
 
     /// Number of nodes.
@@ -842,6 +865,121 @@ mod tests {
                 assert_bear_bit_identical(&serial, &parallel);
             }
         }
+    }
+
+    /// `runs` covers every block once, in order, and cuts a run before
+    /// it would pass the row target unless the run holds one block.
+    #[test]
+    fn runs_cover_the_blocks_in_order() {
+        let sizes = [3, 1, 1, 5, 2, 2, 1];
+        let cut = |target| runs(&sizes, target).collect::<Vec<_>>();
+        let starts = [0, 3, 4, 5, 10, 12, 14, 15];
+        let singles: Vec<_> = (0..7).map(|b| (b..b + 1, starts[b]..starts[b + 1])).collect();
+        assert_eq!(cut(1), singles);
+        assert_eq!(
+            cut(3),
+            vec![(0..1, 0..3), (1..3, 3..5), (3..4, 5..10), (4..5, 10..12), (5..7, 12..15)]
+        );
+        assert_eq!(cut(5), vec![(0..3, 0..5), (3..4, 5..10), (4..7, 10..15)]);
+        assert_eq!(cut(RUN_ROWS), vec![(0..7, 0..15)]);
+        assert_eq!(runs(&[], 4).count(), 0);
+    }
+
+    /// The corpus of the golden-bits suite (`tests/common/mod.rs`): a
+    /// seeded hub-and-spoke graph, a small R-MAT graph and a hand-built
+    /// graph with dangling nodes and self-loops. Each is smaller than one
+    /// default run.
+    fn golden_corpus() -> Vec<Graph> {
+        let hub_spoke = bear_graph::generators::hub_and_spoke(
+            &bear_graph::generators::HubSpokeConfig {
+                num_hubs: 5,
+                num_caves: 24,
+                max_cave_size: 8,
+                cave_density: 0.4,
+                hub_links: 2,
+                hub_density: 0.5,
+            },
+            &mut rand_rng(16),
+        );
+        let rmat = bear_graph::generators::rmat(
+            &bear_graph::generators::RmatConfig::paper(8, 1_200, 0.6),
+            &mut rand_rng(16),
+        );
+        let mut edges = vec![(0, 1), (1, 2), (2, 0), (1, 0)];
+        for cave in 0..8 {
+            let base = 3 + 8 * cave;
+            for u in base..base + 7 {
+                edges.push((u, u + 1));
+                edges.push((u + 1, u - usize::from(u > base)));
+            }
+            edges.push((base, cave % 3));
+            edges.push((cave % 3, base));
+        }
+        edges.extend((0..67).step_by(3).map(|u| (u, u)));
+        vec![hub_spoke, rmat, Graph::from_edges(67, &edges).unwrap()]
+    }
+
+    /// One hub and `chains` undirected chains of `len` nodes hanging off
+    /// it: many small spoke blocks.
+    fn hub_and_chains(chains: usize, len: usize) -> Graph {
+        let mut edges = Vec::new();
+        for ch in 0..chains {
+            let first = 1 + ch * len;
+            edges.push((0, first));
+            edges.extend((first..first + len - 1).map(|i| (i, i + 1)));
+        }
+        let sym: Vec<(usize, usize)> = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        Graph::from_edges(1 + chains * len, &sym).unwrap()
+    }
+
+    /// 1, 2, 4 and `BEAR_TEST_THREADS`.
+    fn test_threads() -> Vec<usize> {
+        let mut threads = vec![1usize, 2, 4];
+        let extra = std::env::var("BEAR_TEST_THREADS").ok().and_then(|v| v.trim().parse().ok());
+        if let Some(n) = extra.filter(|n| *n >= 1 && !threads.contains(n)) {
+            threads.push(n);
+        }
+        threads
+    }
+
+    /// Where one run ends and the next begins never shows in the index:
+    /// the v2 image of `Bear::new` + `save` and the v3 image of
+    /// `preprocess_to_disk` are byte-identical for runs of 1, 2 and 3
+    /// rows and the default, at every thread count, exact and with a
+    /// drop tolerance. Every corpus graph fits in one default run, so the
+    /// short runs are what put Schur folds, block stages and sink pushes
+    /// on both sides of a boundary.
+    #[test]
+    fn run_boundaries_leave_the_images_unchanged() {
+        let mut graphs = golden_corpus();
+        graphs.push(hub_and_chains(48, 30));
+        let scratch = |label: &str| {
+            std::env::temp_dir().join(format!("bear_runs_{}_{label}.idx", std::process::id()))
+        };
+        let (v2_path, v3_path) = (scratch("v2"), scratch("v3"));
+        for (gi, g) in graphs.iter().enumerate() {
+            for base in [BearConfig::exact(0.05), BearConfig::approx(0.05, 2e-2)] {
+                let mut want: Option<(Vec<u8>, Vec<u8>)> = None;
+                for run_rows in [RUN_ROWS, 1, 2, 3] {
+                    for &threads in &test_threads() {
+                        let cfg = BearConfig { threads, ..base };
+                        Bear::new_in_runs(g, &cfg, run_rows).unwrap().save(&v2_path).unwrap();
+                        preprocess_to_disk_in_runs(g, &cfg, &v3_path, run_rows).unwrap();
+                        let got =
+                            (std::fs::read(&v2_path).unwrap(), std::fs::read(&v3_path).unwrap());
+                        let want = want.get_or_insert_with(|| got.clone());
+                        let at = format!(
+                            "graph {gi}, xi {}, runs of {run_rows} rows, {threads} threads",
+                            base.drop_tolerance
+                        );
+                        assert!(got.0 == want.0, "v2 image differs: {at}");
+                        assert!(got.1 == want.1, "v3 image differs: {at}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&v3_path).ok();
     }
 
     #[test]

@@ -11,7 +11,10 @@ use std::time::Duration;
 /// `slashburn` (lines 2–3), `partition` (line 4), `factor_h11` /
 /// `invert_h11` (line 5), `schur` (lines 6–7, including the hub
 /// reordering), `factor_schur` / `invert_schur` (line 8), and `sparsify`
-/// (line 9, zero for BEAR-Exact).
+/// (line 9, zero for BEAR-Exact). The spoke blocks are factored,
+/// inverted and sparsified on the workers one block at a time, so the
+/// wall time of that stage is split among `factor_h11`, `invert_h11`
+/// and `sparsify` in proportion to the workers' time in each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Building `H = I − (1−c) Ãᵀ`.

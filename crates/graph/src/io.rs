@@ -2,6 +2,7 @@
 //! ship in: one `u v [w]` per line, `#` comments, blank lines ignored.
 
 use crate::graph::Graph;
+use bear_sparse::mem::MAX_DIM;
 use bear_sparse::{Error, Result};
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
@@ -34,7 +35,13 @@ pub fn parse_edge_list(text: &str, n: Option<usize>) -> Result<Graph> {
         max_id = max_id.max(u).max(v);
         edges.push((u, v, w));
     }
-    let n = n.unwrap_or(if edges.is_empty() { 0 } else { max_id + 1 });
+    let n = match n {
+        Some(n) => n,
+        None if edges.is_empty() => 0,
+        None => max_id.checked_add(1).filter(|&n| n <= MAX_DIM).ok_or_else(|| {
+            Error::InvalidStructure(format!("node id {max_id} is too large for a node count"))
+        })?,
+    };
     Graph::from_weighted_edges(n, &edges)
 }
 
@@ -108,6 +115,49 @@ mod tests {
         let back = read_edge_list(&path, Some(4)).unwrap();
         assert_eq!(back, g);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every mutation of a valid edge list — truncation at each offset,
+    /// each byte replaced, and extreme ids and weights spliced in — parses
+    /// to a graph or fails with a typed error; none panics. Ids stay small
+    /// enough that the inferred node count is at most 10⁶.
+    #[test]
+    fn mutated_edge_lists_never_panic() {
+        let base = "# nodes 5\n0 1\n1 2 0.5\n2 0\n% c\n3 4 2\n4 4\n";
+        let parse = |text: &str| {
+            if let Ok(g) = parse_edge_list(text, None) {
+                assert!(g.num_nodes() <= 1_000_000, "{text:?}");
+            }
+        };
+        for k in 0..=base.len() {
+            parse(&base[..k]);
+        }
+        for i in 0..base.len() {
+            for b in [b'0', b'9', b'-', b'.', b' ', b'\n', b'#', b'x', b'e'] {
+                let mut bytes = base.as_bytes().to_vec();
+                bytes[i] = b;
+                parse(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+        let extremes = [
+            "18446744073709551615",
+            "18446744073709551614",
+            "-1",
+            "-0",
+            "NaN",
+            "inf",
+            "-inf",
+            "1e308",
+        ];
+        for x in extremes {
+            for line in [format!("{x} 1"), format!("0 {x}"), format!("0 1 {x}")] {
+                parse(&format!("{base}{line}\n"));
+            }
+        }
+        for line in ["18446744073709551615 0", "0 18446744073709551614"] {
+            let err = parse_edge_list(line, None).unwrap_err();
+            assert!(matches!(err, Error::InvalidStructure(_)), "{line}: {err:?}");
+        }
     }
 
     #[test]

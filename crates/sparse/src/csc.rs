@@ -137,15 +137,11 @@ impl CscMatrix {
 
     /// Converts to CSR (O(nnz) reshuffle).
     pub fn to_csr(&self) -> CsrMatrix {
-        // A CSC matrix's arrays are exactly the CSR arrays of its transpose.
-        let t = CsrMatrix::from_raw_unchecked(
-            self.ncols,
-            self.nrows,
-            self.indptr.clone(),
-            self.indices.clone(),
-            self.values.clone(),
-        );
-        t.transpose()
+        // A CSC matrix's arrays are exactly the CSR arrays of its
+        // transpose, so transposing them gives this matrix by rows.
+        let (indptr, indices, values) =
+            crate::csr::transpose_parts(self.nrows, &self.indptr, &self.indices, &self.values);
+        CsrMatrix::from_raw_unchecked(self.nrows, self.ncols, indptr, indices, values)
     }
 
     /// `y = A x`.

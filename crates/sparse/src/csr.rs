@@ -322,28 +322,9 @@ impl CsrMatrix {
 
     /// Materialized transpose, still in CSR.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
-            counts[c + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            counts[i + 1] += counts[i];
-        }
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0f64; self.nnz()];
-        let mut next = counts.clone();
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let slot = next[c];
-                indices[slot] = r;
-                values[slot] = v;
-                next[c] += 1;
-            }
-        }
-        // Row order within each output row is ascending because we scanned
-        // input rows in ascending order.
-        CsrMatrix::from_raw_unchecked(self.ncols, self.nrows, counts, indices, values)
+        let (indptr, indices, values) =
+            transpose_parts(self.ncols, &self.indptr, &self.indices, &self.values);
+        CsrMatrix::from_raw_unchecked(self.ncols, self.nrows, indptr, indices, values)
     }
 
     /// Reinterprets this CSR matrix as CSC of the same logical matrix
@@ -526,6 +507,38 @@ pub(crate) fn apply_compressed_mutation(
             None => false,
         },
     }
+}
+
+/// Transposes compressed arrays: given the row pointers, column indices
+/// and values of a matrix with `ncols` columns, returns those of its
+/// transpose. Read as CSC arrays, the input gives the matrix by rows.
+pub(crate) fn transpose_parts(
+    ncols: usize,
+    indptr: &[usize],
+    indices: &[usize],
+    values: &[f64],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut counts = vec![0usize; ncols + 1];
+    for &c in indices {
+        counts[c + 1] += 1;
+    }
+    for i in 0..ncols {
+        counts[i + 1] += counts[i];
+    }
+    let mut out_indices = vec![0usize; indices.len()];
+    let mut out_values = vec![0f64; values.len()];
+    let mut next = counts.clone();
+    for (r, span) in indptr.windows(2).enumerate() {
+        for (&c, &v) in indices[span[0]..span[1]].iter().zip(&values[span[0]..span[1]]) {
+            let slot = next[c];
+            out_indices[slot] = r;
+            out_values[slot] = v;
+            next[c] += 1;
+        }
+    }
+    // Indices within each output row are ascending because the input rows
+    // were scanned in ascending order.
+    (counts, out_indices, out_values)
 }
 
 #[cfg(test)]

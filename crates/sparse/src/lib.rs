@@ -51,7 +51,7 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Error, Result};
-pub use lu::{BlockDiagLu, DenseLu, SparseLu};
+pub use lu::{BlockDiagBuilder, DenseLu, SparseLu};
 pub use mem::MemoryUsage;
 pub use perm::Permutation;
 pub use validate::Invariant;

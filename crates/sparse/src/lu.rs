@@ -3,6 +3,7 @@
 //! produces), and block-diagonal assembly (Lemma 1 of the BEAR paper).
 
 use crate::csc::CscMatrix;
+use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{Error, Result};
 use crate::triangular::{invert_triangular, Triangle};
@@ -419,33 +420,23 @@ impl SparseLu {
 }
 
 // ---------------------------------------------------------------------------
-// Block-diagonal LU (Lemma 1)
+// Block-diagonal LU (Lemma 1): the L/U factors (and their inverses) of a
+// block-diagonal matrix are block-diagonal with the same block layout, so
+// each diagonal block is factored on its own and the results are placed
+// back along the diagonal.
 // ---------------------------------------------------------------------------
-
-/// LU of a block-diagonal matrix, factored block by block.
-///
-/// Lemma 1 of the paper: the L/U factors (and their inverses) of a
-/// block-diagonal matrix are themselves block-diagonal with the same block
-/// layout, so each diagonal block can be processed independently.
-#[derive(Debug, Clone)]
-pub struct BlockDiagLu {
-    /// Per-block factorizations paired with their starting offset.
-    blocks: Vec<(usize, SparseLu)>,
-    /// Total dimension.
-    dim: usize,
-}
 
 /// Validates the block layout of `a` against `block_sizes` (square, sizes
 /// summing to the dimension, no entry crossing a block boundary) and
 /// returns each block's starting offset.
 ///
 /// Entries outside the claimed diagonal blocks are rejected: silently
-/// dropping them would make `BlockDiagLu::solve` return wrong results.
-fn validate_block_layout(a: &CscMatrix, block_sizes: &[usize]) -> Result<Vec<usize>> {
+/// dropping them would make a per-block factorization wrong.
+pub fn validate_block_layout(a: &CsrMatrix, block_sizes: &[usize]) -> Result<Vec<usize>> {
     let n = a.ncols();
     if a.nrows() != n {
         return Err(Error::DimensionMismatch {
-            op: "block diag lu",
+            op: "block layout",
             lhs: (a.nrows(), a.ncols()),
             rhs: (n, n),
         });
@@ -471,146 +462,6 @@ fn validate_block_layout(a: &CscMatrix, block_sizes: &[usize]) -> Result<Vec<usi
         }
     }
     Ok(offsets)
-}
-
-impl BlockDiagLu {
-    /// Factors a block-diagonal matrix given as the full CSC matrix plus
-    /// the list of block sizes (which must sum to the dimension).
-    ///
-    /// Entries outside the claimed diagonal blocks are rejected: silently
-    /// dropping them would make `solve` return wrong results.
-    pub fn factor(a: &CscMatrix, block_sizes: &[usize]) -> Result<Self> {
-        let offsets = validate_block_layout(a, block_sizes)?;
-        let csr = a.to_csr();
-        let mut blocks = Vec::with_capacity(block_sizes.len());
-        for (bid, &sz) in block_sizes.iter().enumerate() {
-            let off = offsets[bid];
-            let sub = csr.submatrix(off, off + sz, off, off + sz)?;
-            let lu = SparseLu::factor(&sub.to_csc())?;
-            blocks.push((off, lu));
-        }
-        Ok(BlockDiagLu { blocks, dim: a.ncols() })
-    }
-
-    /// Parallel [`BlockDiagLu::factor`]: the independent diagonal blocks
-    /// (Lemma 1) are scheduled across `threads` scoped workers.
-    ///
-    /// Scheduling is cost-aware: blocks are weighted by `size²` and
-    /// chunked largest-first with [`crate::parallel::balance_by_cost`],
-    /// so one giant block cannot serialize the whole factorization behind
-    /// a thread that also owns half the small blocks. Results are
-    /// stitched back in block order, making the output bit-identical to
-    /// the serial path for every thread count.
-    pub fn par_factor(a: &CscMatrix, block_sizes: &[usize], threads: usize) -> Result<Self> {
-        if threads.max(1) <= 1 || block_sizes.len() <= 1 {
-            return Self::factor(a, block_sizes);
-        }
-        let offsets = validate_block_layout(a, block_sizes)?;
-        let csr = a.to_csr();
-        let costs: Vec<u128> =
-            block_sizes.iter().map(|&s| (s as u128).saturating_mul(s as u128)).collect();
-        let chunks = crate::parallel::balance_by_cost(&costs, threads);
-        let per_chunk =
-            crate::parallel::run_chunked(chunks, "block_diag_lu::par_factor", |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|bid| {
-                        let (off, sz) = (offsets[bid], block_sizes[bid]);
-                        let sub = csr.submatrix(off, off + sz, off, off + sz)?;
-                        Ok((bid, SparseLu::factor(&sub.to_csc())?))
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?;
-        // Stitch in block order.
-        let mut slots: Vec<Option<SparseLu>> = (0..block_sizes.len()).map(|_| None).collect();
-        for (bid, lu) in per_chunk.into_iter().flatten() {
-            slots[bid] = Some(lu);
-        }
-        let blocks = offsets
-            .into_iter()
-            .zip(slots)
-            .map(|(off, lu)| (off, lu.expect("every block factored exactly once")))
-            .collect();
-        Ok(BlockDiagLu { blocks, dim: a.ncols() })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of diagonal blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Solves `A x = b` block by block.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.dim {
-            return Err(Error::DimensionMismatch {
-                op: "block diag solve",
-                lhs: (self.dim, self.dim),
-                rhs: (b.len(), 1),
-            });
-        }
-        let mut x = vec![0.0; self.dim];
-        for (off, lu) in &self.blocks {
-            let n = lu.dim();
-            let sol = lu.solve(&b[*off..*off + n])?;
-            x[*off..*off + n].copy_from_slice(&sol);
-        }
-        Ok(x)
-    }
-
-    /// Materializes block-diagonal `L⁻¹` and `U⁻¹` by inverting each
-    /// block's factors and concatenating them along the diagonal.
-    pub fn invert_factors(&self) -> Result<(CscMatrix, CscMatrix)> {
-        let mut linvs = Vec::with_capacity(self.blocks.len());
-        let mut uinvs = Vec::with_capacity(self.blocks.len());
-        for (_, lu) in &self.blocks {
-            let (li, ui) = lu.invert_factors()?;
-            linvs.push(li);
-            uinvs.push(ui);
-        }
-        Ok((block_diag_concat(&linvs, self.dim), block_diag_concat(&uinvs, self.dim)))
-    }
-
-    /// Parallel [`BlockDiagLu::invert_factors`]: per-block triangular
-    /// inversions scheduled across `threads` workers with the same
-    /// `size²` cost model as [`BlockDiagLu::par_factor`], concatenated in
-    /// block order so the result is bit-identical to the serial path.
-    pub fn par_invert_factors(&self, threads: usize) -> Result<(CscMatrix, CscMatrix)> {
-        if threads.max(1) <= 1 || self.blocks.len() <= 1 {
-            return self.invert_factors();
-        }
-        let costs: Vec<u128> = self
-            .blocks
-            .iter()
-            .map(|(_, lu)| (lu.dim() as u128).saturating_mul(lu.dim() as u128))
-            .collect();
-        let chunks = crate::parallel::balance_by_cost(&costs, threads);
-        let per_chunk =
-            crate::parallel::run_chunked(chunks, "block_diag_lu::par_invert_factors", |chunk| {
-                chunk
-                    .into_iter()
-                    .map(|bid| {
-                        let (li, ui) = self.blocks[bid].1.invert_factors()?;
-                        Ok((bid, li, ui))
-                    })
-                    .collect::<Result<Vec<_>>>()
-            })?;
-        let mut linvs: Vec<Option<CscMatrix>> = (0..self.blocks.len()).map(|_| None).collect();
-        let mut uinvs: Vec<Option<CscMatrix>> = (0..self.blocks.len()).map(|_| None).collect();
-        for (bid, li, ui) in per_chunk.into_iter().flatten() {
-            linvs[bid] = Some(li);
-            uinvs[bid] = Some(ui);
-        }
-        let linvs: Vec<CscMatrix> =
-            linvs.into_iter().map(|m| m.expect("every block inverted exactly once")).collect();
-        let uinvs: Vec<CscMatrix> =
-            uinvs.into_iter().map(|m| m.expect("every block inverted exactly once")).collect();
-        Ok((block_diag_concat(&linvs, self.dim), block_diag_concat(&uinvs, self.dim)))
-    }
 }
 
 impl Invariant for SparseLu {
@@ -652,55 +503,69 @@ impl Invariant for SparseLu {
     }
 }
 
-impl Invariant for BlockDiagLu {
-    fn validate(&self) -> Result<()> {
-        let mut expected_off = 0;
-        for (off, lu) in &self.blocks {
-            if *off != expected_off {
-                return Err(Error::InvalidStructure(format!(
-                    "block offset {off} != running width sum {expected_off}"
-                )));
-            }
-            lu.validate()?;
-            expected_off += lu.dim();
+/// Builds a block-diagonal CSC matrix one square block at a time: each
+/// pushed block lands on the diagonal right after the previous one.
+#[derive(Debug, Clone)]
+pub struct BlockDiagBuilder {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Default for BlockDiagBuilder {
+    fn default() -> Self {
+        BlockDiagBuilder { indptr: vec![0], indices: Vec::new(), values: Vec::new() }
+    }
+}
+
+impl BlockDiagBuilder {
+    /// Dimension placed so far.
+    pub fn dim(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
+    /// Appends the square `block` at offset [`BlockDiagBuilder::dim`].
+    pub fn push(&mut self, block: &CscMatrix) {
+        debug_assert_eq!(block.nrows(), block.ncols());
+        let off = self.dim();
+        for c in 0..block.ncols() {
+            let (rows, vals) = block.col(c);
+            self.indices.extend(rows.iter().map(|&r| r + off));
+            self.values.extend_from_slice(vals);
+            self.indptr.push(self.indices.len());
         }
-        if expected_off != self.dim {
-            return Err(Error::InvalidStructure(format!(
-                "block widths sum to {expected_off}, expected partition dimension {}",
-                self.dim
-            )));
-        }
-        Ok(())
+    }
+
+    /// The finished `dim × dim` matrix.
+    pub fn finish(self) -> CscMatrix {
+        let dim = self.dim();
+        CscMatrix::from_raw_unchecked(dim, dim, self.indptr, self.indices, self.values)
+    }
+}
+
+impl crate::mem::MemoryUsage for BlockDiagBuilder {
+    /// What [`BlockDiagBuilder::finish`] would report: the matrix placed
+    /// so far in CSC storage.
+    fn memory_bytes(&self) -> usize {
+        crate::mem::sparse_bytes(self.dim(), self.indices.len())
     }
 }
 
 /// Concatenates square CSC matrices along the diagonal into one CSC matrix
 /// of dimension `dim` (which must equal the sum of block dimensions).
 pub fn block_diag_concat(blocks: &[CscMatrix], dim: usize) -> CscMatrix {
-    debug_assert_eq!(blocks.iter().map(|b| b.ncols()).sum::<usize>(), dim);
-    let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
-    let mut indptr = Vec::with_capacity(dim + 1);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    indptr.push(0);
-    let mut off = 0;
+    let mut out = BlockDiagBuilder::default();
     for b in blocks {
-        for c in 0..b.ncols() {
-            let (rows, vals) = b.col(c);
-            indices.extend(rows.iter().map(|&r| r + off));
-            values.extend_from_slice(vals);
-            indptr.push(indices.len());
-        }
-        off += b.ncols();
+        out.push(b);
     }
-    CscMatrix::from_raw_unchecked(dim, dim, indptr, indices, values)
+    debug_assert_eq!(out.dim(), dim);
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-    use crate::csr::CsrMatrix;
     use crate::ops::spgemm;
 
     fn dense_to_csc(d: &DenseMatrix) -> CscMatrix {
@@ -815,37 +680,14 @@ mod tests {
     }
 
     #[test]
-    fn block_diag_lu_matches_whole_matrix_lu() {
-        // Two blocks of sizes 2 and 3, all diagonally dominant.
-        let mut coo = CooMatrix::new(5, 5);
-        for i in 0..5 {
-            coo.push(i, i, 5.0);
-        }
-        coo.push(0, 1, 1.0);
-        coo.push(1, 0, -1.0);
-        coo.push(2, 3, 0.5);
-        coo.push(3, 4, -0.5);
-        coo.push(4, 2, 1.0);
-        let a = coo.to_csr().to_csc();
-        let block_lu = BlockDiagLu::factor(&a, &[2, 3]).unwrap();
-        let whole_lu = SparseLu::factor(&a).unwrap();
-        let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let xb = block_lu.solve(&b).unwrap();
-        let xw = whole_lu.solve(&b).unwrap();
-        for (p, q) in xb.iter().zip(&xw) {
-            assert!((p - q).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn block_diag_lu_rejects_cross_block_entries() {
+    fn block_layout_rejects_cross_block_entries() {
         let mut coo = CooMatrix::new(4, 4);
         for i in 0..4 {
             coo.push(i, i, 2.0);
         }
+        assert_eq!(validate_block_layout(&coo.to_csr(), &[1, 2, 1]).unwrap(), vec![0, 1, 3]);
         coo.push(0, 3, 1.0); // crosses the 2|2 boundary
-        let a = coo.to_csr().to_csc();
-        assert!(BlockDiagLu::factor(&a, &[2, 2]).is_err());
+        assert!(validate_block_layout(&coo.to_csr(), &[2, 2]).is_err());
     }
 
     #[test]
@@ -858,10 +700,16 @@ mod tests {
         }
         coo.push(1, 0, 1.0);
         coo.push(2, 3, -1.0);
-        let a = coo.to_csr().to_csc();
-        let block_lu = BlockDiagLu::factor(&a, &[2, 2]).unwrap();
-        let (bl, bu) = block_lu.invert_factors().unwrap();
-        let whole = SparseLu::factor(&a).unwrap();
+        let a = coo.to_csr();
+        let (mut bl, mut bu) = (BlockDiagBuilder::default(), BlockDiagBuilder::default());
+        for off in [0, 2] {
+            let block = a.submatrix(off, off + 2, off, off + 2).unwrap().to_csc();
+            let (l, u) = SparseLu::factor(&block).unwrap().invert_factors().unwrap();
+            bl.push(&l);
+            bu.push(&u);
+        }
+        let (bl, bu) = (bl.finish(), bu.finish());
+        let whole = SparseLu::factor(&a.to_csc()).unwrap();
         let (wl, wu) = whole.invert_factors().unwrap();
         assert!(bl.to_csr().approx_eq(&wl.to_csr(), 1e-12));
         assert!(bu.to_csr().approx_eq(&wu.to_csr(), 1e-12));
@@ -873,72 +721,9 @@ mod tests {
 
     #[test]
     fn block_sizes_must_sum_to_dim() {
-        let a = CscMatrix::identity(4);
-        assert!(BlockDiagLu::factor(&a, &[2, 1]).is_err());
-        assert!(BlockDiagLu::par_factor(&a, &[2, 1], 4).is_err());
-    }
-
-    /// Diagonally dominant block-diagonal matrix with heterogeneous block
-    /// sizes (one big block plus many small ones — the shape SlashBurn
-    /// produces, and the one that exercises cost-aware chunking).
-    fn random_block_diag(block_sizes: &[usize], seed: u64) -> CscMatrix {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n: usize = block_sizes.iter().sum();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut coo = CooMatrix::new(n, n);
-        let mut off = 0;
-        for &sz in block_sizes {
-            for i in 0..sz {
-                let mut row_sum = 0.0;
-                for j in 0..sz {
-                    if i != j && rng.gen_bool(0.4) {
-                        let v: f64 = rng.gen_range(-1.0..1.0);
-                        coo.push(off + i, off + j, v);
-                        row_sum += v.abs();
-                    }
-                }
-                coo.push(off + i, off + i, row_sum + 1.0);
-            }
-            off += sz;
-        }
-        coo.to_csr().to_csc()
-    }
-
-    #[test]
-    fn par_factor_bit_identical_to_serial() {
-        let sizes = [7usize, 1, 3, 12, 2, 2, 5, 1, 1, 4];
-        let a = random_block_diag(&sizes, 11);
-        let serial = BlockDiagLu::factor(&a, &sizes).unwrap();
-        let (sl, su) = serial.invert_factors().unwrap();
-        for threads in [1, 2, 3, 4, 8] {
-            let par = BlockDiagLu::par_factor(&a, &sizes, threads).unwrap();
-            assert_eq!(par.num_blocks(), serial.num_blocks());
-            // Factors and their inverses are bit-identical: same indptr,
-            // indices, and values, not just numerically close.
-            let (pl, pu) = par.invert_factors().unwrap();
-            assert_eq!(pl, sl);
-            assert_eq!(pu, su);
-            let (ppl, ppu) = par.par_invert_factors(threads).unwrap();
-            assert_eq!(ppl, sl);
-            assert_eq!(ppu, su);
-            // Solves agree exactly as well.
-            let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64).cos()).collect();
-            assert_eq!(par.solve(&b).unwrap(), serial.solve(&b).unwrap());
-        }
-    }
-
-    #[test]
-    fn par_factor_propagates_singular_block() {
-        // Second block singular (zero column).
-        let mut coo = CooMatrix::new(4, 4);
-        coo.push(0, 0, 2.0);
-        coo.push(1, 1, 2.0);
-        coo.push(2, 2, 1.0);
-        // Column 3 is empty -> singular.
-        let a = coo.to_csr().to_csc();
-        let err = BlockDiagLu::par_factor(&a, &[2, 2], 2).unwrap_err();
-        assert!(matches!(err, Error::SingularMatrix { .. }), "got {err:?}");
+        let a = CsrMatrix::identity(4);
+        assert!(validate_block_layout(&a, &[2, 1]).is_err());
+        assert!(validate_block_layout(&CsrMatrix::zeros(4, 3), &[4]).is_err());
     }
 
     #[test]

@@ -15,6 +15,10 @@ use crate::error::{Error, Result};
 pub const INDEX_BYTES: usize = std::mem::size_of::<usize>();
 /// Size of one stored value in bytes.
 pub const VALUE_BYTES: usize = std::mem::size_of::<f64>();
+/// Largest matrix dimension whose compressed-format pointer array
+/// (`dim + 1` indices) has a byte size `Vec` can represent. Parsers
+/// reject a larger dimension as malformed instead of overflowing.
+pub const MAX_DIM: usize = isize::MAX as usize / INDEX_BYTES - 1;
 
 /// Types that can report the bytes they occupy in their storage format.
 pub trait MemoryUsage {

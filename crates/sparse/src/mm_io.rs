@@ -8,6 +8,7 @@
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::{Error, Result};
+use crate::mem::MAX_DIM;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
@@ -61,8 +62,13 @@ pub fn parse_matrix_market(text: &str) -> Result<CsrMatrix> {
         return Err(Error::InvalidStructure(format!("bad size line: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if nrows > MAX_DIM || ncols > MAX_DIM {
+        return Err(Error::InvalidStructure(format!("dimensions too large: {size_line}")));
+    }
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
+    // The header's count is untrusted: reserve no more entries than the
+    // text can hold (each takes at least "r c" and a line break).
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz.min(text.len() / 4 + 1));
     let mut read = 0usize;
     for line in lines {
         let t = line.trim();
@@ -79,9 +85,11 @@ pub fn parse_matrix_market(text: &str) -> Result<CsrMatrix> {
             .and_then(|x| x.parse().ok())
             .ok_or_else(|| Error::InvalidStructure(format!("bad entry: {t}")))?;
         let v: f64 = match parts.next() {
-            Some(x) => {
-                x.parse().map_err(|_| Error::InvalidStructure(format!("bad value in: {t}")))?
-            }
+            Some(x) => x
+                .parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or_else(|| Error::InvalidStructure(format!("bad value in: {t}")))?,
             None => 1.0, // pattern-ish files
         };
         if r == 0 || c == 0 || r > nrows || c > ncols {
@@ -193,6 +201,53 @@ mod tests {
         // Zero-based index (MM is 1-based).
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n";
         assert!(parse_matrix_market(text).is_err());
+    }
+
+    /// Every mutation of a valid file — truncation at each offset, each
+    /// byte replaced, and extreme dimensions, counts, indices and values
+    /// spliced in — parses or fails with a typed error; none panics, and
+    /// a huge header count never becomes a huge reservation.
+    #[test]
+    fn mutated_files_never_panic() {
+        let head = "%%MatrixMarket matrix coordinate real general\n% c\n";
+        let base = format!("{head}3 4 3\n1 1 1.5\n2 3 -2.0\n3 4 0.25\n");
+        let parse = |text: &str| {
+            if let Ok(m) = parse_matrix_market(text) {
+                assert!(m.nrows() <= 1_000_000 && m.ncols() <= 1_000_000, "{text:?}");
+            }
+        };
+        for k in 0..=base.len() {
+            parse(&base[..k]);
+        }
+        for i in 0..base.len() {
+            for b in [b'0', b'9', b'-', b'.', b' ', b'\n', b'%', b'x', b'e'] {
+                let mut bytes = base.as_bytes().to_vec();
+                bytes[i] = b;
+                parse(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+        // Dimensions that overflow a row pointer, counts no text can
+        // hold, and ids and values that are no numbers at all.
+        let entries = "1 1 1.5\n2 3 -2.0\n3 4 0.25\n";
+        let huge = ["18446744073709551615", "2305843009213693952", "-1", "NaN", "inf", "-inf"];
+        for x in huge {
+            for size in [format!("{x} 4 3"), format!("3 {x} 3"), format!("3 4 {x}")] {
+                assert!(
+                    parse_matrix_market(&format!("{head}{size}\n{entries}")).is_err(),
+                    "{size}"
+                );
+            }
+            for entry in [format!("{x} 1 1.0"), format!("1 {x} 1.0")] {
+                assert!(
+                    parse_matrix_market(&format!("{head}3 4 1\n{entry}\n")).is_err(),
+                    "{entry}"
+                );
+            }
+        }
+        assert!(parse_matrix_market(&format!("{head}3 4 10000000000000\n{entries}")).is_err());
+        for v in ["NaN", "inf", "-inf"] {
+            assert!(parse_matrix_market(&format!("{head}3 4 1\n1 1 {v}\n")).is_err(), "{v}");
+        }
     }
 
     #[test]

@@ -6,4 +6,4 @@ mod stack;
 
 pub use add::{add, axpby, sub};
 pub use spgemm::spgemm;
-pub use stack::{block2x2, hstack, vstack};
+pub use stack::{block2x2, block_diag, hstack, vstack};

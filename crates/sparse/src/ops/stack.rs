@@ -1,5 +1,6 @@
 //! Block stacking of sparse matrices (used to reassemble partitioned
-//! systems in tests and in the block-diagonal LU machinery).
+//! systems in tests and to lay a run of `H₁₁`'s inverted diagonal blocks
+//! out for the Schur product).
 
 use crate::csr::CsrMatrix;
 use crate::error::{Error, Result};
@@ -58,6 +59,32 @@ pub fn hstack(left: &CsrMatrix, right: &CsrMatrix) -> Result<CsrMatrix> {
     Ok(CsrMatrix::from_raw_unchecked(left.nrows(), ncols, indptr, indices, values))
 }
 
+/// Places square `blocks` along the diagonal, each starting where the
+/// previous one ends.
+pub fn block_diag<'a>(blocks: impl IntoIterator<Item = &'a CsrMatrix>) -> Result<CsrMatrix> {
+    let mut indptr = vec![0];
+    let mut indices = Vec::new();
+    let mut values = Vec::new();
+    let mut off = 0;
+    for b in blocks {
+        if b.nrows() != b.ncols() {
+            return Err(Error::DimensionMismatch {
+                op: "block_diag",
+                lhs: (b.nrows(), b.ncols()),
+                rhs: (b.nrows(), b.nrows()),
+            });
+        }
+        for r in 0..b.nrows() {
+            let (cols, vals) = b.row(r);
+            indices.extend(cols.iter().map(|&c| c + off));
+            values.extend_from_slice(vals);
+            indptr.push(indices.len());
+        }
+        off += b.nrows();
+    }
+    Ok(CsrMatrix::from_raw_unchecked(off, off, indptr, indices, values))
+}
+
 /// Assembles the 2×2 block matrix `[[a11, a12], [a21, a22]]`.
 pub fn block2x2(
     a11: &CsrMatrix,
@@ -108,6 +135,18 @@ mod tests {
         let a22 = a.submatrix(2, 3, 2, 3).unwrap();
         let whole = block2x2(&a11, &a12, &a21, &a22).unwrap();
         assert_eq!(whole, a);
+    }
+
+    #[test]
+    fn block_diag_offsets_each_block() {
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 1, 2.0);
+        coo.push(1, 0, 3.0);
+        let d = block_diag(&[CsrMatrix::identity(1), coo.to_csr()]).unwrap();
+        assert_eq!((d.nrows(), d.ncols(), d.nnz()), (3, 3, 3));
+        assert_eq!((d.get(0, 0), d.get(1, 2), d.get(2, 1)), (1.0, 2.0, 3.0));
+        assert!(block_diag(&[CsrMatrix::zeros(1, 2)]).is_err());
+        assert_eq!(block_diag(&[]).unwrap().nrows(), 0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! BEAR's preprocessing is dominated by per-column / per-block
 //! computations that are independent of each other — triangular-factor
 //! inversion (one sparse solve per column), SpGEMM (one accumulator pass
-//! per row), block-diagonal LU (one factorization per block), and
-//! drop-tolerance sparsification (one filter pass per row/column) — so
+//! per row), block-diagonal LU (one factorization and inversion per
+//! block), and drop-tolerance sparsification (one filter pass per
+//! row/column) — so
 //! all of them scale nearly linearly with threads by splitting the work
 //! into chunks over `std::thread::scope`. Results are stitched back in
 //! input order, so every parallel kernel is **bit-identical** to its
@@ -20,7 +21,9 @@
 //! * [`balance_by_cost`] — greedy LPT (longest-processing-time-first)
 //!   chunking for heterogeneous items, e.g. diagonal blocks of `H₁₁`
 //!   whose factorization cost grows like `size²`; the largest blocks are
-//!   placed first and chunks are balanced by total cost.
+//!   placed first and chunks are balanced by total cost. [`run_by_cost`]
+//!   runs items on that schedule and returns their results in item
+//!   order.
 //!
 //! [`run_chunked`] is the shared execution core: it runs the first chunk
 //! on the calling thread and the others on scoped helper threads, joins
@@ -88,6 +91,35 @@ pub fn balance_by_cost(costs: &[u128], parts: usize) -> Vec<Vec<usize>> {
     }
     chunks.retain(|c| !c.is_empty());
     chunks
+}
+
+/// Runs `work` on every item `0..costs.len()` and returns the results in
+/// item order. The items are spread over at most `threads` workers by
+/// [`balance_by_cost`] (largest first) and run through [`run_chunked`],
+/// so each result is computed by exactly the code a serial loop would
+/// run, whatever the thread count.
+pub fn run_by_cost<T, F>(
+    costs: &[u128],
+    threads: usize,
+    kernel: &'static str,
+    work: F,
+) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T> + Sync,
+{
+    let chunks = balance_by_cost(costs, threads);
+    let per_chunk = run_chunked(chunks, kernel, |chunk| {
+        chunk.into_iter().map(|i| Ok((i, work(i)?))).collect::<Result<Vec<_>>>()
+    })?;
+    let mut slots: Vec<Option<T>> = (0..costs.len()).map(|_| None).collect();
+    for (i, result) in per_chunk.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
+    Ok(slots
+        .into_iter()
+        .map(|slot| slot.expect("balance_by_cost places every item once"))
+        .collect())
 }
 
 /// Extracts a printable message from a panic payload.
@@ -379,6 +411,27 @@ mod tests {
         let mut seen: Vec<usize> = chunks.iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    /// Results come back in item order for every thread count, and the
+    /// earliest failing item's error wins when one worker runs it.
+    #[test]
+    fn run_by_cost_returns_item_order() {
+        let costs = [9u128, 1, 4, 16, 1, 25, 9, 4];
+        for threads in [1, 2, 3, 8] {
+            let out = run_by_cost(&costs, threads, "test", |i| Ok(i * 10)).unwrap();
+            assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+        }
+        let err = run_by_cost(&costs, 1, "test", |i| {
+            if i >= 3 {
+                Err(Error::SingularMatrix { at: i })
+            } else {
+                Ok(i)
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, Error::SingularMatrix { at: 3 });
+        assert!(run_by_cost(&[], 4, "test", Ok).unwrap().is_empty());
     }
 
     #[test]

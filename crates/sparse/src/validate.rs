@@ -168,7 +168,6 @@ mod tests {
     use crate::coo::CooMatrix;
     use crate::csr::CsrMatrix;
     use crate::dense::DenseMatrix;
-    use crate::lu::BlockDiagLu;
     use crate::perm::Permutation;
 
     fn sample() -> CsrMatrix {
@@ -257,19 +256,6 @@ mod tests {
             matches!(&err, Error::InvalidStructure(msg) if msg.contains("exceeds nnz")),
             "unexpected error: {err}"
         );
-    }
-
-    #[test]
-    fn block_diag_lu_validates() {
-        // Two 1x1 blocks and one 2x2 block, diagonally dominant.
-        let mut coo = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, 4.0);
-        }
-        coo.push(2, 3, 1.0);
-        coo.push(3, 2, 1.0);
-        let lu = BlockDiagLu::factor(&coo.to_csr().to_csc(), &[1, 1, 2]).unwrap();
-        assert!(lu.validate().is_ok());
     }
 
     #[test]

@@ -200,3 +200,66 @@ fn pruned_top_k_fallback_is_typed_and_exact() {
         assert_eq!(a.score.to_bits(), b.score.to_bits());
     }
 }
+
+/// Graphs whose SlashBurn partition is degenerate, by name: one without
+/// edges, one with duplicate edges and self-loops, a disconnected one,
+/// and one whose spokes form a single block (a path hanging off a
+/// clique: burning the clique never detaches anything else).
+fn degenerate_panel() -> Vec<(&'static str, Graph)> {
+    let no_edges = Graph::from_edges(6, &[]).unwrap();
+
+    let mut dup_loops = vec![(0, 1), (0, 1), (1, 2), (2, 0), (2, 0), (2, 0), (3, 4), (4, 3)];
+    dup_loops.extend([(0, 0), (3, 3), (3, 3), (5, 5), (5, 1), (1, 5)]);
+    let dup_loops = Graph::from_edges(7, &dup_loops).unwrap();
+
+    let mut apart = Vec::new();
+    for (lo, len) in [(0, 5), (5, 4)] {
+        apart.extend((0..len).map(|i| (lo + i, lo + (i + 1) % len)));
+        apart.extend((1..len).map(|i| (lo, lo + i)));
+    }
+    apart.push((10, 11));
+    let apart = Graph::from_edges(13, &apart).unwrap();
+
+    let mut one_block: Vec<(usize, usize)> =
+        (0..6).flat_map(|u| (0..6).filter(move |&v| v != u).map(move |v| (u, v))).collect();
+    for (u, v) in [(0, 6), (6, 7), (7, 8), (8, 9)] {
+        one_block.extend([(u, v), (v, u)]);
+    }
+    let one_block = Graph::from_edges(10, &one_block).unwrap();
+
+    vec![
+        ("no_edges", no_edges),
+        ("dup_loops", dup_loops),
+        ("apart", apart),
+        ("one_block", one_block),
+    ]
+}
+
+/// Degenerate partitions through both preprocessing paths: `Bear::new`
+/// and `preprocess_to_disk` followed by `Bear::load` answer every seed
+/// within the oracle tolerance, and bit-identically to each other.
+#[test]
+fn degenerate_partitions_match_the_oracle_on_both_paths() {
+    let rwr = RwrConfig { c: C, ..RwrConfig::default() };
+    for (name, g) in degenerate_panel() {
+        let oracle = Inversion::new(&g, &rwr, &MemBudget::unlimited()).expect("oracle");
+        let bear = Bear::new(&g, &BearConfig::exact(C)).expect("bear");
+        if name == "one_block" {
+            assert_eq!(bear.block_sizes().len(), 1, "{name}: blocks {:?}", bear.block_sizes());
+        }
+        let path =
+            std::env::temp_dir().join(format!("bear_degenerate_{}_{name}.idx", std::process::id()));
+        bear_core::preprocess_to_disk(&g, &BearConfig::exact(C), &path).expect("streamed");
+        let loaded = Bear::load(&path).expect("load");
+        std::fs::remove_file(&path).ok();
+        for seed in 0..g.num_nodes() {
+            let want = oracle.query(seed).unwrap();
+            let got = bear.query(seed).unwrap();
+            let err = linf(&got, &want);
+            assert!(err < TOL, "{name}: bear off oracle by {err:.3e} at seed {seed}");
+            let streamed = loaded.query(seed).unwrap();
+            let same = got.iter().zip(&streamed).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{name}: streamed index answers differently at seed {seed}");
+        }
+    }
+}
