@@ -1,9 +1,16 @@
 //! Criterion micro-benchmark: blocked multi-RHS query kernels
-//! ([`Bear::query_block_into`]) at widths 1/4/16/64. Times a full pass
-//! over a fixed seed set so the numbers are per-query amortized and
-//! directly comparable across widths. Every width is bit-identical to
-//! width 1 (`tests/golden_scores.rs`); blocking's end-to-end effect is
+//! ([`Bear::query_block_into`]) on a resident index at widths 1/4/16/64
+//! and on a paged v3 index at widths 1/8/16. Times a full pass over a
+//! fixed seed set so the numbers are per-query amortized and directly
+//! comparable across widths. Every width is bit-identical to width 1
+//! (`tests/golden_scores.rs`); blocking's end-to-end effect is
 //! perfbench's `batch_paged` workload, served at width 8.
+//!
+//! The paged arm writes the index as a v3 image in the system temp
+//! directory and pages it under a third of its spoke bytes. For both
+//! arms it also prints the pass time per stored spoke nonzero per seed
+//! (`L₁⁻¹` plus `U₁⁻¹` nonzeros times seeds answered), the work unit of
+//! Theorem 3's dominant `Σn₁ᵢ²` term.
 
 use bear_core::{Bear, BearConfig, QueryWorkspace};
 use bear_graph::generators::{hub_and_spoke, HubSpokeConfig};
@@ -11,6 +18,54 @@ use bear_sparse::DenseBlock;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
+
+/// One pass over `seeds`, `width` seeds per blocked solve.
+fn pass(bear: &Bear, seeds: &[usize], width: usize, ws: &mut QueryWorkspace, out: &mut DenseBlock) {
+    let n = bear.num_nodes();
+    for chunk in seeds.chunks(width) {
+        out.reset(n, chunk.len());
+        bear.query_block_into(chunk, ws, out).unwrap();
+    }
+    std::hint::black_box(&*out);
+}
+
+/// The median of nine timed passes, in ns per stored spoke nonzero per
+/// seed.
+fn ns_per_nonzero_seed(bear: &Bear, seeds: &[usize], width: usize) -> f64 {
+    let stats = bear.stats();
+    let work = ((stats.nnz_l1_inv + stats.nnz_u1_inv) * seeds.len()) as f64;
+    let mut ws = QueryWorkspace::for_bear(bear);
+    let mut out = DenseBlock::zeros(bear.num_nodes(), 0);
+    pass(bear, seeds, width, &mut ws, &mut out);
+    let mut ns: Vec<f64> = (0..9)
+        .map(|_| {
+            let start = Instant::now();
+            pass(bear, seeds, width, &mut ws, &mut out);
+            start.elapsed().as_nanos() as f64 / work
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
+
+fn bench_arm(c: &mut Criterion, group: &str, bear: &Bear, seeds: &[usize], widths: &[usize]) {
+    let n = bear.num_nodes();
+    let mut g = c.benchmark_group(group);
+    g.sample_size(20);
+    for &width in widths {
+        let mut ws = QueryWorkspace::for_bear(bear);
+        let mut out = DenseBlock::zeros(n, 0);
+        g.bench_function(BenchmarkId::from_parameter(format!("width_{width}")), |b| {
+            b.iter(|| pass(bear, seeds, width, &mut ws, &mut out))
+        });
+    }
+    g.finish();
+    for &width in widths {
+        let ns = ns_per_nonzero_seed(bear, seeds, width);
+        println!("{group}/width_{width:<3} {ns:>8.3} ns per stored spoke nonzero per seed");
+    }
+}
 
 fn bench_query_block(c: &mut Criterion) {
     let g = hub_and_spoke(
@@ -27,24 +82,17 @@ fn bench_query_block(c: &mut Criterion) {
     let bear = Bear::new(&g, &BearConfig::exact(0.05)).expect("preprocess");
     let n = bear.num_nodes();
     let seeds: Vec<usize> = (0..64).map(|i| (i * 2654435761) % n).collect();
+    bench_arm(c, "query_block", &bear, &seeds, &[1, 4, 16, 64]);
 
-    let mut group = c.benchmark_group("query_block");
-    group.sample_size(20);
-
-    for width in [1usize, 4, 16, 64] {
-        let mut ws = QueryWorkspace::for_bear(&bear);
-        let mut out = DenseBlock::zeros(n, 0);
-        group.bench_function(BenchmarkId::from_parameter(format!("width_{width}")), |b| {
-            b.iter(|| {
-                for chunk in seeds.chunks(width) {
-                    out.reset(n, chunk.len());
-                    bear.query_block_into(chunk, &mut ws, &mut out).unwrap();
-                }
-                std::hint::black_box(&out);
-            })
-        });
-    }
-    group.finish();
+    let path = std::env::temp_dir().join(format!("bench_query_block_{}.idx", std::process::id()));
+    bear.save_v3(&path).expect("write v3 image");
+    let paged = Bear::load(&path).expect("load v3 image");
+    let pager = paged.pager().expect("a v3 load pages");
+    let spoke_bytes: usize = pager.directory().iter().map(|m| m.resident_bytes()).sum();
+    pager.set_budget(Some(spoke_bytes / 3)).expect("budget");
+    bench_arm(c, "query_block_paged", &paged, &seeds, &[1, 8, 16]);
+    drop(paged);
+    std::fs::remove_file(&path).ok();
 }
 
 criterion_group!(benches, bench_query_block);

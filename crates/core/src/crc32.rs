@@ -4,19 +4,19 @@
 //! plus a whole-file trailer checksum (see [`crate::persist`]), so a
 //! torn write, truncation, or bit rot is detected *before* any parsing
 //! touches the bytes. The build environment is offline, so the
-//! implementation is vendored here: slicing-by-8 (eight 256-entry tables,
-//! computed at compile time, fold eight input bytes per step), with the
-//! byte-at-a-time table step for the tail. Every pager fault checks its
-//! segment's CRC, so this is on the out-of-core query path.
+//! implementation is vendored here: slicing-by-16 (sixteen 256-entry
+//! tables, computed at compile time, fold sixteen input bytes per step),
+//! with the byte-at-a-time table step for the tail. Every pager fault
+//! checks its segment's CRC, so this is on the out-of-core query path.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
 /// `TABLES[0]` is the byte-at-a-time table; `TABLES[k][i]` is the CRC
-/// state after byte `i` is followed by `k` zero bytes, so eight table
-/// lookups advance the state over eight input bytes at once.
-const TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// state after byte `i` is followed by `k` zero bytes, so sixteen table
+/// lookups advance the state over sixteen input bytes at once.
+const TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -29,7 +29,7 @@ const TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -56,21 +56,28 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        let [t0, t1, t2, t3, t4, t5, t6, t7] = &TABLES;
+        let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &TABLES;
         let byte = |t: &[u32; 256], v: u32| t[(v & 0xFF) as usize];
         let mut crc = self.state;
-        let (words, tail) = bytes.as_chunks::<8>();
-        for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
-            let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
-            let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-            crc = byte(t7, lo)
-                ^ byte(t6, lo >> 8)
-                ^ byte(t5, lo >> 16)
-                ^ byte(t4, lo >> 24)
-                ^ byte(t3, hi)
-                ^ byte(t2, hi >> 8)
-                ^ byte(t1, hi >> 16)
-                ^ byte(t0, hi >> 24);
+        let (words, tail) = bytes.as_chunks::<16>();
+        for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in words {
+            let w = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+            crc = byte(t15, w)
+                ^ byte(t14, w >> 8)
+                ^ byte(t13, w >> 16)
+                ^ byte(t12, w >> 24)
+                ^ byte(t11, b4.into())
+                ^ byte(t10, b5.into())
+                ^ byte(t9, b6.into())
+                ^ byte(t8, b7.into())
+                ^ byte(t7, b8.into())
+                ^ byte(t6, b9.into())
+                ^ byte(t5, b10.into())
+                ^ byte(t4, b11.into())
+                ^ byte(t3, b12.into())
+                ^ byte(t2, b13.into())
+                ^ byte(t1, b14.into())
+                ^ byte(t0, b15.into());
         }
         for &b in tail {
             crc = (crc >> 8) ^ byte(t0, crc ^ u32::from(b));
@@ -112,7 +119,7 @@ mod tests {
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
-    /// The byte-at-a-time reference the slicing-by-8 loop must agree
+    /// The byte-at-a-time reference the slicing-by-16 loop must agree
     /// with: one bit of the reflected polynomial at a time, no tables.
     fn reference(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
@@ -137,13 +144,13 @@ mod tests {
             .collect()
     }
 
-    /// Every length 0..=64 at every start offset 0..8, so each split of
-    /// the input into 8-byte words and a tail (and each alignment of the
+    /// Every length 0..=64 at every start offset 0..16, so each split of
+    /// the input into 16-byte words and a tail (and each alignment of the
     /// words) is compared with the reference.
     #[test]
-    fn slicing_by_8_matches_the_reference_at_every_length_and_offset() {
-        let buf = pseudo_random_bytes(64 + 8);
-        for start in 0..8 {
+    fn slicing_by_16_matches_the_reference_at_every_length_and_offset() {
+        let buf = pseudo_random_bytes(64 + 16);
+        for start in 0..16 {
             for len in 0..=64 {
                 let slice = &buf[start..start + len];
                 assert_eq!(crc32(slice), reference(slice), "start {start}, length {len}");

@@ -936,7 +936,9 @@ impl Image {
                 else {
                     return Err(wrong());
                 };
-                (perm, SpokeFactors::Resident { l1_inv, u1_inv }, l2_inv, u2_inv, h12, h21)
+                let spokes = SpokeFactors::resident(l1_inv, u1_inv, &self.block_sizes)
+                    .map_err(|e| corrupt("block_sizes", e.to_string()))?;
+                (perm, spokes, l2_inv, u2_inv, h12, h21)
             }
         };
         Ok(Bear {
@@ -1249,7 +1251,7 @@ fn load_v3(src: FileSource, mut image: Image, opts: &LoadOptions) -> Result<Bear
     if opts.resident {
         let (l1_inv, u1_inv) = spokes.to_whole()?;
         opts.budget.check(resident_bytes + l1_inv.memory_bytes() + u1_inv.memory_bytes())?;
-        spokes = SpokeFactors::Resident { l1_inv, u1_inv };
+        spokes = SpokeFactors::resident(l1_inv, u1_inv, &image.block_sizes)?;
     }
     image.into_bear(Some(spokes))
 }

@@ -559,10 +559,11 @@ impl Bear {
         let (l2_inv, u2_inv) = reduced.factor_schur(config)?;
         reduced.timings.total = start.elapsed();
         let bear = Bear {
-            spokes: SpokeFactors::Resident {
-                l1_inv: spokes.l1_inv.finish(),
-                u1_inv: spokes.u1_inv.finish(),
-            },
+            spokes: SpokeFactors::resident(
+                spokes.l1_inv.finish(),
+                spokes.u1_inv.finish(),
+                &reduced.block_sizes,
+            )?,
             l2_inv,
             u2_inv,
             h12: reduced.h12,

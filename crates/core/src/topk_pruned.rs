@@ -231,7 +231,7 @@ impl TopKBounds {
         let mut u_colmax = vec![0.0f64; n1];
         let mut g = vec![0.0f64; n1];
         match &bear.spokes {
-            SpokeFactors::Resident { l1_inv, u1_inv } => {
+            SpokeFactors::Resident { l1_inv, u1_inv, .. } => {
                 // lrow_l = Σ_j |L₁⁻¹_{lj}|: row absolute sums,
                 // accumulated by walking the CSC columns.
                 for c in 0..n1 {
@@ -706,7 +706,7 @@ impl Bear {
         effective_k: usize,
         heap: &mut BinaryHeap<HeapItem>,
     ) -> Result<()> {
-        self.spokes.solve_block(b, bs, be, t1, t2, r1)?;
+        self.spokes.solve_block(b, t1, t2, r1)?;
         let r1b = r1
             .get(bs..be)
             .ok_or_else(|| Error::InvalidStructure("top-k block range out of bounds".into()))?;

@@ -143,8 +143,12 @@ fn saved_index(tag: &str) -> (Vec<u8>, PathBuf) {
     }
     edges.push((5, 6));
     edges.push((6, 5));
-    let g = Graph::from_edges(12, &edges).unwrap();
-    let bear = Bear::new(&g, &BearConfig::exact(0.15)).unwrap();
+    saved_index_of(&Graph::from_edges(12, &edges).unwrap(), tag)
+}
+
+/// `g` preprocessed and saved as a v2 index: its bytes and its path.
+fn saved_index_of(g: &Graph, tag: &str) -> (Vec<u8>, PathBuf) {
+    let bear = Bear::new(g, &BearConfig::exact(0.15)).unwrap();
     let path = std::env::temp_dir().join(format!("bear_corrupt_{tag}.idx"));
     bear.save(&path).unwrap();
     (std::fs::read(&path).unwrap(), path)
@@ -284,6 +288,33 @@ fn block_size_sum_mismatch_is_rejected() {
     write_u64_at(&mut bytes, pos, v + 1);
     let err = assert_rejected(&bytes, &path, "block sizes not summing to n1");
     assert!(format!("{err}").contains("dimensions"), "unexpected error: {err}");
+}
+
+/// Block sizes that still sum to `n₁` but cut through a spoke block. A
+/// hub joined to three 3-node chains leaves each chain as one spoke
+/// block with dense triangular inverse factors; moving one unit from
+/// the first block's size to the second's puts a stored `L₁⁻¹`/`U₁⁻¹`
+/// entry outside its column's block. The per-block spoke sweep reads
+/// only the diagonal blocks, so the loader must refuse the factors
+/// rather than serve answers that drop the entry.
+#[test]
+fn spoke_entry_outside_its_block_is_rejected() {
+    let mut edges = Vec::new();
+    for first in [1, 4, 7] {
+        edges.extend([(0, first), (first, 0)]);
+        for i in first..first + 2 {
+            edges.extend([(i, i + 1), (i + 1, i)]);
+        }
+    }
+    let (mut bytes, path) = saved_index_of(&Graph::from_edges(10, &edges).unwrap(), "cross_block");
+    let layout = walk(&bytes);
+    let size = |i: usize| read_u64_at(&bytes, layout.block_sizes.elem(i));
+    assert!(layout.block_sizes.len >= 2 && size(0) >= 2, "chains make multi-node spoke blocks");
+    let (first, second) = (size(0), size(1));
+    write_u64_at(&mut bytes, layout.block_sizes.elem(0), first - 1);
+    write_u64_at(&mut bytes, layout.block_sizes.elem(1), second + 1);
+    let err = assert_rejected(&bytes, &path, "spoke factor entry outside its block");
+    assert!(format!("{err}").contains("outside block"), "unexpected error: {err}");
 }
 
 /// Satellite regression: on-disk `u64` header dimensions near the top of

@@ -29,12 +29,9 @@ impl CscMatrix {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        // Validate by borrowing the CSR checker on the transposed shape.
-        let as_csr = CsrMatrix::from_raw(ncols, nrows, indptr, indices, values)?;
-        let (indptr, indices, values) = {
-            let t = as_csr;
-            (t.indptr().to_vec(), t.indices().to_vec(), t.values().to_vec())
-        };
+        // The arrays are validated in place and moved in, never copied:
+        // a paged index builds two of these on every fault.
+        check_compressed("column", ncols, nrows, &indptr, &indices, &values)?;
         Ok(CscMatrix { nrows, ncols, indptr, indices, values })
     }
 
@@ -258,6 +255,94 @@ impl CscMatrix {
         }
     }
 
+    /// `Y = M[base.., base..] · X` on one diagonal block of dimension
+    /// `d = x.len() / k`, with `X` and `Y` **row-major** `d × k` buffers:
+    /// row `r`'s `k` values are `x[r*k .. (r+1)*k]`, one per right-hand
+    /// side. Each stored nonzero is read once and updates all `k`
+    /// right-hand sides in a fixed-width inner loop (widths 1, 2, 4, 8
+    /// and 16 are specialised). Rows of the block's columns that fall
+    /// outside `[base, base + d)` are dropped: the caller's matrix is
+    /// block diagonal. At `k = 1` the buffers are plain vectors.
+    ///
+    /// Right-hand side `j` of `Y` is **bit-identical** to
+    /// [`CscMatrix::matvec_into`] on the block's submatrix and column `j`
+    /// of `X`. Each output element adds its products in ascending column
+    /// order, as the vector kernel does. A column is skipped only when all
+    /// `k` of its inputs are exact zeros; otherwise a right-hand side whose
+    /// input is `±0` adds `v·(±0) = ±0`, which changes no bits: `v` is
+    /// finite, the accumulator starts at `+0.0`, and a round-to-nearest
+    /// sum is `−0.0` only when both operands are, so the accumulator never
+    /// is. Rust never contracts `v * x + y` into a fused multiply-add, so
+    /// the vectorised loop rounds exactly as the scalar one does.
+    pub fn interleaved_block_into(
+        &self,
+        base: usize,
+        k: usize,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> Result<()> {
+        let dim = x.len().checked_div(k).unwrap_or(0);
+        let fits = base.checked_add(dim).is_some_and(|end| end <= self.ncols && end <= self.nrows);
+        if k == 0 || dim * k != x.len() || y.len() != x.len() || !fits {
+            return Err(Error::DimensionMismatch {
+                op: "csc interleaved_block_into",
+                lhs: (self.nrows, self.ncols),
+                rhs: (base.saturating_add(dim), k),
+            });
+        }
+        y.fill(0.0);
+        match k {
+            1 => self.interleaved_fixed::<1>(base, x, y),
+            2 => self.interleaved_fixed::<2>(base, x, y),
+            4 => self.interleaved_fixed::<4>(base, x, y),
+            8 => self.interleaved_fixed::<8>(base, x, y),
+            16 => self.interleaved_fixed::<16>(base, x, y),
+            _ => self.interleaved_any(base, k, x, y),
+        }
+        Ok(())
+    }
+
+    /// [`CscMatrix::interleaved_block_into`] at a compile-time width, so
+    /// the per-nonzero loop over the `K` right-hand sides is unrolled and
+    /// vectorised (shapes already checked).
+    fn interleaved_fixed<const K: usize>(&self, base: usize, x: &[f64], y: &mut [f64]) {
+        let (x_rows, _) = x.as_chunks::<K>();
+        let (y_rows, _) = y.as_chunks_mut::<K>();
+        for (c, xs) in (base..).zip(x_rows) {
+            if xs.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            let (rows, vals) = self.col(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                if let Some(ys) = r.checked_sub(base).and_then(|i| y_rows.get_mut(i)) {
+                    for (yv, &xv) in ys.iter_mut().zip(xs) {
+                        *yv += v * xv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`CscMatrix::interleaved_block_into`] at any other width (shapes
+    /// already checked).
+    fn interleaved_any(&self, base: usize, k: usize, x: &[f64], y: &mut [f64]) {
+        let dim = x.len() / k;
+        for (c, xs) in (base..).zip(x.chunks_exact(k)) {
+            if xs.iter().all(|&v| v == 0.0) {
+                continue;
+            }
+            let (rows, vals) = self.col(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                let Some(i) = r.checked_sub(base).filter(|&i| i < dim) else { continue };
+                if let Some(ys) = y.get_mut(i * k..(i + 1) * k) {
+                    for (yv, &xv) in ys.iter_mut().zip(xs) {
+                        *yv += v * xv;
+                    }
+                }
+            }
+        }
+    }
+
     /// Iterates over stored entries as `(row, col, value)` in column-major
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
@@ -408,5 +493,55 @@ mod tests {
         assert_eq!(y1.col(0), csc.matvec(&cols[0]).unwrap());
         assert!(csc.spmm_into(&DenseBlock::zeros(2, 4), &mut DenseBlock::zeros(3, 4)).is_err());
         assert!(csc.spmm_acc(&DenseBlock::zeros(3, 4), &mut DenseBlock::zeros(3, 2)).is_err());
+    }
+
+    /// The interleaved block kernel against `matvec_into` per seed, at
+    /// every width from 1 to 17, on the lower-right 2×2 block of a 4×4
+    /// matrix with negative values. Seed `j`'s input is zero in block
+    /// column 0 for odd `j` (the column still runs for the even seeds)
+    /// and `−0.0` in column 1 for `j % 3 == 0`; seed 2's block is all zero.
+    #[test]
+    fn interleaved_block_matches_matvec_at_every_width() {
+        let mut coo = CooMatrix::new(4, 4);
+        for &(r, c, v) in &[(0, 0, 9.0), (2, 2, -1.5), (3, 2, 2.0), (2, 3, -0.5), (3, 3, 4.0)] {
+            coo.push(r, c, v);
+        }
+        coo.push(0, 3, 3.0); // outside the block: dropped
+        let m = coo.to_csr().to_csc();
+        let block =
+            CscMatrix::from_raw(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![-1.5, 2.0, -0.5, 4.0])
+                .unwrap();
+        let seed = |j: usize| -> [f64; 2] {
+            let odd = j % 2 == 1;
+            let second = match (j.is_multiple_of(3), odd) {
+                (true, _) => -0.0,
+                (false, true) => 0.25 * j as f64,
+                (false, false) => -0.75,
+            };
+            match j {
+                2 => [0.0, -0.0],
+                _ if odd => [0.0, second],
+                _ => [1.0 + j as f64, second],
+            }
+        };
+        for k in 1..=17 {
+            let x: Vec<f64> = (0..2).flat_map(|r| (0..k).map(move |j| seed(j)[r])).collect();
+            let mut y = vec![f64::NAN; 2 * k];
+            m.interleaved_block_into(2, k, &x, &mut y).unwrap();
+            for j in 0..k {
+                let want = block.matvec(&seed(j)).unwrap();
+                let got = [y[j], y[k + j]];
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    [want[0].to_bits(), want[1].to_bits()],
+                    "k {k} j {j}"
+                );
+            }
+        }
+        // Shape checks: zero width, a ragged buffer, a block past the end.
+        assert!(m.interleaved_block_into(0, 0, &[], &mut []).is_err());
+        assert!(m.interleaved_block_into(0, 2, &[0.0; 3], &mut [0.0; 3]).is_err());
+        assert!(m.interleaved_block_into(3, 1, &[0.0; 2], &mut [0.0; 2]).is_err());
+        assert!(m.interleaved_block_into(0, 1, &[0.0; 2], &mut [0.0; 3]).is_err());
     }
 }

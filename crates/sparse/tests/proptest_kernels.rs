@@ -3,7 +3,7 @@
 use bear_sparse::ops::{add, axpby, spgemm, sub};
 use bear_sparse::sparsify::drop_tolerance_csr;
 use bear_sparse::triangular::{invert_triangular, solve_lower, solve_upper, Triangle};
-use bear_sparse::{CooMatrix, CsrMatrix, DenseLu, DenseMatrix, Permutation, SparseLu};
+use bear_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseLu, DenseMatrix, Permutation, SparseLu};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix with the given shape bounds.
@@ -238,5 +238,84 @@ proptest! {
         let n = d.nrows();
         prop_assert!(d.matmul(&inv).unwrap().max_abs_diff(&DenseMatrix::identity(n)) < 1e-8);
         prop_assert!(inv.matmul(&d).unwrap().max_abs_diff(&DenseMatrix::identity(n)) < 1e-8);
+    }
+}
+
+/// Strategy for the seed-interleaved block kernel: a square sparse matrix
+/// with negative values (so products can be `−0.0`), a diagonal block
+/// `[base, base + d)` of it, a width `k` from 1 to 17, and a row-major
+/// `d × k` input whose entries are mostly exact `±0`, so columns where
+/// some seeds are zero and others are not, and all-zero columns, are
+/// common. One case in eight blanks the whole input (an all-zero block).
+fn arb_interleaved_case() -> impl Strategy<Value = (CscMatrix, usize, usize, Vec<f64>)> {
+    (1usize..=14, 1usize..=17).prop_flat_map(|(n, k)| {
+        let entries = proptest::collection::vec((0..n, 0..n, -4.0f64..4.0), 0..=n * n);
+        let block = (0..n).prop_flat_map(move |base| (Just(base), 1..=n - base));
+        let value = (0u8..8, -2.0f64..2.0).prop_map(|(pick, v)| match pick {
+            0..=2 => 0.0,
+            3 => -0.0,
+            _ => v,
+        });
+        let input = proptest::collection::vec(value, n * k);
+        (entries, block, input, 0u8..8).prop_map(move |(entries, (base, d), mut input, blank)| {
+            let mut coo = CooMatrix::new(n, n);
+            for (r, c, v) in entries {
+                coo.push(r, c, v);
+            }
+            input.truncate(d * k);
+            if blank == 0 {
+                input.fill(0.0);
+            }
+            (coo.to_csr().to_csc(), base, k, input)
+        })
+    })
+}
+
+/// Per-seed reference for [`CscMatrix::interleaved_block_into`]: the
+/// block's submatrix, and `matvec_into` on each seed's column of the
+/// row-major input, written back row-major.
+fn per_seed_block_product(m: &CscMatrix, base: usize, k: usize, x: &[f64]) -> Vec<f64> {
+    let d = x.len() / k;
+    let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+    for c in base..base + d {
+        let (rows, vals) = m.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            if (base..base + d).contains(&r) {
+                indices.push(r - base);
+                values.push(v);
+            }
+        }
+        indptr.push(indices.len());
+    }
+    let block = CscMatrix::from_raw(d, d, indptr, indices, values).unwrap();
+    let mut y = vec![0.0; d * k];
+    for j in 0..k {
+        let xj: Vec<f64> = x.iter().skip(j).step_by(k).copied().collect();
+        let mut yj = vec![0.0; d];
+        block.matvec_into(&xj, &mut yj).unwrap();
+        for (slot, v) in y.iter_mut().skip(j).step_by(k).zip(yj) {
+            *slot = v;
+        }
+    }
+    y
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The seed-interleaved block kernel is bit-identical, seed by seed,
+    /// to the per-seed `matvec_into` on the block, at every width from 1
+    /// to 17, including seeds that are zero where others are not, `−0.0`
+    /// inputs and products, and all-zero blocks. The output buffer
+    /// arrives stale and must be overwritten.
+    #[test]
+    fn interleaved_block_matches_per_seed_matvec_bitwise(
+        (m, base, k, x) in arb_interleaved_case(),
+    ) {
+        let want = per_seed_block_product(&m, base, k, &x);
+        let mut got = vec![7.5; x.len()];
+        m.interleaved_block_into(base, k, &x, &mut got).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "base {}, width {}", base, k);
     }
 }
