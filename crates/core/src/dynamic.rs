@@ -16,6 +16,7 @@
 //! fall back to full preprocessing. [`DynamicBear::insert_edge`] reports
 //! which path was taken.
 
+use crate::paging::SweepScratch;
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
@@ -202,13 +203,14 @@ impl DynamicBear {
         let (mut x, mut t, mut z) =
             (DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1), DenseBlock::zeros(n1, 1));
         let mut y = DenseBlock::zeros(n2, 1);
+        let mut sweep = SweepScratch::default();
         for col in 0..n2 {
             x.fill(0.0);
             let dense_col = x.col_mut(0);
             for &(r, v) in &self.h12_cols[col] {
                 dense_col[r] = v;
             }
-            self.bear.spokes.solve_into(&x, &mut t, &mut z, false)?;
+            self.bear.spokes.solve_into(&x, &mut t, &mut z, &mut sweep, false)?;
             self.bear.h21.spmm_into(&z, &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {

@@ -183,7 +183,7 @@ impl Bear {
     /// side: `r₂ = c · U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` into `ws.r2`.
     /// Pruned top-k runs it too, so its hub scores are the full solve's.
     pub(crate) fn hub_half(&self, ws: &mut QueryWorkspace) -> Result<()> {
-        self.spokes.solve_into(&ws.q1, &mut ws.t1, &mut ws.t2, false)?;
+        self.spokes.solve_into(&ws.q1, &mut ws.t1, &mut ws.t2, &mut ws.sweep, false)?;
         self.h21.spmm_into(&ws.t2, &mut ws.t3)?;
         for (t, &qv) in ws.t3.data_mut().iter_mut().zip(ws.q2.data()) {
             *t = qv - *t;
@@ -203,7 +203,7 @@ impl Bear {
         for (q, &t) in ws.q1.data_mut().iter_mut().zip(ws.t1.data()) {
             *q = self.c * *q - t;
         }
-        self.spokes.solve_into(&ws.q1, &mut ws.t2, &mut ws.t1, true)
+        self.spokes.solve_into(&ws.q1, &mut ws.t2, &mut ws.t1, &mut ws.sweep, true)
     }
 }
 
