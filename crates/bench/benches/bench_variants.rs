@@ -113,7 +113,8 @@ fn bench_topk_pruned(c: &mut Criterion) {
     group.finish();
 }
 
-/// The out-of-core kernel behind `batch_paged`: a width-8
+/// The out-of-core kernel behind `batch_paged` (which solves each
+/// 16-seed request as one job, eight lanes per kernel call): a width-8
 /// `query_block_into` on `web_bs_like` with the spoke factors paged from
 /// an in-memory v3 segment image capped at a third of their bytes (so
 /// the pager faults, CRC-checks and decodes segments every solve), next

@@ -299,15 +299,15 @@ fn split_batch_encoding_is_byte_identical_and_framed() {
 }
 
 /// A `/v1/batch` is one engine request: its distinct seeds are answered
-/// in blocks of up to `block_width`, so `/metrics` reports a realized
-/// block width above 1, and every vector stays bit-identical to
-/// `Bear::query`.
+/// by one solve (its spoke kernel `block_width` seeds at a time), so
+/// `/metrics` reports a realized block width above 1, and every vector
+/// stays bit-identical to `Bear::query`.
 #[test]
 fn batch_is_answered_in_blocks_bit_identical() {
     let (server, reference, path) = test_server("blocks");
     let addr = server.addr();
-    // 16 seeds over the 12-node graph: 12 distinct ones, solved as
-    // blocks of 8 and 4; the 4 repeats are cache hits.
+    // 16 seeds over the 12-node graph: 12 distinct ones, solved as one
+    // width-12 block; the 4 repeats are cache hits.
     let seeds: Vec<usize> = (0..12).chain(0..4).collect();
     let list = seeds.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
     let resp = client::get(addr, &format!("/v1/batch?graph=g&seeds={list}"), &[]).unwrap();
