@@ -41,7 +41,8 @@ pub struct Metrics {
     timeouts: AtomicU64,
     /// Jobs rejected at admission because the queue was full.
     queue_rejections: AtomicU64,
-    /// Jobs shed at dequeue because their deadline had already passed.
+    /// Jobs shed unsolved, or after their hub half, because their
+    /// deadline had passed or their caller cancelled.
     shed_jobs: AtomicU64,
     /// Queries answered by the degraded (iterative fallback) path.
     degraded: AtomicU64,
@@ -145,8 +146,8 @@ impl Metrics {
         self.queue_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accounts a job shed at dequeue (deadline already passed, or its
-    /// caller cancelled it).
+    /// Accounts a job shed before its solve or its back sweep (deadline
+    /// already passed, or its caller cancelled it).
     pub fn record_shed(&self) {
         self.shed_jobs.fetch_add(1, Ordering::Relaxed);
     }
@@ -255,7 +256,8 @@ pub struct MetricsSnapshot {
     pub timeouts: u64,
     /// Jobs rejected at admission because the queue was full.
     pub queue_rejections: u64,
-    /// Jobs shed at dequeue (expired deadline or cancelled caller).
+    /// Jobs shed before their solve or their back sweep (expired
+    /// deadline or cancelled caller).
     pub shed_jobs: u64,
     /// Queries answered by the degraded fallback path.
     pub degraded: u64,
