@@ -20,7 +20,7 @@ use crate::paging::SweepScratch;
 use crate::precompute::{Bear, BearConfig};
 use crate::rwr::{build_h, Normalization};
 use bear_graph::Graph;
-use bear_sparse::{CooMatrix, DenseBlock, Error, Result, SparseLu};
+use bear_sparse::{CooMatrix, Error, Result, SparseLu};
 
 /// Which update path an edge insertion took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,22 +200,21 @@ impl DynamicBear {
         // keeps the code auditable; the dominant cost is the refactor
         // anyway. S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂ column by column.
         let mut s_coo = CooMatrix::new(n2, n2);
-        let mut x = DenseBlock::zeros(n1, 1);
-        let mut y = DenseBlock::zeros(n2, 1);
+        let mut x = vec![0.0; n1];
+        let mut y = vec![0.0; n2];
         let mut sweep = SweepScratch::default();
         for col in 0..n2 {
             x.fill(0.0);
-            let dense_col = x.col_mut(0);
             for &(r, v) in &self.h12_cols[col] {
-                dense_col[r] = v;
+                x[r] = v;
             }
-            self.bear.spokes.solve_into(&mut x, &mut sweep, false)?;
-            self.bear.h21.spmm_into(&x, &mut y)?;
+            self.bear.spokes.solve_into(&mut x, 1, &mut sweep, false)?;
+            self.bear.h21.matvec_into(&x, &mut y)?;
             let mut s_col = vec![0.0f64; n2];
             for &(r, v) in &self.h22_cols[col] {
                 s_col[r] = v;
             }
-            for (r, yv) in y.col(0).iter().enumerate() {
+            for (r, yv) in y.iter().enumerate() {
                 s_col[r] -= yv;
             }
             for (r, v) in s_col.into_iter().enumerate() {

@@ -31,8 +31,8 @@
 //!
 //! Results are bit-identical to sequential [`Bear::query`]: that is the
 //! blocked solve ([`Bear::query_block_into`]) at width 1, and every
-//! width replicates the width-1 floating-point operations column by
-//! column, in the same order.
+//! width replicates the width-1 floating-point operations seed by seed,
+//! in the same order.
 //!
 //! # Concurrency audit
 //!
@@ -46,7 +46,6 @@
 
 use crate::paging::SweepScratch;
 use crate::precompute::Bear;
-use bear_sparse::DenseBlock;
 
 pub mod metrics;
 pub mod queue;
@@ -66,8 +65,11 @@ pub use serving::{
 /// [`Bear::query_block_into`] at the batch width, the serving engine at
 /// the width of a request's distinct seeds, and [`Bear::query_into`],
 /// [`Bear::query_distribution_into`] and [`Bear::query_top_k_pruned_in`]
-/// at width 1. Each block is a column-major [`DenseBlock`] holding one
-/// column per right-hand side.
+/// at width 1. Each block is a row-major `rows × k` buffer with the
+/// seeds interleaved: row `i`'s `k` values, one per right-hand side,
+/// are contiguous, so every sparse product of the solve reads each
+/// stored nonzero once for all `k` seeds, and at `k = 1` a block is
+/// the plain vector.
 ///
 /// The spoke side is one `n₁ × k` block that both spoke sweeps solve in
 /// place: it holds the one-hot seeds (or the caller's distribution),
@@ -76,30 +78,34 @@ pub use serving::{
 /// of `q₁` is kept. At width 16 on a graph with `n₁ = 9,627` and
 /// `n₂ = 211` the workspace is about 1.34 MB.
 ///
-/// Every call reshapes the blocks in place to its index's partition and
-/// its own width ([`DenseBlock::reset`]), keeping their backing
-/// allocations, and the spoke sweeps keep their gather buffers here
-/// too, so one workspace serves any width and any index, and a
-/// resident-index solve of any width reuses it without allocating.
-/// Pruned top-k resolves its spoke blocks in place in the same block.
-/// A back sweep split in two (DESIGN.md §18) lists its parts'
-/// column slices and spawns one scoped helper thread, and a paged solve
-/// reads and decodes every fault into fresh buffers. A full-vector
-/// answer is a fresh `n`-vector per seed either way.
+/// Every call resizes the blocks in place to its index's partition and
+/// its own width, keeping their backing allocations, and the spoke
+/// sweeps keep their one intermediate buffer here too, so one workspace
+/// serves any width and any index, and a resident-index solve of any
+/// width reuses it without allocating. Pruned top-k resolves its spoke
+/// blocks in place in the same block. A back sweep split in two
+/// (DESIGN.md §18) lists its two parts and spawns one scoped helper
+/// thread, a paged solve reads and decodes every fault into fresh
+/// buffers, and [`Bear::query_block_into`] lists its `k` output
+/// columns. A full-vector answer is a fresh `n`-vector per seed either
+/// way.
 pub struct QueryWorkspace {
+    /// The width `k`: the number of right-hand sides each block holds
+    /// per row.
+    pub(crate) k: usize,
     /// The spoke block (`n1 × k`), solved in place by both spoke
     /// sweeps; holds `r₁` once the solve is done.
-    pub(crate) x1: DenseBlock,
+    pub(crate) x1: Vec<f64>,
     /// Permuted right-hand sides, hub part (`n2 × k`).
-    pub(crate) q2: DenseBlock,
+    pub(crate) q2: Vec<f64>,
     /// Hub-block scratch (`n2 × k`).
-    pub(crate) t3: DenseBlock,
+    pub(crate) t3: Vec<f64>,
     /// Hub-block scratch (`n2 × k`).
-    pub(crate) t4: DenseBlock,
+    pub(crate) t4: Vec<f64>,
     /// Hub-part results `r₂` (`n2 × k`).
-    pub(crate) r2: DenseBlock,
-    /// The spoke sweeps' gather buffers, kept from call to call; pruned
-    /// top-k resolves its blocks through them too.
+    pub(crate) r2: Vec<f64>,
+    /// The spoke sweeps' intermediate buffers, kept from call to call;
+    /// pruned top-k resolves its blocks through them too.
     pub(crate) sweep: SweepScratch,
 }
 
@@ -107,27 +113,27 @@ impl QueryWorkspace {
     /// Buffers sized for `bear`'s partition at width 1; a wider call
     /// widens them to its batch.
     pub fn for_bear(bear: &Bear) -> Self {
-        let (n1, n2) = (bear.n1, bear.n2);
-        QueryWorkspace {
-            x1: DenseBlock::zeros(n1, 1),
-            q2: DenseBlock::zeros(n2, 1),
-            t3: DenseBlock::zeros(n2, 1),
-            t4: DenseBlock::zeros(n2, 1),
-            r2: DenseBlock::zeros(n2, 1),
+        let mut ws = QueryWorkspace {
+            k: 1,
+            x1: Vec::new(),
+            q2: Vec::new(),
+            t3: Vec::new(),
+            t4: Vec::new(),
+            r2: Vec::new(),
             sweep: SweepScratch::default(),
-        }
+        };
+        ws.ensure_width(bear, 1);
+        ws
     }
 
-    /// Reshapes every block to `bear`'s partition at width `k`, reusing
-    /// backing allocations.
+    /// Resizes every block to `bear`'s partition at width `k`, reusing
+    /// backing allocations. Contents are left as they were: the solve
+    /// loads `x1` and `q2` and overwrites the others whole.
     pub(crate) fn ensure_width(&mut self, bear: &Bear, k: usize) {
-        if self.x1.ncols() == k && self.x1.nrows() == bear.n1 && self.q2.nrows() == bear.n2 {
-            return;
+        self.k = k;
+        self.x1.resize(bear.n1 * k, 0.0);
+        for block in [&mut self.q2, &mut self.t3, &mut self.t4, &mut self.r2] {
+            block.resize(bear.n2 * k, 0.0);
         }
-        self.x1.reset(bear.n1, k);
-        self.q2.reset(bear.n2, k);
-        self.t3.reset(bear.n2, k);
-        self.t4.reset(bear.n2, k);
-        self.r2.reset(bear.n2, k);
     }
 }

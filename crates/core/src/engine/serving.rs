@@ -19,7 +19,7 @@
 //! one multi-RHS solve as wide as the job, so each of its spoke sweeps
 //! fetches every touched shard once for all of the request's seeds
 //! ([`EngineConfig::block_width`] is accepted and unused). The solve's
-//! columns are bit-identical to width-1 answers at every width (see
+//! answers are bit-identical to width-1 answers at every width (see
 //! DESIGN.md §13); [`Metrics`] records the realized block-width
 //! histogram and per-query amortized latency.
 //!
@@ -493,7 +493,7 @@ impl Scratch {
         let solved = bear.hub_half(rhs, ws).and_then(|()| limits.check(metrics)).and_then(|()| {
             let mut answers: Vec<Vec<f64>> =
                 seeds.iter().map(|_| vec![0.0; bear.num_nodes()]).collect();
-            bear.spoke_half_into(rhs, ws, answers.iter_mut().map(Vec::as_mut_slice))?;
+            bear.spoke_half_into(rhs, ws, &mut answers)?;
             Ok(answers)
         });
         if seeds.len() > RETAINED_WIDTH {

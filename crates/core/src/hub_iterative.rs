@@ -191,6 +191,28 @@ mod tests {
         }
     }
 
+    /// Seeded power-law graphs on which the hub solve of the last node
+    /// hit BiCGSTAB's `⟨r̂, v⟩ ≈ 0` breakdown and failed with
+    /// `DidNotConverge` when that breakdown was an error. The solver now
+    /// restarts there and checks the true residual before it answers,
+    /// so each answer matches exact BEAR.
+    #[test]
+    fn bicgstab_breakdown_restarts_and_answers_exactly() {
+        use bear_graph::generators::preferential_attachment;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (n, m, seed) in [(120, 2, 104), (120, 2, 678), (400, 3, 158)] {
+            let g = preferential_attachment(n, m, &mut StdRng::seed_from_u64(seed));
+            let exact = Bear::new(&g, &BearConfig::default()).unwrap();
+            let hub_iter = BearHubIterative::new(&g, &BearConfig::default()).unwrap();
+            let re = exact.query(n - 1).unwrap();
+            let ri = hub_iter.query(n - 1).unwrap();
+            for (a, b) in re.iter().zip(&ri) {
+                assert!((a - b).abs() < 1e-7, "graph ({n}, {m}, {seed}): {a} vs {b}");
+            }
+        }
+    }
+
     #[test]
     fn rejects_bad_inputs() {
         let g = undirected(4, &[(0, 1), (1, 2), (2, 3)]);

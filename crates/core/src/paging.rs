@@ -57,7 +57,7 @@
 use crate::persist::SectionReader;
 use crate::sync::{Mutex, MutexGuard};
 use bear_sparse::mem::{sparse_bytes, MemoryUsage};
-use bear_sparse::{CscMatrix, DenseBlock, Error, Result};
+use bear_sparse::{CscMatrix, Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -914,75 +914,88 @@ impl SpokeFactors {
         }
     }
 
-    /// `X ← U₁⁻¹ L₁⁻¹ X` in place: the spoke solve of both halves of
-    /// Algorithm 2 and of the Schur refresh. Column `j` of the result is
-    /// bit-identical to `CscMatrix::matvec_into` applied twice with the
-    /// whole factors to column `j` of the input.
+    /// `X ← U₁⁻¹ L₁⁻¹ X` in place on the row-major `n₁ × k` block `x`
+    /// (row `i`'s `k` values contiguous, one per right-hand side): the
+    /// spoke solve of both halves of Algorithm 2 and of the Schur
+    /// refresh. Right-hand side `j` of the result is bit-identical to
+    /// `CscMatrix::matvec_into` applied twice with the whole factors to
+    /// right-hand side `j` of the input.
     ///
     /// Every solve, resident or paged and at any width, walks the
     /// diagonal blocks once ([`Part::sweep`]), one sweep unit at a time:
     /// a block when paged, a run of consecutive blocks
-    /// ([`SWEEP_RUN_ROWS`]) when resident. It applies both factors of
-    /// each touched unit to all of its right-hand sides through the
-    /// seed-interleaved kernel `CscMatrix::interleaved_block_into`, all
-    /// of them in one kernel call, and when paged fetches each touched
-    /// block a single time per sweep, however many seeds touch it
-    /// (Lemma 1: the factors are block diagonal, so block `b` of the
-    /// result depends only on block `b` of the input); units whose input
-    /// rows are all zero are never fetched. `scratch` holds the sweep's
-    /// buffers from call to call. With `split`, a sweep whose touched
-    /// units hold more than [`SPLIT_SWEEP_FLOOR`] stored nonzeros runs as
-    /// two contiguous unit ranges `[0, s)` and `[s, units)`, balanced by
-    /// those nonzeros and run by [`bear_sparse::parallel::run_chunked`]
-    /// (the lower range on the calling thread). Each row belongs to
-    /// exactly one unit and each unit to exactly one range, so every row
-    /// is still written by the same kernel call in the same order, and
-    /// each touched block is still fetched once per sweep: the output
-    /// bits are the same either way.
+    /// ([`SWEEP_RUN_ROWS`]) when resident. Each unit's rows are one
+    /// contiguous stretch of `x`, and [`SpokeFactors::unit_step`] applies
+    /// both of the unit's factors to all `k` lanes of it with the
+    /// seed-interleaved kernel `CscMatrix::interleaved_block_into`. When
+    /// paged it fetches each touched block a single time per sweep,
+    /// however many seeds touch it (Lemma 1: the factors are block
+    /// diagonal, so block `b` of the result depends only on block `b` of
+    /// the input); units whose input rows are all zero are never fetched.
+    /// `scratch` holds the sweep's intermediate buffers from call to
+    /// call. With `split`, a sweep whose touched units hold more than
+    /// [`SPLIT_SWEEP_FLOOR`] stored nonzeros runs as two contiguous unit
+    /// ranges `[0, s)` and `[s, units)`, balanced by those nonzeros and
+    /// run by [`bear_sparse::parallel::run_chunked`] (the lower range on
+    /// the calling thread), each over its own side of `x` split at the
+    /// first row of the upper range. Each row belongs to exactly one unit
+    /// and each unit to exactly one range, so every row is still written
+    /// by the same kernel call in the same order, and each touched block
+    /// is still fetched once per sweep: the output bits are the same
+    /// either way.
     pub(crate) fn solve_into(
         &self,
-        x: &mut DenseBlock,
+        x: &mut [f64],
+        k: usize,
         scratch: &mut SweepScratch,
         split: bool,
     ) -> Result<()> {
         let starts = self.sweep_starts();
         let n1 = starts.last().copied().unwrap_or(0);
-        if x.nrows() != n1 {
+        if k == 0 || n1.checked_mul(k) != Some(x.len()) {
             return Err(Error::DimensionMismatch {
                 op: "spoke solve",
-                lhs: (n1, x.ncols()),
-                rhs: (x.nrows(), x.ncols()),
+                lhs: (n1, k),
+                rhs: (x.len().checked_div(k).unwrap_or(0), k),
             });
         }
-        let at = if split { split_unit_of(self, x)? } else { None };
+        let at = if split { split_unit_of(self, x, k)? } else { None };
         if let Some(s) = at {
-            return self.sweep_in_two(s, x, scratch);
+            return self.sweep_in_two(s, x, k, scratch);
         }
-        let [whole, _] = &mut scratch.parts;
+        let [whole, _] = &mut scratch.mids;
         let units = 0..starts.len().saturating_sub(1);
-        Part { units, rows: Rows::Whole(x), scratch: whole }.sweep(self)
+        Part { units, base: 0, k, x, mid: whole }.sweep(self)
     }
 
     /// The split arm of [`SpokeFactors::solve_into`]: units `[0, s)` on
-    /// the calling thread and `[s, units)` on a scoped helper. Unlike an
-    /// unsplit sweep it allocates, listing each part's column slices.
-    fn sweep_in_two(&self, s: usize, x: &mut DenseBlock, scratch: &mut SweepScratch) -> Result<()> {
+    /// the calling thread and `[s, units)` on a scoped helper, each over
+    /// its own side of `x` split at the first row of unit `s`. Unlike an
+    /// unsplit sweep it allocates, listing the two parts.
+    fn sweep_in_two(
+        &self,
+        s: usize,
+        x: &mut [f64],
+        k: usize,
+        scratch: &mut SweepScratch,
+    ) -> Result<()> {
         let units = self.sweep_starts().len().saturating_sub(1);
-        let (lo, hi) = Rows::halves(x, self.sweep_range(s)?.0);
-        let [lower, upper] = &mut scratch.parts;
+        let row = self.sweep_range(s)?.0;
+        let (lo, hi) = x.split_at_mut((row * k).min(x.len()));
+        let [lower, upper] = &mut scratch.mids;
         let parts = vec![
-            Part { units: 0..s, rows: lo, scratch: lower },
-            Part { units: s..units, rows: hi, scratch: upper },
+            Part { units: 0..s, base: 0, k, x: lo, mid: lower },
+            Part { units: s..units, base: row, k, x: hi, mid: upper },
         ];
         bear_sparse::parallel::run_chunked(parts, "spoke sweep", |part| part.sweep(self))?;
         Ok(())
     }
 
-    /// The pruned top-k resolve of block `b`, in place: over its rows
-    /// `[bs, be)`, `x[bs..be] ← U₁⁻¹ L₁⁻¹ x[bs..be]`, with a buffer of
-    /// `scratch` holding `L`'s output, bit-identical to the same rows of
-    /// [`SpokeFactors::solve_into`]. The paged arm fetches the block once
-    /// (never, if its input rows are all zero).
+    /// The pruned top-k resolve of block `b`, in place on the width-1
+    /// spoke vector `x`: over its rows `[bs, be)`,
+    /// `x[bs..be] ← U₁⁻¹ L₁⁻¹ x[bs..be]`, bit-identical to the same rows
+    /// of [`SpokeFactors::solve_into`]. The paged arm fetches the block
+    /// once (never, if its input rows are all zero).
     pub(crate) fn solve_block(
         &self,
         b: usize,
@@ -991,16 +1004,42 @@ impl SpokeFactors {
     ) -> Result<()> {
         let (bs, be) = self.block_range(b)?;
         let xb = x.get_mut(bs..be).ok_or_else(|| out_of_bounds(bs, be))?;
-        if all_zero(xb) {
-            xb.fill(0.0);
+        let [mid, _] = &mut scratch.mids;
+        self.unit_step(b, bs, be, 1, xb, mid)
+    }
+
+    /// The one per-unit step of every spoke solve: `x ← U₁⁻¹ L₁⁻¹ x` on
+    /// the rows `[bs, be)` of unit `u` (the diagonal block `u` when
+    /// paged), with `x` those rows' `k` lanes each, row-major. When every
+    /// input is an exact zero the unit is skipped, never fetched, and
+    /// its rows are written `+0.0`, as the per-seed kernel leaves them.
+    /// Otherwise `L` runs from `x` into `mid` (grown on first use to the
+    /// widest unit and never shrunk) and `U` from `mid` back over `x`.
+    /// A lane whose inputs are zero where another's are not adds only
+    /// `±0`, and every output element still sums its block's columns in
+    /// ascending order whatever the width, which is all bit-identity
+    /// needs (DESIGN.md §13).
+    fn unit_step(
+        &self,
+        u: usize,
+        bs: usize,
+        be: usize,
+        k: usize,
+        x: &mut [f64],
+        mid: &mut Vec<f64>,
+    ) -> Result<()> {
+        if all_zero(x) {
+            x.fill(0.0);
             return Ok(());
         }
-        let [PartScratch { mid, .. }, _] = &mut scratch.parts;
-        if mid.len() < xb.len() {
-            mid.resize(xb.len(), 0.0);
+        if mid.len() < x.len() {
+            mid.resize(x.len(), 0.0);
         }
-        let tb = mid.get_mut(..xb.len()).ok_or_else(|| out_of_bounds(bs, be))?;
-        self.factors(b, bs, be)?.solve(xb, tb)
+        let t = mid.get_mut(..x.len()).ok_or_else(|| out_of_bounds(bs, be))?;
+        let block = self.factors(u, bs, be)?;
+        let (l1, u1, base) = block.parts();
+        l1.interleaved_block_into(base, k, x, t)?;
+        u1.interleaved_block_into(base, k, t, x)
     }
 }
 
@@ -1020,13 +1059,6 @@ impl Block<'_> {
             Block::Fetched(pair) => (&pair.l1, &pair.u1, 0),
         }
     }
-
-    /// `t = L x`, then `x = U t`, on the block's rows of one vector.
-    fn solve(&self, x: &mut [f64], t: &mut [f64]) -> Result<()> {
-        let (l1, u1, base) = self.parts();
-        l1.interleaved_block_into(base, 1, x, t)?;
-        u1.interleaved_block_into(base, 1, t, x)
-    }
 }
 
 /// Stored nonzeros (`l1_nnz + u1_nnz` of each unit) that the touched
@@ -1037,33 +1069,24 @@ impl Block<'_> {
 pub const SPLIT_SWEEP_FLOOR: u64 = 1 << 15;
 
 /// The buffers a spoke sweep keeps from one [`SpokeFactors::solve_into`]
-/// call to the next, one set per sweep part (a split sweep has two).
-/// Each grows on first use to the widest touched unit times the most
-/// seeds that touch one unit, and is never shrunk, so repeated solves of one index at one
-/// width allocate nothing here.
+/// call to the next: `L`'s row-major output, one per sweep part (a
+/// split sweep has two). Each grows on first use to the widest unit
+/// times the width and is never shrunk, so repeated solves of one index
+/// at one width allocate nothing here.
 #[derive(Debug, Default)]
 pub(crate) struct SweepScratch {
-    parts: [PartScratch; 2],
+    mids: [Vec<f64>; 2],
 }
 
-/// One sweep part's buffers: the seeds with a nonzero input row in the
-/// current unit, those seeds' rows gathered row-major (`U` then writes the result over them), and `L`'s row-major output.
-#[derive(Debug, Default)]
-struct PartScratch {
-    touched: Vec<usize>,
-    gathered: Vec<f64>,
-    mid: Vec<f64>,
-}
-
-/// Where to split a sweep over the input columns of `x`: the sweep unit
-/// `s` that starts the upper range, chosen so the touched units'
-/// nonzeros on either side are as even as unit boundaries allow, or
-/// `None` when the touched units hold no more than
+/// Where to split a sweep over the row-major `k`-lane block `x`: the
+/// sweep unit `s` that starts the upper range, chosen so the touched
+/// units' nonzeros on either side are as even as unit boundaries allow,
+/// or `None` when the touched units hold no more than
 /// [`SPLIT_SWEEP_FLOOR`] or one side would hold none of them.
-fn split_unit_of(spokes: &SpokeFactors, x: &DenseBlock) -> Result<Option<usize>> {
+fn split_unit_of(spokes: &SpokeFactors, x: &[f64], k: usize) -> Result<Option<usize>> {
     let cost = |b: usize| -> Result<u64> {
         let (bs, be) = spokes.sweep_range(b)?;
-        if (0..x.ncols()).all(|j| col_rows(x, j, bs, be).is_some_and(all_zero)) {
+        if x.get(bs * k..be * k).is_some_and(all_zero) {
             return Ok(0);
         }
         spokes.sweep_nnz(b)
@@ -1090,147 +1113,34 @@ fn split_unit_of(spokes: &SpokeFactors, x: &DenseBlock) -> Result<Option<usize>>
     Ok(None)
 }
 
-/// The block a swept solve works on in place, as one sweep part sees
-/// it: the whole block when the sweep is not split, or, for each column,
-/// the rows from `base` to the end of the part's range when it is.
-enum Rows<'a> {
-    Whole(&'a mut DenseBlock),
-    // lint:allow(L1, slice type syntax, not an index expression)
-    Split { base: usize, cols: Vec<&'a mut [f64]> },
-}
-
-impl<'a> Rows<'a> {
-    /// `m`'s rows before `row` and from `row` on, column by column.
-    fn halves(m: &'a mut DenseBlock, row: usize) -> (Rows<'a>, Rows<'a>) {
-        let (lo, hi) = m.columns_mut().map(|c| c.split_at_mut(row.min(c.len()))).unzip();
-        (Rows::Split { base: 0, cols: lo }, Rows::Split { base: row, cols: hi })
-    }
-
-    /// Number of columns (right-hand sides).
-    fn ncols(&self) -> usize {
-        match self {
-            Rows::Whole(m) => m.ncols(),
-            Rows::Split { cols, .. } => cols.len(),
-        }
-    }
-
-    /// Rows `[bs, be)` of column `j`.
-    fn get(&mut self, j: usize, bs: usize, be: usize) -> Result<&mut [f64]> {
-        let rows = match self {
-            Rows::Whole(m) => {
-                let (n, k) = (m.nrows(), m.ncols());
-                let at = j.checked_mul(n).filter(|_| j < k && be <= n);
-                at.and_then(|at| m.data_mut().get_mut(at + bs..at + be))
-            }
-            Rows::Split { base, cols } => cols
-                .get_mut(j)
-                .and_then(|c| c.get_mut(bs.checked_sub(*base)?..be.checked_sub(*base)?)),
-        };
-        rows.ok_or_else(|| out_of_bounds(bs, be))
-    }
-}
-
-/// Rows `[bs, be)` of column `j` of `m`.
-fn col_rows(m: &DenseBlock, j: usize, bs: usize, be: usize) -> Option<&[f64]> {
-    let at = j.checked_mul(m.nrows()).filter(|_| j < m.ncols() && be <= m.nrows())?;
-    m.data().get(at + bs..at + be)
-}
-
 /// One range of sweep units of a swept solve: the part's rows of the
-/// block it solves in place, and its own scratch.
+/// row-major `k`-lane block it solves in place, from row `base` to the
+/// end of its range, and its own intermediate buffer.
 struct Part<'a> {
     units: std::ops::Range<usize>,
-    rows: Rows<'a>,
-    scratch: &'a mut PartScratch,
+    base: usize,
+    k: usize,
+    x: &'a mut [f64],
+    mid: &'a mut Vec<f64>,
 }
 
 impl Part<'_> {
     /// One ascending sweep over the part's units (blocks when paged,
-    /// runs of blocks when resident), in place. For each unit it finds
-    /// the columns (seeds) with a nonzero input row in it and writes
-    /// `0.0` over the rows of the others; with none the unit is skipped
-    /// (never fetched). Otherwise the unit's factors are fetched once,
-    /// the `m` touched seeds' rows are gathered into a row-major `d × m`
-    /// scratch, both factors run on all `m` at once, and the result is
-    /// scattered back over the same rows. A unit's rows are gathered
-    /// before they are overwritten, and every row belongs to one unit,
-    /// so no input is read after it was replaced. A seed left out of a
-    /// unit has exact-zero inputs there, so its outputs are `0.0` as the
-    /// per-seed kernel would leave them; a seed whose inputs are zero in
-    /// one block of a run, or in one column where another touched seed
-    /// is not, adds only `±0` there; and every output element still sums
-    /// its block's columns in ascending order whatever the width, which
-    /// is all bit-identity needs.
+    /// runs of blocks when resident), in place, each by
+    /// [`SpokeFactors::unit_step`] on the unit's rows. Every row belongs
+    /// to one unit, so no input is read after it was replaced.
     fn sweep(self, spokes: &SpokeFactors) -> Result<()> {
-        let Part { units, mut rows, scratch } = self;
-        let PartScratch { touched, gathered, mid } = scratch;
-        for b in units {
-            let (bs, be) = spokes.sweep_range(b)?;
-            touched.clear();
-            for j in 0..rows.ncols() {
-                let col = rows.get(j, bs, be)?;
-                if all_zero(col) {
-                    col.fill(0.0);
-                } else {
-                    touched.push(j);
-                }
-            }
-            if touched.is_empty() {
-                continue;
-            }
-            let block = spokes.factors(b, bs, be)?;
-            let (l1, u1, base) = block.parts();
-            let m = touched.len();
-            let len = (be - bs) * m;
-            if gathered.len() < len {
-                gathered.resize(len, 0.0);
-                mid.resize(len, 0.0);
-            }
-            let (Some(xs), Some(ts)) = (gathered.get_mut(..len), mid.get_mut(..len)) else {
-                return Err(out_of_bounds(bs, be));
-            };
-            for (lane, &j) in touched.iter().enumerate() {
-                gather_lane(xs, m, lane, rows.get(j, bs, be)?);
-            }
-            // `L` from the gathered rows into `ts`, then `U` back over
-            // them: the input is not needed once `L` has run.
-            l1.interleaved_block_into(base, m, xs, ts)?;
-            u1.interleaved_block_into(base, m, ts, xs)?;
-            for (lane, &j) in touched.iter().enumerate() {
-                scatter_lane(rows.get(j, bs, be)?, m, lane, xs);
-            }
+        let Part { units, base, k, x, mid } = self;
+        for u in units {
+            let (bs, be) = spokes.sweep_range(u)?;
+            let rows = bs
+                .checked_sub(base)
+                .zip(be.checked_sub(base))
+                .and_then(|(lo, hi)| x.get_mut(lo * k..hi * k))
+                .ok_or_else(|| out_of_bounds(bs, be))?;
+            spokes.unit_step(u, bs, be, k, rows, mid)?;
         }
         Ok(())
-    }
-}
-
-/// Copies one column's rows `src` into lane `lane` of the row-major
-/// `m`-lane buffer `rows`. One lane is the buffer itself, copied
-/// contiguously: a strided walk there cost a resident width-1 query on
-/// `rmat_0.7` about 13% (in-process, 400 seeds).
-fn gather_lane(rows: &mut [f64], m: usize, lane: usize, src: &[f64]) {
-    if m == 1 {
-        for (slot, &v) in rows.iter_mut().zip(src) {
-            *slot = v;
-        }
-    } else {
-        for (slot, &v) in rows.iter_mut().skip(lane).step_by(m).zip(src) {
-            *slot = v;
-        }
-    }
-}
-
-/// The inverse of [`gather_lane`]: lane `lane` of the row-major `m`-lane
-/// buffer `rows` into one column's rows `dst`.
-fn scatter_lane(dst: &mut [f64], m: usize, lane: usize, rows: &[f64]) {
-    if m == 1 {
-        for (slot, &v) in dst.iter_mut().zip(rows) {
-            *slot = v;
-        }
-    } else {
-        for (slot, &v) in dst.iter_mut().zip(rows.iter().skip(lane).step_by(m)) {
-            *slot = v;
-        }
     }
 }
 
@@ -1480,30 +1390,28 @@ mod tests {
         pager.directory().iter().map(|m| m.l1_nnz + m.u1_nnz).sum()
     }
 
-    /// A width-`k` input with nonzeros in every block (a back sweep's
-    /// `c·q₁ − H₁₂ r₂` is dense) and a few exact zeros.
-    fn dense_input(n1: usize, k: usize) -> DenseBlock {
-        let mut x = DenseBlock::zeros(n1, k);
-        for j in 0..k {
-            for (i, v) in x.col_mut(j).iter_mut().enumerate() {
-                if (i + j) % 7 != 3 {
-                    *v = 0.25 + ((i * 31 + j * 17) % 13) as f64 / 8.0;
-                }
+    /// A row-major width-`k` input with nonzeros in every block (a back
+    /// sweep's `c·q₁ − H₁₂ r₂` is dense) and a few exact zeros.
+    fn dense_input(n1: usize, k: usize) -> Vec<f64> {
+        let mut x = vec![0.0; n1 * k];
+        for (at, v) in x.iter_mut().enumerate() {
+            let (i, j) = (at / k, at % k);
+            if (i + j) % 7 != 3 {
+                *v = 0.25 + ((i * 31 + j * 17) % 13) as f64 / 8.0;
             }
         }
         x
     }
 
-    /// A width-`k` input with two nonzeros per seed, one of them
-    /// negative, in rows spread so that seeds share few blocks: a run of
-    /// resident blocks then holds seeds whose rows are zero in some of
-    /// its blocks and not in others.
-    fn sparse_input(n1: usize, k: usize) -> DenseBlock {
-        let mut x = DenseBlock::zeros(n1, k);
+    /// A row-major width-`k` input with two nonzeros per seed, one of
+    /// them negative, in rows spread so that seeds share few blocks: a
+    /// run of resident blocks then holds seeds whose rows are zero in
+    /// some of its blocks and not in others.
+    fn sparse_input(n1: usize, k: usize) -> Vec<f64> {
+        let mut x = vec![0.0; n1 * k];
         for j in 0..k {
-            let col = x.col_mut(j);
-            col[(j * 41 + 5) % n1] = 1.0;
-            col[(j * 97 + 11) % n1] = -0.5;
+            x[(j * 41 + 5) % n1 * k + j] = 1.0;
+            x[(j * 97 + 11) % n1 * k + j] = -0.5;
         }
         x
     }
@@ -1522,21 +1430,22 @@ mod tests {
         assert_eq!(runs(&[cap, 1]), vec![0, cap, cap + 1]);
     }
 
-    /// The split in-place sweep, resident and paged, against two
-    /// whole-factor `matvec_into` calls per column: widths 1, 8 and 16,
-    /// on dense inputs and on inputs
-    /// with two nonzeros a seed, under unlimited, a third of the factors,
-    /// and one-byte budgets, on a graph whose blocks cross
+    /// The split in-place sweep over a row-major block, resident and
+    /// paged, against two whole-factor `matvec_into` calls per seed:
+    /// widths 1, 8 and 16, on dense inputs and on inputs with two
+    /// nonzeros a seed, under unlimited, a third of the factors, and
+    /// one-byte budgets, on a graph whose blocks cross
     /// [`SPLIT_SWEEP_FLOOR`] (a dense sweep splits) and on one below it
     /// (it does not). The resident sweep runs several blocks at a time on
     /// both. Every output bit matches, a fresh unlimited pager fetches
     /// each touched block exactly once per split sweep whatever the
-    /// width, and the counters reconcile. One sweep scratch serves every solve,
-    /// so buffers left by a wider or different-index solve are reused.
+    /// width, and the counters reconcile. One sweep scratch serves every
+    /// solve, so buffers left by a wider or different-index solve are
+    /// reused.
     #[test]
     fn split_sweep_is_bit_identical_and_fetches_each_block_once() {
         use crate::precompute::{Bear, BearConfig};
-        let bits = |m: &DenseBlock| m.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let bits = |m: &[f64]| m.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let mut scratch = SweepScratch::default();
         for (chains, len, splits) in [(48, 30, true), (10, 3, false)] {
             let bear = Bear::new(&hub_and_chains(chains, len), &BearConfig::exact(0.15)).unwrap();
@@ -1552,9 +1461,10 @@ mod tests {
             assert!(runs.len() < bear.block_sizes.len(), "runs {runs:?}");
             let inputs = |k| [(dense_input(n1, k), true), (sparse_input(n1, k), false)];
             for (k, (x, dense)) in [1, 8, 16].into_iter().flat_map(|k| inputs(k).map(|i| (k, i))) {
-                let columns: Vec<&[f64]> = x.columns().collect();
+                let columns: Vec<Vec<f64>> =
+                    (0..k).map(|j| x.iter().skip(j).step_by(k).copied().collect()).collect();
                 assert_eq!(
-                    split_unit_of(&probe.spokes, &x).unwrap().is_some(),
+                    split_unit_of(&probe.spokes, &x, k).unwrap().is_some(),
                     splits && dense,
                     "k {k}"
                 );
@@ -1564,20 +1474,24 @@ mod tests {
                         columns.iter().any(|col| !all_zero(&col[bs..be]))
                     })
                     .count() as u64;
-                let (mut t, mut want) = (DenseBlock::zeros(n1, k), DenseBlock::zeros(n1, k));
-                for j in 0..k {
-                    l1.matvec_into(x.col(j), t.col_mut(j)).unwrap();
-                    u1.matvec_into(t.col(j), want.col_mut(j)).unwrap();
+                let mut want = vec![0.0; n1 * k];
+                for (j, col) in columns.iter().enumerate() {
+                    let (mut t, mut y) = (vec![0.0; n1], vec![0.0; n1]);
+                    l1.matvec_into(col, &mut t).unwrap();
+                    u1.matvec_into(&t, &mut y).unwrap();
+                    for (slot, v) in want.iter_mut().skip(j).step_by(k).zip(y) {
+                        *slot = v;
+                    }
                 }
                 let mut resident = x.clone();
-                bear.spokes.solve_into(&mut resident, &mut scratch, true).unwrap();
+                bear.spokes.solve_into(&mut resident, k, &mut scratch, true).unwrap();
                 assert_eq!(bits(&resident), bits(&want), "resident k {k}, {dense}");
                 for budget in [None, Some(total / 3), Some(1)] {
                     let paged = bear.paged_in_memory(budget).unwrap();
                     let pager = paged.pager().unwrap();
                     for sweep in 1..=3u64 {
                         let mut y = x.clone();
-                        paged.spokes.solve_into(&mut y, &mut scratch, true).unwrap();
+                        paged.spokes.solve_into(&mut y, k, &mut scratch, true).unwrap();
                         assert_eq!(bits(&y), bits(&want), "k {k}, {dense}, budget {budget:?}");
                         let st = pager.stats();
                         if budget.is_none() {

@@ -16,7 +16,7 @@ use crate::precompute::Bear;
 use crate::rwr::validate_distribution;
 use crate::solver::RwrSolver;
 use bear_sparse::mem::MemoryUsage;
-use bear_sparse::{DenseBlock, Error, Result};
+use bear_sparse::{CscMatrix, DenseBlock, Error, Result};
 
 impl Bear {
     /// RWR scores of every node w.r.t. `seed` (Algorithm 2).
@@ -41,7 +41,7 @@ impl Bear {
                 rhs: (n, out.len()),
             });
         }
-        self.solve(Rhs::Seeds(&[seed]), ws, [out])
+        self.solve(Rhs::Seeds(&[seed]), ws, &mut [out])
     }
 
     /// Personalized PageRank for an arbitrary preference distribution
@@ -70,7 +70,7 @@ impl Bear {
             });
         }
         validate_distribution(q)?;
-        self.solve(Rhs::Distribution(q), ws, [out])
+        self.solve(Rhs::Distribution(q), ws, &mut [out])
     }
 
     /// Answers a block of seeds at once: column `j` of `out` receives the
@@ -92,12 +92,12 @@ impl Bear {
     /// (the serving engine) a call as wide as a request's distinct seeds.
     ///
     /// Column `j` of `out` is **bit-identical** to what
-    /// `query_into(seeds[j], …)` writes — the blocked kernels replicate
-    /// the scalar accumulation order per column — so the width is purely
-    /// a throughput choice, never a numerics change. Duplicate seeds are
-    /// allowed and produce duplicate columns.
+    /// `query_into(seeds[j], …)` writes — the interleaved kernels
+    /// replicate the scalar accumulation order per seed — so the width
+    /// is purely a throughput choice, never a numerics change. Duplicate
+    /// seeds are allowed and produce duplicate columns.
     ///
-    /// `out` must be `n × seeds.len()`; `ws` is reshaped in place to this
+    /// `out` must be `n × seeds.len()`; `ws` is resized in place to this
     /// index and the batch width (allocation-free when shrinking or at
     /// steady width).
     pub fn query_block_into(
@@ -121,38 +121,51 @@ impl Bear {
         if k == 0 {
             return Ok(());
         }
-        self.solve(Rhs::Seeds(seeds), ws, out.data_mut().chunks_exact_mut(n))
+        // lint:allow(L2, lists the k output columns, k pointers a call; no buffer of the solve)
+        let mut columns: Vec<&mut [f64]> = out.columns_mut().collect();
+        self.solve(Rhs::Seeds(seeds), ws, &mut columns)
     }
 
     /// Algorithm 2 on `rhs`: the hub half, then
     /// [`Bear::spoke_half_into`]. Seeds must be in range and a
     /// distribution of length `n`.
-    pub(crate) fn solve<'a>(
+    pub(crate) fn solve(
         &self,
         rhs: Rhs<'_>,
         ws: &mut QueryWorkspace,
-        outs: impl IntoIterator<Item = &'a mut [f64]>,
+        outs: &mut [impl AsMut<[f64]>],
     ) -> Result<()> {
         self.hub_half(rhs, ws)?;
         self.spoke_half_into(rhs, ws, outs)
     }
 
     /// The rest of Algorithm 2 after [`Bear::hub_half`] on the same
-    /// `rhs` and `ws`: the spoke half, then column `j` mapped back to the
-    /// original node ids into the `j`-th output (each of length `n`;
-    /// every entry is written).
-    pub(crate) fn spoke_half_into<'a>(
+    /// `rhs` and `ws`: the spoke half, then right-hand side `j` mapped
+    /// back to the original node ids into `outs[j]` (each of length `n`;
+    /// every entry is written). The workspace is read row by row, each
+    /// row's `k` values going to the `k` outputs at the row's node.
+    pub(crate) fn spoke_half_into(
         &self,
         rhs: Rhs<'_>,
         ws: &mut QueryWorkspace,
-        outs: impl IntoIterator<Item = &'a mut [f64]>,
+        outs: &mut [impl AsMut<[f64]>],
     ) -> Result<()> {
         self.spoke_half(rhs, ws)?;
         let (spokes, hubs) = self.perm.as_new_to_old().split_at(self.n1);
-        for (j, out) in outs.into_iter().enumerate() {
-            for (r, olds) in [(ws.x1.col(j), spokes), (ws.r2.col(j), hubs)] {
-                for (&v, &old) in r.iter().zip(olds) {
+        for (block, olds) in [(&ws.x1, spokes), (&ws.r2, hubs)] {
+            if let [out] = outs {
+                // Width 1: the block is the answer vector, permuted.
+                let out = out.as_mut();
+                for (&v, &old) in block.iter().zip(olds) {
                     if let Some(slot) = out.get_mut(old) {
+                        *slot = v;
+                    }
+                }
+                continue;
+            }
+            for (row, &old) in block.chunks_exact(ws.k.max(1)).zip(olds) {
+                for (out, &v) in outs.iter_mut().zip(row) {
+                    if let Some(slot) = out.as_mut().get_mut(old) {
                         *slot = v;
                     }
                 }
@@ -162,10 +175,11 @@ impl Bear {
     }
 
     /// Loads `rhs` into the workspace in the SlashBurn ordering, one
-    /// column per right-hand side: spoke part into `ws.x1`, hub part into
+    /// right-hand side per lane: spoke part into `ws.x1`, hub part into
     /// `ws.q2`.
     fn load_rhs(&self, rhs: Rhs<'_>, ws: &mut QueryWorkspace) {
         ws.ensure_width(self, rhs.width());
+        let k = ws.k;
         match rhs {
             Rhs::Seeds(seeds) => {
                 ws.x1.fill(0.0);
@@ -173,8 +187,8 @@ impl Bear {
                 for (j, &seed) in seeds.iter().enumerate() {
                     let new = self.perm.new_of(seed);
                     let slot = match new.checked_sub(self.n1) {
-                        None => ws.x1.col_mut(j).get_mut(new),
-                        Some(hub) => ws.q2.col_mut(j).get_mut(hub),
+                        None => ws.x1.get_mut(new * k + j),
+                        Some(hub) => ws.q2.get_mut(hub * k + j),
                     };
                     if let Some(slot) = slot {
                         *slot = 1.0;
@@ -183,8 +197,8 @@ impl Bear {
             }
             Rhs::Distribution(q) => {
                 let (spokes, hubs) = self.perm.as_new_to_old().split_at(self.n1);
-                for (column, olds) in [(ws.x1.col_mut(0), spokes), (ws.q2.col_mut(0), hubs)] {
-                    for (slot, &old) in column.iter_mut().zip(olds) {
+                for (block, olds) in [(&mut ws.x1, spokes), (&mut ws.q2, hubs)] {
+                    for (slot, &old) in block.iter_mut().zip(olds) {
                         *slot = q.get(old).copied().unwrap_or(0.0);
                     }
                 }
@@ -192,20 +206,21 @@ impl Bear {
         }
     }
 
-    /// The hub half of Algorithm 2, one column per right-hand side of
+    /// The hub half of Algorithm 2, one lane per right-hand side of
     /// `rhs`: `r₂ = c · U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` into `ws.r2`,
     /// leaving `U₁⁻¹ L₁⁻¹ q₁` in `ws.x1`. Pruned top-k runs it too, so
     /// its hub scores are the full solve's.
     pub(crate) fn hub_half(&self, rhs: Rhs<'_>, ws: &mut QueryWorkspace) -> Result<()> {
         self.load_rhs(rhs, ws);
-        self.spokes.solve_into(&mut ws.x1, &mut ws.sweep, false)?;
-        self.h21.spmm_into(&ws.x1, &mut ws.t3)?;
-        for (t, &qv) in ws.t3.data_mut().iter_mut().zip(ws.q2.data()) {
+        let k = ws.k;
+        self.spokes.solve_into(&mut ws.x1, k, &mut ws.sweep, false)?;
+        self.h21.interleaved_into(k, &ws.x1, &mut ws.t3)?;
+        for (t, &qv) in ws.t3.iter_mut().zip(&ws.q2) {
             *t = qv - *t;
         }
-        self.l2_inv.spmm_into(&ws.t3, &mut ws.t4)?;
-        self.u2_inv.spmm_into(&ws.t4, &mut ws.t3)?;
-        for (r, &v) in ws.r2.data_mut().iter_mut().zip(ws.t3.data()) {
+        whole_product(&self.l2_inv, k, &ws.t3, &mut ws.t4)?;
+        whole_product(&self.u2_inv, k, &ws.t4, &mut ws.t3)?;
+        for (r, &v) in ws.r2.iter_mut().zip(&ws.t3) {
             *r = self.c * v;
         }
         Ok(())
@@ -216,42 +231,60 @@ impl Bear {
     /// `r₁` in `ws.x1`.
     fn spoke_half(&self, rhs: Rhs<'_>, ws: &mut QueryWorkspace) -> Result<()> {
         self.spoke_rhs_into(rhs, ws)?;
-        self.spokes.solve_into(&mut ws.x1, &mut ws.sweep, true)
+        self.spokes.solve_into(&mut ws.x1, ws.k, &mut ws.sweep, true)
     }
 
-    /// `t₁ = c·q₁ − H₁₂ r₂` into `ws.x1`, one column per right-hand
-    /// side of `rhs`, after the hub half. The hub half's sweep has
-    /// replaced the loaded `q₁`, so `c·q₁` is taken from `rhs` as the
-    /// product of `c` and the value loaded there: `c` at a seed's row,
-    /// `c · 0.0` elsewhere, and `c · q` of a distribution. Off the seeds
-    /// that writes `0.0 − t` as the separate `q₁` block did, never `−t`
-    /// (which turns `+0.0` into `−0.0`), so every input bit of the back
-    /// sweep is unchanged.
+    /// `t₁ = c·q₁ − H₁₂ r₂` into `ws.x1`, one lane per right-hand side
+    /// of `rhs`, after the hub half. The hub half's sweep has replaced
+    /// the loaded `q₁`, so `c·q₁` is taken from `rhs` as the product of
+    /// `c` and the value loaded there: `c · 0.0` off the seeds and `c · q`
+    /// of a distribution. Off the seeds that writes `0.0 − t` as the
+    /// separate `q₁` block did, never `−t` (which turns `+0.0` into
+    /// `−0.0`), so every input bit of the back sweep is unchanged. At a
+    /// seed's row `c` is then added to `0.0 − t`, which gives `c − t` bit
+    /// for bit: IEEE subtraction is the addition of the negation, and
+    /// `0.0 − t` is `−t` except at `t = +0.0`, where both sums are `c`.
     pub(crate) fn spoke_rhs_into(&self, rhs: Rhs<'_>, ws: &mut QueryWorkspace) -> Result<()> {
-        self.h12.spmm_into(&ws.r2, &mut ws.x1)?;
+        let k = ws.k;
+        self.h12.interleaved_into(k, &ws.r2, &mut ws.x1)?;
         match rhs {
             Rhs::Seeds(seeds) => {
                 let zero = self.c * 0.0;
-                for (column, &seed) in ws.x1.columns_mut().zip(seeds) {
-                    // A hub seed's row is past the spoke block: no `c` here.
+                for t in ws.x1.iter_mut() {
+                    *t = zero - *t;
+                }
+                for (j, &seed) in seeds.iter().enumerate() {
                     let row = self.perm.new_of(seed);
-                    let at_seed = column.get(row).copied();
-                    for t in column.iter_mut() {
-                        *t = zero - *t;
+                    if row >= self.n1 {
+                        // A hub seed's row is past the spoke block: no `c` here.
+                        continue;
                     }
-                    if let (Some(slot), Some(t)) = (column.get_mut(row), at_seed) {
-                        *slot = self.c - t;
+                    if let Some(t) = ws.x1.get_mut(row * k + j) {
+                        *t += self.c;
                     }
                 }
             }
             Rhs::Distribution(q) => {
                 let (spokes, _) = self.perm.as_new_to_old().split_at(self.n1);
-                for (t, &old) in ws.x1.col_mut(0).iter_mut().zip(spokes) {
+                for (t, &old) in ws.x1.iter_mut().zip(spokes) {
                     *t = self.c * q.get(old).copied().unwrap_or(0.0) - *t;
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// `y = M x` with the whole square matrix `M` over row-major `k`-lane
+/// buffers: the vector kernel at width 1, where the interleaved kernel's
+/// per-nonzero block bounds check costs more than it saves, and
+/// [`bear_sparse::CscMatrix::interleaved_block_into`] at base 0
+/// otherwise. Both give the same bits.
+fn whole_product(m: &CscMatrix, k: usize, x: &[f64], y: &mut [f64]) -> Result<()> {
+    if k == 1 {
+        m.matvec_into(x, y)
+    } else {
+        m.interleaved_block_into(0, k, x, y)
     }
 }
 

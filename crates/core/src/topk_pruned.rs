@@ -559,8 +559,8 @@ impl Bear {
         // the cheap part of the spoke sweep. The fill-heavy `U₁⁻¹L₁⁻¹`
         // scatter is what pruning skips per unresolved block.
         self.spoke_rhs_into(rhs, ws)?;
-        let r2 = ws.r2.col(0);
-        let t1 = ws.x1.col(0);
+        let r2 = ws.r2.as_slice();
+        let t1 = ws.x1.as_slice();
 
         let seed_pos = self.perm.new_of(seed);
         let seed_block = bounds.block_of(seed_pos);
@@ -617,7 +617,7 @@ impl Bear {
         // now replaces its rows of `t₁` in place with the same `r₁` the
         // full solve leaves there, `L`'s output going through the sweep
         // scratch.
-        let x1 = ws.x1.col_mut(0);
+        let x1 = ws.x1.as_mut_slice();
         let sweep = &mut ws.sweep;
 
         // Resolve blocks until the k-th exact score certifies the rest.

@@ -271,10 +271,13 @@ mod tests {
         assert_eq!(names.len(), total);
     }
 
+    /// Every registry dataset, loaded twice, is the same graph: no
+    /// generator may depend on anything but its seed.
     #[test]
     fn loading_is_deterministic() {
-        let spec = dataset_by_name("small_routing").unwrap();
-        assert_eq!(spec.load(), spec.load());
+        for spec in all_datasets().into_iter().chain(rmat_family()).chain(small_suite()) {
+            assert_eq!(spec.load(), spec.load(), "{}", spec.name);
+        }
     }
 
     #[test]

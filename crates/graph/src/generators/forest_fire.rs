@@ -6,7 +6,7 @@
 
 use crate::graph::Graph;
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Configuration for the Forest Fire model.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +54,7 @@ pub fn forest_fire<R: Rng>(config: &ForestFireConfig, rng: &mut R) -> Graph {
 
     for v in 1..n {
         let ambassador = rng.gen_range(0..v);
-        let mut burned: HashSet<usize> = HashSet::new();
+        let mut burned: BTreeSet<usize> = BTreeSet::new();
         // Insertion-ordered copy so later adjacency construction (and
         // therefore RNG consumption) is deterministic.
         let mut burn_order: Vec<usize> = vec![ambassador];

@@ -28,13 +28,16 @@ pub fn preferential_attachment<R: Rng>(n: usize, m_per_node: usize, rng: &mut R)
     if pool.is_empty() {
         pool.push(0);
     }
+    let mut chosen: Vec<usize> = Vec::with_capacity(m);
     for u in seed..n {
-        let mut chosen = std::collections::HashSet::with_capacity(m);
+        // Targets in draw order, so a seeded RNG always builds the same
+        // graph (a hash set would push them in a per-process order).
+        chosen.clear();
         let mut guard = 0;
         while chosen.len() < m && guard < 50 * m {
             let v = pool[rng.gen_range(0..pool.len())];
-            if v != u {
-                chosen.insert(v);
+            if v != u && !chosen.contains(&v) {
+                chosen.push(v);
             }
             guard += 1;
         }

@@ -1,7 +1,6 @@
 //! Compressed sparse column matrix, used by the factorization and
 //! triangular-solve kernels (which are naturally column-oriented).
 
-use crate::block::DenseBlock;
 use crate::csr::CsrMatrix;
 use crate::error::{Error, Result};
 use crate::validate::{check_compressed, check_finite, Invariant, Mutation};
@@ -191,70 +190,6 @@ impl CscMatrix {
         Ok(())
     }
 
-    /// `Y = A X` for a column-major dense block: the multi-RHS form of
-    /// [`CscMatrix::matvec_into`]. Column `j` of `Y` is bit-identical to
-    /// `matvec_into(X.col(j), Y.col(j))` — per RHS column the scatter
-    /// visits matrix columns in the same order and keeps the same
-    /// `x == 0` skip — but each matrix column's structure is walked once
-    /// for all `k` right-hand sides. Width-1 blocks delegate to the
-    /// vector kernel outright.
-    pub fn spmm_into(&self, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
-        if x.nrows() != self.ncols || y.nrows() != self.nrows || x.ncols() != y.ncols() {
-            return Err(Error::DimensionMismatch {
-                op: "csc spmm_into",
-                lhs: (self.nrows, self.ncols),
-                rhs: (x.nrows(), x.ncols()),
-            });
-        }
-        if x.ncols() == 1 {
-            return self.matvec_into(x.col(0), y.col_mut(0));
-        }
-        y.fill(0.0);
-        self.spmm_acc_inner(x, y);
-        Ok(())
-    }
-
-    /// `Y += A X` accumulated into a caller-owned block: the multi-RHS
-    /// form of [`CscMatrix::matvec_acc`], with the same per-column
-    /// bit-identity guarantee as [`CscMatrix::spmm_into`].
-    pub fn spmm_acc(&self, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
-        if x.nrows() != self.ncols || y.nrows() != self.nrows || x.ncols() != y.ncols() {
-            return Err(Error::DimensionMismatch {
-                op: "csc spmm_acc",
-                lhs: (self.nrows, self.ncols),
-                rhs: (x.nrows(), x.ncols()),
-            });
-        }
-        if x.ncols() == 1 {
-            return self.matvec_acc(x.col(0), y.col_mut(0));
-        }
-        self.spmm_acc_inner(x, y);
-        Ok(())
-    }
-
-    /// Shared scatter loop of the blocked multiplies (dimensions already
-    /// checked): matrix columns outer so each column's structure is hot
-    /// in cache while all `k` right-hand sides consume it.
-    fn spmm_acc_inner(&self, x: &DenseBlock, y: &mut DenseBlock) {
-        let k = x.ncols();
-        for c in 0..self.ncols {
-            let (rows, vals) = self.col(c);
-            if rows.is_empty() {
-                continue;
-            }
-            for j in 0..k {
-                let xc = x[(c, j)];
-                if xc == 0.0 {
-                    continue;
-                }
-                let yj = y.col_mut(j);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    yj[r] += v * xc;
-                }
-            }
-        }
-    }
-
     /// `Y = M[base.., base..] · X` on one diagonal block of dimension
     /// `d = x.len() / k`, with `X` and `Y` **row-major** `d × k` buffers:
     /// row `r`'s `k` values are `x[r*k .. (r+1)*k]`, one per right-hand
@@ -262,7 +197,9 @@ impl CscMatrix {
     /// right-hand sides in a fixed-width inner loop (widths 1, 2, 4, 8
     /// and 16 are specialised). Rows of the block's columns that fall
     /// outside `[base, base + d)` are dropped: the caller's matrix is
-    /// block diagonal. At `k = 1` the buffers are plain vectors.
+    /// block diagonal. With `base = 0` and `d` the matrix dimension the
+    /// block is the whole square matrix. At `k = 1` the buffers are plain
+    /// vectors.
     ///
     /// Right-hand side `j` of `Y` is **bit-identical** to
     /// [`CscMatrix::matvec_into`] on the block's submatrix and column `j`
@@ -460,39 +397,6 @@ mod tests {
             assert_eq!(*a, 2.0 * b);
         }
         assert!(csc.matvec_into(&x, &mut [0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn spmm_columns_bitwise_equal_matvec() {
-        let csc = sample_csr().to_csc();
-        let cols: Vec<Vec<f64>> = (0..4)
-            .map(|j| {
-                (0..3)
-                    .map(|i| if (i + j) % 3 == 0 { 0.0 } else { ((i * 3 + j) as f64).cos() * 7.7 })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let x = DenseBlock::from_columns(3, &refs).unwrap();
-        let mut y = DenseBlock::zeros(3, 4);
-        csc.spmm_into(&x, &mut y).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            assert_eq!(y.col(j), csc.matvec(col).unwrap(), "column {j}");
-        }
-        let mut acc = y.clone();
-        csc.spmm_acc(&x, &mut acc).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let mut want = y.col(j).to_vec();
-            csc.matvec_acc(col, &mut want).unwrap();
-            assert_eq!(acc.col(j), &want[..], "column {j}");
-        }
-        // Width-1 fallback and shape validation.
-        let one = DenseBlock::from_columns(3, &[cols[0].as_slice()]).unwrap();
-        let mut y1 = DenseBlock::zeros(3, 1);
-        csc.spmm_into(&one, &mut y1).unwrap();
-        assert_eq!(y1.col(0), csc.matvec(&cols[0]).unwrap());
-        assert!(csc.spmm_into(&DenseBlock::zeros(2, 4), &mut DenseBlock::zeros(3, 4)).is_err());
-        assert!(csc.spmm_acc(&DenseBlock::zeros(3, 4), &mut DenseBlock::zeros(3, 2)).is_err());
     }
 
     /// The interleaved block kernel against `matvec_into` per seed, at

@@ -1,6 +1,5 @@
 //! Compressed sparse row matrix: the crate's primary format.
 
-use crate::block::DenseBlock;
 use crate::csc::CscMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{Error, Result};
@@ -204,12 +203,7 @@ impl CsrMatrix {
                 rhs: (y.len(), x.len()),
             });
         }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c];
-            }
+        for (yr, acc) in y.iter_mut().zip(self.row_products(x)) {
             *yr = acc;
         }
         Ok(())
@@ -224,78 +218,93 @@ impl CsrMatrix {
                 rhs: (y.len(), x.len()),
             });
         }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c];
-            }
+        for (yr, acc) in y.iter_mut().zip(self.row_products(x)) {
             *yr += acc;
         }
         Ok(())
     }
 
-    /// `Y = A X` for a column-major dense block: the multi-RHS form of
-    /// [`CsrMatrix::matvec_into`]. Column `j` of `Y` is bit-identical to
-    /// `matvec_into(X.col(j), Y.col(j))` — per output entry the scalar
-    /// accumulation runs over the row's nonzeros in the same order — but
-    /// each row's index/value structure is walked once for all `k`
-    /// columns instead of `k` times, which is where the blocked query
-    /// path gets its memory-bandwidth amortization. Width-1 blocks
-    /// delegate to the vector kernel outright.
-    pub fn spmm_into(&self, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
-        if x.nrows() != self.ncols || y.nrows() != self.nrows || x.ncols() != y.ncols() {
+    /// Each row's `Σ v·x[c]`, summed from `0.0` over the row's nonzeros
+    /// in stored order: the one accumulation every vector product here
+    /// runs. The rows are walked as `indptr` windows over the whole
+    /// index and value arrays, with no per-row slicing through
+    /// [`CsrMatrix::row`]. `x` must have length `ncols`.
+    fn row_products<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        self.indptr.windows(2).map(move |w| {
+            let (lo, hi) = (w[0], w[1]);
+            let mut acc = 0.0;
+            for (&c, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+                acc += v * x[c];
+            }
+            acc
+        })
+    }
+
+    /// `Y = A X` with `X` and `Y` **row-major** buffers of `k` values a
+    /// row (`ncols × k` and `nrows × k`): row `r`'s `k` values are
+    /// `y[r*k .. (r+1)*k]`, one per right-hand side. Each stored nonzero
+    /// is read once and updates all `k` right-hand sides in a fixed-width
+    /// inner loop (widths 2, 4, 8 and 16 are specialised). At `k = 1` the
+    /// buffers are plain vectors and this is [`CsrMatrix::matvec_into`].
+    ///
+    /// Right-hand side `j` of `Y` is **bit-identical** to `matvec_into`
+    /// on right-hand side `j` of `X`: each output element starts from
+    /// `0.0` and adds its row's products in stored order, as the vector
+    /// kernel does, and Rust never contracts `v * x + acc` into a fused
+    /// multiply-add, so the vectorised loop rounds as the scalar one.
+    pub fn interleaved_into(&self, k: usize, x: &[f64], y: &mut [f64]) -> Result<()> {
+        let fits = |len: usize, rows: usize| rows.checked_mul(k) == Some(len);
+        if k == 0 || !fits(x.len(), self.ncols) || !fits(y.len(), self.nrows) {
             return Err(Error::DimensionMismatch {
-                op: "spmm_into",
+                op: "csr interleaved_into",
                 lhs: (self.nrows, self.ncols),
-                rhs: (x.nrows(), x.ncols()),
+                rhs: (x.len().checked_div(k).unwrap_or(0), k),
             });
         }
-        let k = x.ncols();
-        if k == 1 {
-            return self.matvec_into(x.col(0), y.col_mut(0));
-        }
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for j in 0..k {
-                let xj = x.col(j);
-                let mut acc = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * xj[c];
-                }
-                y[(r, j)] = acc;
-            }
+        match k {
+            1 => return self.matvec_into(x, y),
+            2 => self.interleaved_fixed::<2>(x, y),
+            4 => self.interleaved_fixed::<4>(x, y),
+            8 => self.interleaved_fixed::<8>(x, y),
+            16 => self.interleaved_fixed::<16>(x, y),
+            _ => self.interleaved_any(k, x, y),
         }
         Ok(())
     }
 
-    /// `Y += A X` accumulated into a caller-owned block: the multi-RHS
-    /// form of [`CsrMatrix::matvec_acc`], with the same per-column
-    /// bit-identity guarantee as [`CsrMatrix::spmm_into`].
-    pub fn spmm_acc(&self, x: &DenseBlock, y: &mut DenseBlock) -> Result<()> {
-        if x.nrows() != self.ncols || y.nrows() != self.nrows || x.ncols() != y.ncols() {
-            return Err(Error::DimensionMismatch {
-                op: "spmm_acc",
-                lhs: (self.nrows, self.ncols),
-                rhs: (x.nrows(), x.ncols()),
-            });
-        }
-        let k = x.ncols();
-        if k == 1 {
-            return self.matvec_acc(x.col(0), y.col_mut(0));
-        }
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for j in 0..k {
-                let xj = x.col(j);
-                let mut acc = 0.0;
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc += v * xj[c];
+    /// [`CsrMatrix::interleaved_into`] at a compile-time width, so the
+    /// per-nonzero loop over the `K` right-hand sides is unrolled and
+    /// vectorised (shapes already checked).
+    fn interleaved_fixed<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        let (x_rows, _) = x.as_chunks::<K>();
+        let (y_rows, _) = y.as_chunks_mut::<K>();
+        for (ys, w) in y_rows.iter_mut().zip(self.indptr.windows(2)) {
+            let (lo, hi) = (w[0], w[1]);
+            let mut acc = [0.0; K];
+            for (&c, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+                for (a, &xv) in acc.iter_mut().zip(&x_rows[c]) {
+                    *a += v * xv;
                 }
-                y[(r, j)] += acc;
+            }
+            *ys = acc;
+        }
+    }
+
+    /// [`CsrMatrix::interleaved_into`] at any other width (shapes
+    /// already checked).
+    fn interleaved_any(&self, k: usize, x: &[f64], y: &mut [f64]) {
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        for (ys, w) in y.chunks_exact_mut(k).zip(self.indptr.windows(2)) {
+            let (lo, hi) = (w[0], w[1]);
+            ys.fill(0.0);
+            for (&c, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+                for (a, &xv) in ys.iter_mut().zip(&x[c * k..(c + 1) * k]) {
+                    *a += v * xv;
+                }
             }
         }
-        Ok(())
     }
 
     /// `y = Aᵀ x` without materializing the transpose.
@@ -688,48 +697,37 @@ mod tests {
         assert!(m.matvec_acc(&[1.0; 3], &mut [0.0; 4]).is_err());
     }
 
+    /// The row-major kernel against `matvec_into` per right-hand side on
+    /// a rectangular matrix with an empty row, at every width from 1 to
+    /// 17: awkward values, so any reassociation of a sum would show, and
+    /// a stale output buffer that must be overwritten.
     #[test]
-    fn spmm_columns_bitwise_equal_matvec() {
-        let m = sample();
-        // Awkward values so any reassociation of the sums would show up.
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|j| (0..3).map(|i| ((i * 7 + j * 13) as f64).sin() * 1e3 + 0.1).collect())
-            .collect();
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let x = DenseBlock::from_columns(3, &refs).unwrap();
-        let mut y = DenseBlock::zeros(3, 5);
-        m.spmm_into(&x, &mut y).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            assert_eq!(y.col(j), m.matvec(col).unwrap(), "column {j}");
+    fn interleaved_rows_bitwise_equal_matvec() {
+        let mut coo = CooMatrix::new(4, 3);
+        for &(r, c, v) in &[(0, 0, 1.5), (0, 2, -2.25), (1, 1, 3.0), (3, 0, 4.0), (3, 2, -5.5)] {
+            coo.push(r, c, v);
         }
-        // Accumulating form adds exactly one more product on top.
-        let mut acc = y.clone();
-        m.spmm_acc(&x, &mut acc).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let mut want = y.col(j).to_vec();
-            m.matvec_acc(col, &mut want).unwrap();
-            assert_eq!(acc.col(j), &want[..], "column {j}");
+        let m = coo.to_csr();
+        let column = |j: usize| -> Vec<f64> {
+            (0..3).map(|i| ((i * 7 + j * 13) as f64).sin() * 1e3 + 0.1).collect()
+        };
+        for k in 1..=17 {
+            let x: Vec<f64> = (0..3).flat_map(|i| (0..k).map(move |j| column(j)[i])).collect();
+            let mut y = vec![f64::NAN; 4 * k];
+            m.interleaved_into(k, &x, &mut y).unwrap();
+            for j in 0..k {
+                let want = m.matvec(&column(j)).unwrap();
+                let got: Vec<f64> = y.iter().skip(j).step_by(k).copied().collect();
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "k {k} j {j}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn spmm_width_one_falls_back_to_matvec() {
-        let m = sample();
-        let x = DenseBlock::from_columns(3, &[&[0.3, -1.7, 2.9]]).unwrap();
-        let mut y = DenseBlock::zeros(3, 1);
-        m.spmm_into(&x, &mut y).unwrap();
-        assert_eq!(y.col(0), m.matvec(&[0.3, -1.7, 2.9]).unwrap());
-    }
-
-    #[test]
-    fn spmm_rejects_bad_shapes() {
-        let m = sample();
-        let x = DenseBlock::zeros(2, 4); // wrong inner dimension
-        let mut y = DenseBlock::zeros(3, 4);
-        assert!(m.spmm_into(&x, &mut y).is_err());
-        let x = DenseBlock::zeros(3, 4);
-        let mut y = DenseBlock::zeros(3, 2); // width mismatch
-        assert!(m.spmm_into(&x, &mut y).is_err());
-        assert!(m.spmm_acc(&x, &mut y).is_err());
+        // Zero width and buffers of the wrong length.
+        assert!(m.interleaved_into(0, &[], &mut []).is_err());
+        assert!(m.interleaved_into(2, &[0.0; 6], &mut [0.0; 6]).is_err());
+        assert!(m.interleaved_into(2, &[0.0; 4], &mut [0.0; 8]).is_err());
     }
 }

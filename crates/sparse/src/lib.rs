@@ -5,10 +5,11 @@
 //!
 //! * storage formats: [`CooMatrix`], [`CsrMatrix`], [`CscMatrix`],
 //!   [`DenseMatrix`];
-//! * kernels: sparse matrix–vector products, blocked multi-RHS products
-//!   against column-major [`DenseBlock`]s (SpMM, bit-identical per column
-//!   to the vector kernels), sparse matrix–matrix products (Gustavson
-//!   SpGEMM), transposition, element-wise combination;
+//! * kernels: sparse matrix–vector products, multi-RHS products over
+//!   seed-interleaved row-major buffers (`CsrMatrix::interleaved_into`,
+//!   `CscMatrix::interleaved_block_into`; bit-identical per right-hand
+//!   side to the vector kernels), sparse matrix–matrix products
+//!   (Gustavson SpGEMM), transposition, element-wise combination;
 //! * factorizations: sparse LU without pivoting (Gilbert–Peierls
 //!   left-looking, valid for the column-diagonally-dominant systems RWR
 //!   produces), dense LU with partial pivoting, dense Householder QR,

@@ -104,9 +104,20 @@ pub fn jacobi(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>>
     Err(Error::DidNotConverge { what: "jacobi", iterations: opts.max_iterations })
 }
 
+/// Restarts [`bicgstab`] may take before it gives up: one after every
+/// breakdown of the Krylov process, and one whenever the recurred
+/// residual claims convergence that the true residual denies.
+const MAX_RESTARTS: usize = 50;
+
 /// BiCGSTAB (van der Vorst) with Jacobi (diagonal) preconditioning.
 /// Converges on general nonsymmetric systems; used when the plain Jacobi
 /// iteration is too slow.
+///
+/// It never returns an `x` whose true residual `‖b − A x‖` is above the
+/// tolerance. The recurred residual only decides when to look: whenever
+/// the Krylov process says it converged, or breaks down (`⟨r̂, r⟩ ≈ 0`,
+/// `⟨r̂, v⟩ ≈ 0`, `‖t‖ ≈ 0` or `ω ≈ 0`), the true residual is computed,
+/// and if it is above the tolerance the process restarts from it.
 pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64>> {
     let n = a.nrows();
     if a.ncols() != n || b.len() != n {
@@ -117,8 +128,6 @@ pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64
         });
     }
     let d = diagonal(a)?;
-    let precond = |v: &[f64]| -> Vec<f64> { v.iter().zip(&d).map(|(x, di)| x / di).collect() };
-
     let bnorm = norm2(b);
     let mut x = vec![0.0f64; n];
     // A (near-)zero right-hand side has the (near-)zero solution; bailing
@@ -132,42 +141,45 @@ pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64
     // un-normalized, a 1e-150-scale RHS makes ⟨r̂, r⟩ ≈ ‖b‖² underflow to
     // zero and masquerade as a Lanczos breakdown.
     let b: Vec<f64> = b.iter().map(|v| v / bnorm).collect();
-    let target = opts.rel_tolerance;
-    let mut r: Vec<f64> = b.clone();
-    if norm2(&r) <= target {
-        return Ok(x);
+    let mut iterations = 0usize;
+    for _ in 0..=MAX_RESTARTS {
+        let ax = a.matvec(&x)?;
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+        if norm2(&r) <= opts.rel_tolerance {
+            return Ok(rescale(x, bnorm));
+        }
+        if iterations >= opts.max_iterations {
+            return Err(Error::DidNotConverge { what: "bicgstab", iterations });
+        }
+        let budget = opts.max_iterations - iterations;
+        iterations += bicgstab_cycle(a, &d, r, &mut x, opts.rel_tolerance, budget)?;
     }
-    let mut r_hat = r.clone();
-    let mut rho = 1.0f64;
-    let mut alpha = 1.0f64;
-    let mut omega = 1.0f64;
+    Err(Error::DidNotConverge { what: "bicgstab (breakdown)", iterations })
+}
+
+/// One BiCGSTAB cycle from the iterate `x` and its residual `r`, with
+/// the shadow residual `r̂ = r`: updates `x` until the recurred residual
+/// reaches `target`, the process breaks down, or `budget` (at least
+/// one) iterations have run, and returns the iterations taken.
+fn bicgstab_cycle(
+    a: &CsrMatrix,
+    d: &[f64],
+    mut r: Vec<f64>,
+    x: &mut [f64],
+    target: f64,
+    budget: usize,
+) -> Result<usize> {
+    let precond = |v: &[f64]| -> Vec<f64> { v.iter().zip(d).map(|(x, di)| x / di).collect() };
+    let n = r.len();
+    let r_hat = r.clone();
+    let (mut rho, mut alpha, mut omega) = (1.0f64, 1.0f64, 1.0f64);
     let mut v = vec![0.0f64; n];
     let mut p = vec![0.0f64; n];
-    let mut restarts = 0usize;
-
-    for iter in 0..opts.max_iterations {
+    for iter in 1..=budget {
         let rho_next = dot(&r_hat, &r);
         if rho_next.abs() < 1e-300 {
-            // Lanczos breakdown (r ⟂ r̂): accept the iterate if its
-            // residual is at tolerance, otherwise restart the Krylov
-            // process from the current residual — the standard remedy.
-            if norm2(&r) <= target * 1e3 {
-                return Ok(rescale(x, bnorm));
-            }
-            restarts += 1;
-            if restarts > 50 {
-                return Err(Error::DidNotConverge {
-                    what: "bicgstab (breakdown)",
-                    iterations: iter,
-                });
-            }
-            r_hat = r.clone();
-            rho = 1.0;
-            alpha = 1.0;
-            omega = 1.0;
-            v.iter_mut().for_each(|z| *z = 0.0);
-            p.iter_mut().for_each(|z| *z = 0.0);
-            continue;
+            // Lanczos breakdown (r ⟂ r̂).
+            return Ok(iter);
         }
         let beta = (rho_next / rho) * (alpha / omega);
         rho = rho_next;
@@ -178,10 +190,7 @@ pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64
         v = a.matvec(&y)?;
         let denom = dot(&r_hat, &v);
         if denom.abs() < 1e-300 {
-            if norm2(&r) <= target * 1e3 {
-                return Ok(rescale(x, bnorm));
-            }
-            return Err(Error::DidNotConverge { what: "bicgstab (breakdown)", iterations: iter });
+            return Ok(iter);
         }
         alpha = rho / denom;
         let s: Vec<f64> = r.iter().zip(&v).map(|(ri, vi)| ri - alpha * vi).collect();
@@ -189,33 +198,27 @@ pub fn bicgstab(a: &CsrMatrix, b: &[f64], opts: &SolveOptions) -> Result<Vec<f64
             for i in 0..n {
                 x[i] += alpha * y[i];
             }
-            return Ok(rescale(x, bnorm));
+            return Ok(iter);
         }
         let z = precond(&s);
         let t = a.matvec(&z)?;
         let tt = dot(&t, &t);
         if tt.abs() < 1e-300 {
-            if norm2(&s) <= target * 1e3 {
-                for i in 0..n {
-                    x[i] += alpha * y[i];
-                }
-                return Ok(rescale(x, bnorm));
+            for i in 0..n {
+                x[i] += alpha * y[i];
             }
-            return Err(Error::DidNotConverge { what: "bicgstab (breakdown)", iterations: iter });
+            return Ok(iter);
         }
         omega = dot(&t, &s) / tt;
         for i in 0..n {
             x[i] += alpha * y[i] + omega * z[i];
             r[i] = s[i] - omega * t[i];
         }
-        if norm2(&r) <= target {
-            return Ok(rescale(x, bnorm));
-        }
-        if omega.abs() < 1e-300 {
-            return Err(Error::DidNotConverge { what: "bicgstab (breakdown)", iterations: iter });
+        if norm2(&r) <= target || omega.abs() < 1e-300 {
+            return Ok(iter);
         }
     }
-    Err(Error::DidNotConverge { what: "bicgstab", iterations: opts.max_iterations })
+    Ok(budget)
 }
 
 #[cfg(test)]

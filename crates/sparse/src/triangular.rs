@@ -9,7 +9,6 @@
 //! keeps the paper's Observation 1 (degree-ordering keeps the inverses
 //! sparse) profitable.
 
-use crate::block::DenseBlock;
 use crate::csc::CscMatrix;
 use crate::error::{Error, Result};
 
@@ -90,103 +89,6 @@ pub fn solve_upper(u: &CscMatrix, b: &mut [f64]) -> Result<()> {
         }
         for (&i, &v) in rows[..diag_pos].iter().zip(&vals[..diag_pos]) {
             b[i] -= v * xj;
-        }
-    }
-    Ok(())
-}
-
-/// Multi-RHS forward substitution `L X = B` in place on a column-major
-/// block: the blocked form of [`solve_lower`]. Column `j` of the result
-/// is bit-identical to `solve_lower(l, b.col(j), unit_diag)` — per
-/// right-hand side the elimination applies the same updates in the same
-/// order — but each matrix column's structure (and its diagonal lookup)
-/// is resolved once for all `k` right-hand sides. Width-1 blocks
-/// delegate to the vector kernel outright.
-pub fn solve_lower_block(l: &CscMatrix, b: &mut DenseBlock, unit_diag: bool) -> Result<()> {
-    let n = l.ncols();
-    if l.nrows() != n || b.nrows() != n {
-        return Err(Error::DimensionMismatch {
-            op: "solve_lower_block",
-            lhs: (l.nrows(), l.ncols()),
-            rhs: (b.nrows(), b.ncols()),
-        });
-    }
-    let k = b.ncols();
-    if k == 1 {
-        return solve_lower(l, b.col_mut(0), unit_diag);
-    }
-    for j in 0..n {
-        let (rows, vals) = l.col(j);
-        let diag_pos = rows.binary_search(&j);
-        let diag = if unit_diag {
-            None
-        } else {
-            let d = match diag_pos {
-                Ok(p) => vals[p],
-                Err(_) => return Err(Error::SingularMatrix { at: j }),
-            };
-            if d == 0.0 {
-                return Err(Error::SingularMatrix { at: j });
-            }
-            Some(d)
-        };
-        let start = match diag_pos {
-            Ok(p) => p + 1,
-            Err(p) => p,
-        };
-        for col in 0..k {
-            let bj = b.col_mut(col);
-            if let Some(d) = diag {
-                bj[j] /= d;
-            }
-            let xj = bj[j];
-            if xj == 0.0 {
-                continue;
-            }
-            for (&i, &v) in rows[start..].iter().zip(&vals[start..]) {
-                bj[i] -= v * xj;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Multi-RHS backward substitution `U X = B` in place on a column-major
-/// block: the blocked form of [`solve_upper`], with the same per-column
-/// bit-identity guarantee as [`solve_lower_block`].
-pub fn solve_upper_block(u: &CscMatrix, b: &mut DenseBlock) -> Result<()> {
-    let n = u.ncols();
-    if u.nrows() != n || b.nrows() != n {
-        return Err(Error::DimensionMismatch {
-            op: "solve_upper_block",
-            lhs: (u.nrows(), u.ncols()),
-            rhs: (b.nrows(), b.ncols()),
-        });
-    }
-    let k = b.ncols();
-    if k == 1 {
-        return solve_upper(u, b.col_mut(0));
-    }
-    for j in (0..n).rev() {
-        let (rows, vals) = u.col(j);
-        let diag_pos = match rows.binary_search(&j) {
-            Ok(p) => p,
-            Err(_) => return Err(Error::SingularMatrix { at: j }),
-        };
-        let d = vals[diag_pos];
-        if d == 0.0 {
-            return Err(Error::SingularMatrix { at: j });
-        }
-        for col in 0..k {
-            let bj = b.col_mut(col);
-            bj[j] /= d;
-            let xj = bj[j];
-            if xj == 0.0 {
-                continue;
-            }
-            for (&i, &v) in rows[..diag_pos].iter().zip(&vals[..diag_pos]) {
-                bj[i] -= v * xj;
-            }
         }
     }
     Ok(())
@@ -548,72 +450,5 @@ mod tests {
         let i = CscMatrix::identity(4);
         let inv = invert_triangular(&i, Triangle::Lower, false).unwrap();
         assert_eq!(inv.to_csr(), CsrMatrix::identity(4));
-    }
-
-    #[test]
-    fn block_solves_bitwise_equal_vector_solves() {
-        let l = lower();
-        let u = upper();
-        let cols: Vec<Vec<f64>> = (0..5)
-            .map(|j| (0..3).map(|i| ((i * 11 + j * 5) as f64).sin() * 9.3).collect())
-            .collect();
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut b = DenseBlock::from_columns(3, &refs).unwrap();
-        solve_lower_block(&l, &mut b, false).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let mut want = col.clone();
-            solve_lower(&l, &mut want, false).unwrap();
-            assert_eq!(b.col(j), &want[..], "lower column {j}");
-        }
-        let mut b = DenseBlock::from_columns(3, &refs).unwrap();
-        solve_upper_block(&u, &mut b).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let mut want = col.clone();
-            solve_upper(&u, &mut want).unwrap();
-            assert_eq!(b.col(j), &want[..], "upper column {j}");
-        }
-        // Width-1 fallback.
-        let mut one = DenseBlock::from_columns(3, &[cols[0].as_slice()]).unwrap();
-        solve_lower_block(&l, &mut one, false).unwrap();
-        let mut want = cols[0].clone();
-        solve_lower(&l, &mut want, false).unwrap();
-        assert_eq!(one.col(0), &want[..]);
-    }
-
-    #[test]
-    fn block_solve_unit_diag_matches_vector_solve() {
-        // Strictly lower entries only; unit diagonal implied, so the
-        // diagonal lookup misses and the hoisted `Err` position is used.
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(1, 0, 0.5);
-        coo.push(2, 1, 0.25);
-        let l = coo.to_csr().to_csc();
-        let cols = [[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]];
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let mut b = DenseBlock::from_columns(3, &refs).unwrap();
-        solve_lower_block(&l, &mut b, true).unwrap();
-        for (j, col) in cols.iter().enumerate() {
-            let mut want = col.to_vec();
-            solve_lower(&l, &mut want, true).unwrap();
-            assert_eq!(b.col(j), &want[..], "column {j}");
-        }
-    }
-
-    #[test]
-    fn block_solves_validate_shapes_and_singularity() {
-        let l = lower();
-        let mut wrong = DenseBlock::zeros(2, 3);
-        assert!(solve_lower_block(&l, &mut wrong, false).is_err());
-        assert!(solve_upper_block(&upper(), &mut wrong).is_err());
-        // Zero diagonal detected at the same pivot as the vector solve.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 0, 1.0);
-        let singular = coo.to_csr().to_csc();
-        let mut b = DenseBlock::zeros(2, 3);
-        assert!(matches!(
-            solve_lower_block(&singular, &mut b, false),
-            Err(Error::SingularMatrix { at: 1 })
-        ));
     }
 }

@@ -319,3 +319,88 @@ proptest! {
         prop_assert_eq!(bits(&got), bits(&want), "base {}, width {}", base, k);
     }
 }
+
+/// A lane value for the interleaved-kernel cases: exact zeros (`+0.0`
+/// and `−0.0`) about half the time, so lanes are zero where others are
+/// not.
+fn arb_lane_value() -> impl Strategy<Value = f64> {
+    (0u8..8, -2.0f64..2.0).prop_map(|(pick, v)| match pick {
+        0..=2 => 0.0,
+        3 => -0.0,
+        _ => v,
+    })
+}
+
+/// Strategy: a random `rows × cols` matrix (as COO, so empty rows and
+/// columns are common), a width from 1 to 40, and a row-major
+/// `cols × width` input in which some rows are all zero.
+fn arb_wide_case(square: bool) -> impl Strategy<Value = (CooMatrix, usize, Vec<f64>)> {
+    (1usize..=12, 1usize..=12, 1usize..=40).prop_flat_map(move |(r, c, k)| {
+        let c = if square { r } else { c };
+        let entries = proptest::collection::vec((0..r, 0..c, -4.0f64..4.0), 0..=r * c);
+        let input = proptest::collection::vec(arb_lane_value(), c * k);
+        let blank_rows = proptest::collection::vec(0u8..4, c);
+        (entries, input, blank_rows).prop_map(move |(entries, mut input, blank_rows)| {
+            let mut coo = CooMatrix::new(r, c);
+            for (i, j, v) in entries {
+                coo.push(i, j, v);
+            }
+            for (row, blank) in input.chunks_exact_mut(k).zip(blank_rows) {
+                if blank == 0 {
+                    row.fill(0.0);
+                }
+            }
+            (coo, k, input)
+        })
+    })
+}
+
+/// Seed `j` of a row-major `k`-lane buffer.
+fn lane(x: &[f64], k: usize, j: usize) -> Vec<f64> {
+    x.iter().skip(j).step_by(k).copied().collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The CSR interleaved kernel that applies `H₁₂`/`H₂₁` to a
+    /// row-major block is bit-identical, seed by seed, to `matvec_into`
+    /// on that seed's lane, on rectangular matrices at every width from 1
+    /// to 40, with `±0` lanes and all-zero input rows. The output buffer
+    /// arrives stale and must be overwritten.
+    #[test]
+    fn interleaved_block_csr_rows_match_per_seed_matvec_bitwise(
+        (coo, k, x) in arb_wide_case(false),
+    ) {
+        let m = coo.to_csr();
+        let mut got = vec![7.5; m.nrows() * k];
+        m.interleaved_into(k, &x, &mut got).unwrap();
+        for j in 0..k {
+            let mut want = vec![-1.0; m.nrows()];
+            m.matvec_into(&lane(&x, k, j), &mut want).unwrap();
+            prop_assert_eq!(bits(&lane(&got, k, j)), bits(&want), "width {}, seed {}", k, j);
+        }
+    }
+
+    /// The CSC interleaved kernel on the whole square matrix (`base = 0`,
+    /// the `L₂⁻¹`/`U₂⁻¹` use) is bit-identical, seed by seed, to
+    /// `matvec_into` with the whole matrix, at every width from 1 to 40,
+    /// with `±0` lanes and all-zero input rows.
+    #[test]
+    fn interleaved_block_whole_matrix_matches_per_seed_matvec_bitwise(
+        (coo, k, x) in arb_wide_case(true),
+    ) {
+        let m = coo.to_csr().to_csc();
+        let mut got = vec![7.5; x.len()];
+        m.interleaved_block_into(0, k, &x, &mut got).unwrap();
+        for j in 0..k {
+            let mut want = vec![-1.0; m.nrows()];
+            m.matvec_into(&lane(&x, k, j), &mut want).unwrap();
+            prop_assert_eq!(bits(&lane(&got, k, j)), bits(&want), "width {}, seed {}", k, j);
+        }
+    }
+}

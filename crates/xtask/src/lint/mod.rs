@@ -1,6 +1,6 @@
 //! `bear-lint`: repo-specific static analysis; any finding fails.
 //!
-//! `cargo xtask analyze lint` runs five rules that generic tooling
+//! `cargo xtask analyze lint` runs six rules that generic tooling
 //! cannot express (see DESIGN.md §15):
 //!
 //! * **L1 panic-freedom** — no `.unwrap()`/`.expect()`/panicking macros/
@@ -13,7 +13,11 @@
 //!   only inside the `crate::sync` shim, keeping every lock
 //!   loom-checkable;
 //! * **L5 error-taxonomy completeness** — every `Error` variant has an
-//!   explicit HTTP-status arm and CLI exit-code arm.
+//!   explicit HTTP-status arm and CLI exit-code arm;
+//! * **L6 deterministic generation** — no std `HashMap`/`HashSet` in the
+//!   graph generators, the dataset registry or preprocessing, whose
+//!   per-process iteration order would make a seeded build differ from
+//!   run to run.
 //!
 //! There is no baseline of tolerated findings: every finding fails the
 //! gate. Intentional exceptions are written in the source as
@@ -65,6 +69,9 @@ pub struct LintConfig {
     pub l3: RuleScope,
     /// L4 sync-shim scope (locking crates, `sync.rs` carved out).
     pub l4: RuleScope,
+    /// L6 deterministic-generation scope (generators, datasets,
+    /// preprocessing).
+    pub l6: RuleScope,
     /// L5 error enum location: `(relative file, enum name)`.
     pub l5_enum: Option<(String, String)>,
     /// L5 mapping functions: `(relative file, fn name)` each of which
@@ -113,6 +120,14 @@ impl LintConfig {
                     "crates/cli/src".into(),
                 ],
                 exclude: vec!["crates/core/src/sync.rs".into(), "crates/serve/src/sync.rs".into()],
+            },
+            l6: RuleScope {
+                include: vec![
+                    "crates/graph/src/generators".into(),
+                    "crates/datasets/src".into(),
+                    "crates/core/src/precompute.rs".into(),
+                ],
+                exclude: Vec::new(),
             },
             l5_enum: Some(("crates/sparse/src/error.rs".into(), "Error".into())),
             l5_targets: vec![
@@ -236,7 +251,7 @@ fn collect_rs(root: &Path, rel: &str, out: &mut Vec<String>) -> io::Result<()> {
 pub fn scan(config: &LintConfig) -> io::Result<Vec<Finding>> {
     // Union of all files any rule needs.
     let mut rel_paths: Vec<String> = Vec::new();
-    for scope in [&config.l1, &config.l2, &config.l3, &config.l4] {
+    for scope in [&config.l1, &config.l2, &config.l3, &config.l4, &config.l6] {
         for inc in &scope.include {
             collect_rs(&config.root, inc, &mut rel_paths)?;
         }
@@ -270,6 +285,9 @@ pub fn scan(config: &LintConfig) -> io::Result<Vec<Finding>> {
         }
         if config.l4.matches(&file.rel_path) {
             file_findings.extend(rules::l4_sync_shim(file));
+        }
+        if config.l6.matches(&file.rel_path) {
+            file_findings.extend(rules::l6_deterministic_generation(file));
         }
         findings.extend(apply_allows(file, file_findings));
     }

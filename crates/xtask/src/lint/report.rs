@@ -10,7 +10,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`L1`..`L5`).
+    /// Rule id (`L1`..`L6`).
     pub rule: String,
     /// Short category slug within the rule (e.g. `unwrap`, `slice-index`).
     pub category: String,

@@ -1,4 +1,4 @@
-//! The five repo-specific rules (L1–L5).
+//! The six repo-specific rules (L1–L6).
 //!
 //! Each rule is a pure function from a parsed [`SourceFile`] (plus rule
 //! scope from [`LintConfig`](super::LintConfig)) to findings. Rules see
@@ -46,6 +46,10 @@ const ALLOC_MACROS: &[&str] = &["vec", "format"];
 /// Raw constructors L3 rejects outside `bear-sparse`: they skip (part of)
 /// the invariant audit that `try_from_parts` performs.
 const RAW_CONSTRUCTORS: &[&str] = &["from_raw", "from_raw_unchecked", "from_parts"];
+
+/// Hash collections L6 rejects where generation must be deterministic:
+/// their iteration order depends on a per-process random hash seed.
+const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet"];
 
 /// `std::sync` primitives L4 requires to be imported through the
 /// `crate::sync` shim, so loom model-checks every lock.
@@ -299,6 +303,36 @@ pub fn l5_taxonomy(
         }
     }
     findings
+}
+
+/// L6 — deterministic generation: no std `HashMap`/`HashSet` in the
+/// graph generators, the dataset registry or preprocessing. Iterating
+/// one visits entries in an order seeded per process, so anything that
+/// order reaches (an edge list, an RNG draw, a factor's layout) would
+/// differ between two runs of the same seeded build. A `BTreeMap`/
+/// `BTreeSet`, a `Vec` in insertion order or a dense mark array keeps
+/// the order fixed. Test code is spared: it builds nothing.
+pub fn l6_deterministic_generation(file: &SourceFile) -> Vec<Finding> {
+    file.tokens
+        .iter()
+        .filter(|tok| {
+            tok.is_word
+                && HASH_COLLECTIONS.contains(&tok.text.as_str())
+                && !file.line_in_test(tok.line)
+        })
+        .map(|tok| {
+            Finding::new(
+                "L6",
+                "std-hash",
+                file,
+                tok.line,
+                format!(
+                    "`{}` iterates in a per-process order where generation must be deterministic; use a `BTree` collection or a `Vec`",
+                    tok.text
+                ),
+            )
+        })
+        .collect()
 }
 
 /// The nearest preceding token, if any.

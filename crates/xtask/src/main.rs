@@ -70,7 +70,7 @@ const STEPS: &[Step] = &[
     Step { name: "miri", description: "Miri on bear-sparse kernel unit tests", run: run_miri },
     Step {
         name: "lint",
-        description: "bear-lint: repo rules L1-L5, any finding fails",
+        description: "bear-lint: repo rules L1-L6, any finding fails",
         run: run_lint,
     },
 ];

@@ -20,6 +20,7 @@ fn fixture_config() -> LintConfig {
         l2: RuleScope { include: vec!["kernels".into()], exclude: Vec::new() },
         l3: RuleScope { include: vec!["trust".into()], exclude: Vec::new() },
         l4: RuleScope { include: vec!["sync".into()], exclude: vec!["sync/sync.rs".into()] },
+        l6: RuleScope { include: vec!["generate".into()], exclude: Vec::new() },
         l5_enum: Some(("errors/error.rs".into(), "Error".into())),
         l5_targets: vec![
             ("errors/map.rs".into(), "full_map".into()),
@@ -107,6 +108,16 @@ fn l5_flags_the_variant_hidden_under_a_catch_all() {
     assert!(found[0].message.contains("partial_map"), "{found:?}");
 }
 
+#[test]
+fn l6_catches_std_hash_collections_in_generators() {
+    let found = fixture_findings("generate/gen.rs");
+    // The `HashSet` import, the qualified `HashMap` and the imported
+    // `HashSet::new` in tp_targets; ordered collections, comment and
+    // string contents, the allowed set and test code are spared.
+    assert_eq!(found.len(), 3, "{found:?}");
+    assert!(found.iter().all(|f| f.rule == "L6" && f.category == "std-hash"), "{found:?}");
+}
+
 /// A scratch directory under the system temp dir, removed on drop.
 struct TempDir(PathBuf);
 
@@ -129,6 +140,7 @@ impl TempDir {
             l2: RuleScope::default(),
             l3: RuleScope::default(),
             l4: RuleScope::default(),
+            l6: RuleScope::default(),
             l5_enum: None,
             l5_targets: Vec::new(),
         }
