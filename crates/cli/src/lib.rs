@@ -462,9 +462,6 @@ enum Service {
     DegradedOnly(FallbackSolver),
 }
 
-/// Builds the serving stack for `query`/`batch`. `threads == 0` keeps
-/// the default (all cores). Returns the service plus an optional notice
-/// line to print (degraded-only mode names the load failure).
 /// Builds the engine configuration shared by `query`, `batch`, and
 /// `serve` from the common flags (`0` keeps each engine default).
 fn engine_config_from(threads: usize, serve: &ServeFlags) -> Result<EngineConfig> {
@@ -487,32 +484,37 @@ fn engine_config_from(threads: usize, serve: &ServeFlags) -> Result<EngineConfig
     builder.build()
 }
 
+/// The iterative fallback solver over the edge list at `g_path`.
+fn fallback_for(g_path: &str, c: f64) -> Result<FallbackSolver> {
+    let g = read_edge_list(Path::new(g_path), None)?;
+    FallbackSolver::new(&g, &RwrConfig { c, ..RwrConfig::default() }, DEFAULT_FALLBACK_ITERATIONS)
+}
+
+/// The engine over `bear`, with the fallback over `--fallback-graph`
+/// attached when the flag is given: what `query`, `batch` and `serve`
+/// each serve a loaded index through.
+fn engine_for(bear: Bear, config: EngineConfig, serve: &ServeFlags) -> Result<QueryEngine> {
+    let bear = Arc::new(bear);
+    match &serve.fallback_graph {
+        Some(g_path) => {
+            let fb = fallback_for(g_path, bear.restart_probability())?;
+            QueryEngine::with_fallback(bear, config, Arc::new(fb))
+        }
+        None => QueryEngine::new(bear, config),
+    }
+}
+
+/// Builds the serving stack for `query`/`batch`. `threads == 0` keeps
+/// the default (all cores). Returns the service plus an optional notice
+/// line to print (degraded-only mode names the load failure).
 fn load_service(
     index: &str,
     threads: usize,
     serve: &ServeFlags,
 ) -> Result<(Service, Option<String>)> {
     let config = engine_config_from(threads, serve)?;
-    let fallback_for = |g_path: &str, c: f64| -> Result<FallbackSolver> {
-        let g = read_edge_list(Path::new(g_path), None)?;
-        FallbackSolver::new(
-            &g,
-            &RwrConfig { c, ..RwrConfig::default() },
-            DEFAULT_FALLBACK_ITERATIONS,
-        )
-    };
     match Bear::load(Path::new(index)) {
-        Ok(bear) => {
-            let bear = Arc::new(bear);
-            let engine = match &serve.fallback_graph {
-                Some(g_path) => {
-                    let fb = fallback_for(g_path, bear.restart_probability())?;
-                    QueryEngine::with_fallback(bear, config, Arc::new(fb))?
-                }
-                None => QueryEngine::new(bear, config)?,
-            };
-            Ok((Service::Full(Box::new(engine)), None))
-        }
+        Ok(bear) => Ok((Service::Full(Box::new(engine_for(bear, config, serve)?)), None)),
         Err(load_err) => match &serve.fallback_graph {
             Some(g_path) => {
                 let fb = fallback_for(g_path, serve.c)?;
@@ -729,19 +731,8 @@ pub fn run(cmd: &Command, out: &mut dyn std::io::Write) -> Result<()> {
             let engine_config = engine_config_from(*threads, serve)?;
             let registry = Arc::new(bear_serve::Registry::new());
             for (name, index) in graphs {
-                let bear = Arc::new(Bear::load(Path::new(index))?);
-                let engine = match &serve.fallback_graph {
-                    Some(g_path) => {
-                        let g = read_edge_list(Path::new(g_path), None)?;
-                        let fb = FallbackSolver::new(
-                            &g,
-                            &RwrConfig { c: bear.restart_probability(), ..RwrConfig::default() },
-                            DEFAULT_FALLBACK_ITERATIONS,
-                        )?;
-                        QueryEngine::with_fallback(bear, engine_config.clone(), Arc::new(fb))?
-                    }
-                    None => QueryEngine::new(bear, engine_config.clone())?,
-                };
+                let bear = Bear::load(Path::new(index))?;
+                let engine = engine_for(bear, engine_config.clone(), serve)?;
                 let nodes = engine.bear().num_nodes();
                 registry.publish(name, Arc::new(engine));
                 writeln!(out, "graph '{name}': {nodes} nodes from {index}").map_err(io_err)?;
