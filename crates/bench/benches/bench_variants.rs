@@ -6,9 +6,7 @@
 //! pager fault runs).
 
 use bear_core::topk::top_k_excluding_seed;
-use bear_core::{
-    Bear, BearConfig, BearHubIterative, DynamicBear, QueryWorkspace, RwrSolver, TopKPruneOptions,
-};
+use bear_core::{Bear, BearConfig, DynamicBear, QueryWorkspace, TopKPruneOptions};
 use bear_datasets::dataset_by_name;
 use bear_graph::generators::{hub_and_spoke, rmat, HubSpokeConfig, RmatConfig};
 use bear_sparse::DenseBlock;
@@ -52,7 +50,7 @@ fn bench_variants(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(dynamic.insert_edge(0, 42, 0.001).unwrap()))
     });
 
-    let hub_iter = BearHubIterative::new(&g, &BearConfig::exact(0.05)).unwrap();
+    let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::exact(0.05)).unwrap();
     c.bench_function("hub_iter/query", |b| {
         b.iter(|| std::hint::black_box(hub_iter.query(5).unwrap()))
     });

@@ -1,5 +1,5 @@
 //! Extension experiment (DESIGN.md §6): the memory-lean iterative hub
-//! solver (`BearHubIterative`) vs standard BEAR-Exact. On hub-heavy
+//! solve (`Bear::new_hub_iterative`) vs standard BEAR-Exact. On hub-heavy
 //! graphs, BEAR's space is dominated by the inverted Schur factors
 //! (`≈ n₂²` nonzeros, Table 4); keeping the sparse `S` and solving it
 //! per query — the direction the BePI follow-up took — trades query
@@ -13,7 +13,7 @@
 use bear_bench::cli::{Args, CommonOpts};
 use bear_bench::experiments::load_dataset;
 use bear_bench::harness::{mean_query_time, measure, ExperimentResult, ResultRow};
-use bear_core::{Bear, BearConfig, BearHubIterative, RwrSolver};
+use bear_core::{Bear, BearConfig, RwrSolver};
 
 fn main() {
     let args = Args::from_env();
@@ -34,7 +34,7 @@ fn main() {
         out.rows.push(row);
 
         let (hub_iter, pre_iter) =
-            measure(|| BearHubIterative::new(&g, &config).expect("hub-iter"));
+            measure(|| Bear::new_hub_iterative(&g, &config).expect("hub-iter"));
         let mut row = ResultRow::new(dataset, "BEAR-HubIter");
         row.preprocess_s = Some(pre_iter);
         row.query_s = Some(mean_query_time(&hub_iter, opts.num_seeds));

@@ -10,17 +10,19 @@
 //! * update the stored `H₁₂` column and the shadow `H₂₂` column;
 //! * recompute one column of `S` with a single block solve,
 //!   `S[:,u] = H₂₂[:,u] − H₂₁ (U₁⁻¹ (L₁⁻¹ H₁₂[:,u]))`;
-//! * LU-refactor `S` and re-invert its (small) factors.
+//! * LU-refactor `S`, re-invert its (small) factors, and drop entries
+//!   below ξ from them and from `H₁₂`, as preprocessing does.
 //!
 //! Edges sourced at spokes can change `H₁₁`'s block structure, so they
 //! fall back to full preprocessing. [`DynamicBear::insert_edge`] reports
 //! which path was taken.
 
 use crate::paging::SweepScratch;
-use crate::precompute::{Bear, BearConfig};
+use crate::precompute::{factor_schur, Bear, BearConfig, HubSolve};
 use crate::rwr::{build_h, Normalization};
+use crate::stats::StageTimings;
 use bear_graph::Graph;
-use bear_sparse::{CooMatrix, Error, Result, SparseLu};
+use bear_sparse::{CooMatrix, Error, Result};
 
 /// Which update path an edge insertion took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,10 +225,17 @@ impl DynamicBear {
                 }
             }
         }
-        let s_lu = SparseLu::factor(&s_coo.to_csr().to_csc())?;
-        let (l2_inv, u2_inv) = s_lu.invert_factors()?;
-        self.bear.l2_inv = l2_inv;
-        self.bear.u2_inv = u2_inv;
+        // Lines 8–9 as preprocessing runs them, ξ dropped from the
+        // rebuilt `H₁₂` too.
+        let bear = &mut self.bear;
+        let (l2_inv, u2_inv) = factor_schur(
+            &s_coo.to_csr(),
+            &mut bear.h12,
+            &mut bear.h21,
+            &self.config,
+            &mut StageTimings::default(),
+        )?;
+        bear.hub = HubSolve::Inverted { l2_inv, u2_inv };
         Ok(())
     }
 
@@ -318,6 +327,32 @@ mod tests {
         let want = oracle.query(6).unwrap();
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// The incremental path drops ξ as preprocessing does: no stored
+    /// entry of `H₁₂`, `H₂₁`, `L₂⁻¹` or `U₂⁻¹` is below it afterwards.
+    #[test]
+    fn incremental_refresh_drops_entries_below_the_tolerance() {
+        let xi = 0.1;
+        let mut edges: Vec<(usize, usize)> = (1..12).flat_map(|v| [(0, v), (v, 0)]).collect();
+        edges.extend([(3, 4), (4, 3)]);
+        let g = Graph::from_edges(12, &edges).unwrap();
+        let mut dynamic = DynamicBear::new(&g, &BearConfig::approx(0.1, xi)).unwrap();
+        assert_eq!(dynamic.insert_edge(0, 5, 1.0).unwrap(), UpdateKind::IncrementalHub);
+        let bear = dynamic.bear();
+        let HubSolve::Inverted { l2_inv, u2_inv } = &bear.hub else {
+            panic!("a dynamic index keeps the inverted Schur factors");
+        };
+        let stored = [
+            ("H12", bear.h12.values()),
+            ("H21", bear.h21.values()),
+            ("L2_inv", l2_inv.values()),
+            ("U2_inv", u2_inv.values()),
+        ];
+        for (name, values) in stored {
+            let below = values.iter().filter(|v| v.abs() < xi).count();
+            assert_eq!(below, 0, "{name} keeps {below} entries below xi");
         }
     }
 

@@ -40,7 +40,6 @@ pub mod engine;
 pub mod failpoints;
 #[cfg(not(loom))]
 pub mod fallback;
-pub mod hub_iterative;
 pub mod metrics;
 pub mod paging;
 pub mod persist;
@@ -76,7 +75,6 @@ pub use engine::{
 pub use engine::{MetricsSnapshot, QueryWorkspace};
 #[cfg(not(loom))]
 pub use fallback::{DegradedReason, FallbackAnswer, FallbackSolver, DEFAULT_FALLBACK_ITERATIONS};
-pub use hub_iterative::BearHubIterative;
 pub use paging::{BlockPager, PagerStats};
 pub use persist::LoadOptions;
 pub use precompute::{preprocess_to_disk, Bear, BearConfig};

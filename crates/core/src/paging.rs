@@ -59,6 +59,7 @@ use crate::sync::{Mutex, MutexGuard};
 use bear_sparse::mem::{sparse_bytes, MemoryUsage};
 use bear_sparse::{CscMatrix, Error, Result};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -704,24 +705,31 @@ fn block_starts(sizes: &[usize]) -> Option<Vec<usize>> {
 /// never merges them.
 const SWEEP_RUN_ROWS: usize = 256;
 
-/// The first row of each sweep run over blocks with prefix sums
-/// `starts`, then the last row (`len = runs + 1`): blocks are merged in
-/// order until one more would take the run past [`SWEEP_RUN_ROWS`].
-fn run_starts(starts: &[usize]) -> Vec<usize> {
-    let first = starts.first().copied().unwrap_or(0);
-    let mut runs = vec![first];
-    let (mut run, mut prev) = (first, first);
-    for &end in starts.iter().skip(1) {
-        if end.saturating_sub(run) > SWEEP_RUN_ROWS && prev > run {
-            runs.push(prev);
-            run = prev;
+/// Splits diagonal blocks of `block_sizes` into runs of consecutive
+/// blocks: a run grows while its rows stay within `cap`, and a block
+/// larger than that is a run alone. Yields `(block range, row range)`
+/// per run. Preprocessing walks runs of
+/// [`crate::precompute::RUN_ROWS`] rows, a resident sweep runs of
+/// [`SWEEP_RUN_ROWS`].
+pub(crate) fn runs(
+    block_sizes: &[usize],
+    cap: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
+    let (mut first, mut r0) = (0, 0);
+    std::iter::from_fn(move || {
+        let &size = block_sizes.get(first)?;
+        let (mut last, mut r1) = (first + 1, r0 + size);
+        while let Some(&next) = block_sizes.get(last) {
+            if r1 - r0 + next > cap {
+                break;
+            }
+            r1 += next;
+            last += 1;
         }
-        prev = end;
-    }
-    if prev > run {
-        runs.push(prev);
-    }
-    runs
+        let run = (first..last, r0..r1);
+        (first, r0) = (last, r1);
+        Some(run)
+    })
 }
 
 /// `[bs, be)` of block `b` from its prefix sums.
@@ -767,7 +775,8 @@ impl SpokeFactors {
                 }
             }
         }
-        let runs = run_starts(&starts);
+        let first_rows = runs(block_sizes, SWEEP_RUN_ROWS).map(|(_, rows)| rows.start);
+        let runs = first_rows.chain([n1]).collect();
         Ok(SpokeFactors::Resident { l1_inv, u1_inv, layout: Box::new(Layout { starts, runs }) })
     }
 
@@ -851,7 +860,7 @@ impl SpokeFactors {
     }
 
     /// Prefix sums of the block sizes (`len = blocks + 1`).
-    fn starts(&self) -> &[usize] {
+    pub(crate) fn starts(&self) -> &[usize] {
         match self {
             SpokeFactors::Resident { layout, .. } => &layout.starts,
             SpokeFactors::Paged { pager } => &pager.inner.starts,
@@ -859,7 +868,7 @@ impl SpokeFactors {
     }
 
     /// `[bs, be)` of block `b` in the permuted spoke space.
-    fn block_range(&self, b: usize) -> Result<(usize, usize)> {
+    pub(crate) fn block_range(&self, b: usize) -> Result<(usize, usize)> {
         range_of(self.starts(), b)
     }
 
@@ -899,7 +908,7 @@ impl SpokeFactors {
     /// The factors of the diagonal span `[bs, be)`: slices of the whole
     /// matrices when resident, and block `b` (which must be that span)
     /// fetched through the pager when paged.
-    fn factors(&self, b: usize, bs: usize, be: usize) -> Result<Block<'_>> {
+    pub(crate) fn factors(&self, b: usize, bs: usize, be: usize) -> Result<Block<'_>> {
         match self {
             SpokeFactors::Resident { l1_inv, u1_inv, .. } => {
                 Ok(Block::Whole { l1: l1_inv, u1: u1_inv, base: bs })
@@ -1046,14 +1055,14 @@ impl SpokeFactors {
 /// One diagonal block's two factors as a sweep applies them: the
 /// resident whole matrices with the block starting at row and column
 /// `base`, or a fetched block-local pair.
-enum Block<'a> {
+pub(crate) enum Block<'a> {
     Whole { l1: &'a CscMatrix, u1: &'a CscMatrix, base: usize },
     Fetched(Arc<FactorPair>),
 }
 
 impl Block<'_> {
     /// `L`, `U`, and the row and column of each where the block starts.
-    fn parts(&self) -> (&CscMatrix, &CscMatrix, usize) {
+    pub(crate) fn parts(&self) -> (&CscMatrix, &CscMatrix, usize) {
         match self {
             Block::Whole { l1, u1, base } => (l1, u1, *base),
             Block::Fetched(pair) => (&pair.l1, &pair.u1, 0),
@@ -1422,7 +1431,10 @@ mod tests {
     #[test]
     fn sweep_runs_merge_blocks_up_to_the_row_cap() {
         let cap = SWEEP_RUN_ROWS;
-        let runs = |sizes: &[usize]| run_starts(&block_starts(sizes).unwrap());
+        let runs = |sizes: &[usize]| -> Vec<usize> {
+            let n1 = sizes.iter().sum();
+            runs(sizes, cap).map(|(_, rows)| rows.start).chain([n1]).collect()
+        };
         assert_eq!(runs(&[]), vec![0]);
         assert_eq!(runs(&[2; 3]), vec![0, 6]);
         assert_eq!(runs(&[2; 129]), vec![0, cap, cap + 2]);

@@ -60,7 +60,7 @@ use crate::paging::{
     corrupt_shard, BlockPager, FactorPair, FileSource, MemSource, SegmentMeta, SegmentSource,
     SpokeFactors, SEGMENT_FRAME_OVERHEAD, SEGMENT_TAG,
 };
-use crate::precompute::Bear;
+use crate::precompute::{Bear, HubSolve};
 use crate::solver::RwrSolver as _;
 use bear_sparse::mem::{MemBudget, MemoryUsage};
 use bear_sparse::{CscMatrix, CsrMatrix, Error, Permutation, Result};
@@ -539,19 +539,30 @@ impl V3StreamWriter {
 }
 
 impl Bear {
-    fn resident_parts(&self) -> ResidentParts<'_> {
-        ResidentParts {
+    /// The sections both formats share. Both hold the inverted Schur
+    /// factors, so an index built by [`Bear::new_hub_iterative`] fails
+    /// here, typed, before anything is written.
+    fn resident_parts(&self) -> Result<ResidentParts<'_>> {
+        let HubSolve::Inverted { l2_inv, u2_inv } = &self.hub else {
+            return Err(Error::InvalidConfig {
+                param: "hub_solve",
+                reason: "an index that keeps the sparse Schur complement has no on-disk \
+                         format; build it with Bear::new to save it"
+                    .into(),
+            });
+        };
+        Ok(ResidentParts {
             n1: self.n1,
             n2: self.n2,
             c: self.c,
             perm: &self.perm,
             block_sizes: &self.block_sizes,
             degrees: &self.degrees,
-            l2_inv: &self.l2_inv,
-            u2_inv: &self.u2_inv,
+            l2_inv,
+            u2_inv,
             h12: &self.h12,
             h21: &self.h21,
-        }
+        })
     }
 
     /// Writes the precomputed index to `path` in the v2 format,
@@ -562,9 +573,10 @@ impl Bear {
     /// directory is fsynced. A crash (or error) at any point leaves the
     /// previous contents of `path` intact.
     pub fn save(&self, path: &Path) -> Result<()> {
+        let parts = self.resident_parts()?;
         let (l1_inv, u1_inv) = self.spokes.to_whole()?;
         let mut image = V2.magic.to_vec();
-        push_sections(&mut image, &V2, &self.resident_parts(), |tag| {
+        push_sections(&mut image, &V2, &parts, |tag| {
             csc_payload(if tag == b"L1IV" { &l1_inv } else { &u1_inv })
         });
         let file_crc = crate::crc32::crc32(&image);
@@ -583,12 +595,13 @@ impl Bear {
     /// The result can be loaded fully resident or paged under a budget
     /// via [`Bear::load_with`].
     pub fn save_v3(&self, path: &Path) -> Result<()> {
+        let parts = self.resident_parts()?;
         let pairs = self.spokes.split_pairs(&self.block_sizes)?;
         let mut writer = V3StreamWriter::create(path)?;
         for pair in &pairs {
             writer.write_segment(pair)?;
         }
-        writer.finish(&self.resident_parts())
+        writer.finish(&parts)
     }
 
     /// A copy of this index whose spoke factors page from an in-memory
@@ -943,8 +956,7 @@ impl Image {
         };
         Ok(Bear {
             spokes,
-            l2_inv,
-            u2_inv,
+            hub: HubSolve::Inverted { l2_inv, u2_inv },
             h12,
             h21,
             perm,

@@ -14,7 +14,7 @@
 //! 9. (BEAR-Approx) drop entries below the drop tolerance `ξ` from all
 //!    six precomputed matrices.
 
-use crate::paging::{FactorPair, SpokeFactors};
+use crate::paging::{runs, FactorPair, SpokeFactors};
 use crate::persist::{ResidentParts, V3StreamWriter};
 use crate::rwr::{build_h, RwrConfig};
 use crate::stats::{PrecomputedStats, StageTimings};
@@ -22,12 +22,12 @@ use bear_graph::{slashburn, Graph, SlashBurnConfig};
 use bear_sparse::lu::validate_block_layout;
 use bear_sparse::mem::{MemBudget, MemoryUsage};
 use bear_sparse::parallel::{par_invert_triangular, par_spgemm, run_by_cost};
+use bear_sparse::solvers::SolveOptions;
 use bear_sparse::sparsify::{drop_tolerance_csc, par_drop_tolerance_csc, par_drop_tolerance_csr};
 use bear_sparse::triangular::Triangle;
 use bear_sparse::{
     ops, BlockDiagBuilder, CscMatrix, CsrMatrix, Error, Permutation, Result, SparseLu,
 };
-use std::ops::Range;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -155,30 +155,6 @@ impl SpokeSink for V3StreamWriter {
     }
 }
 
-/// Splits the diagonal blocks into runs of consecutive blocks: a run
-/// grows while its rows stay within `run_rows`, and a block larger than
-/// that is a run alone. Yields `(block range, row range)` per run.
-fn runs(
-    block_sizes: &[usize],
-    run_rows: usize,
-) -> impl Iterator<Item = (Range<usize>, Range<usize>)> + '_ {
-    let (mut first, mut r0) = (0, 0);
-    std::iter::from_fn(move || {
-        let &size = block_sizes.get(first)?;
-        let (mut last, mut r1) = (first + 1, r0 + size);
-        while let Some(&next) = block_sizes.get(last) {
-            if r1 - r0 + next > run_rows {
-                break;
-            }
-            r1 += next;
-            last += 1;
-        }
-        let run = (first..last, r0..r1);
-        (first, r0) = (last, r1);
-        Some(run)
-    })
-}
-
 /// One diagonal block of `H₁₁` after [`block_stage`].
 struct Block {
     /// `L₁⁻¹` of the block, entries below the spoke drop tolerance gone.
@@ -216,7 +192,7 @@ fn block_stage(h11: &CsrMatrix, off: usize, size: usize, spoke_xi: f64) -> Resul
 
 /// Algorithm 1 up to the Schur complement: everything
 /// [`reduce_to_schur`] leaves besides the spoke factors it sent to its
-/// sink. [`Reduced::factor_schur`] takes it through lines 8–9.
+/// sink. [`factor_schur`] takes it through lines 8–9.
 #[derive(Debug)]
 pub(crate) struct Reduced {
     /// The Schur complement, hubs reordered (line 7).
@@ -341,36 +317,41 @@ pub(crate) fn reduce_to_schur(
     Ok(Reduced { s, h12, h21, perm, n1, n2, block_sizes: ordering.block_sizes, timings })
 }
 
-impl Reduced {
-    /// Line 8: LU of `S` and its inverted factors `(L₂⁻¹, U₂⁻¹)`, which
-    /// are returned; line 9: entries below ξ dropped from them and from
-    /// `H₁₂` and `H₂₁`.
-    fn factor_schur(&mut self, config: &BearConfig) -> Result<(CscMatrix, CscMatrix)> {
-        let threads = config.effective_threads();
+/// Algorithm 1 line 8 on the Schur complement `s`: its LU factors,
+/// inverted into `(L₂⁻¹, U₂⁻¹)`, which are returned; line 9: entries
+/// below ξ dropped from them and from `h12` and `h21`. Preprocessing
+/// and [`crate::DynamicBear`]'s incremental refresh both run it.
+pub(crate) fn factor_schur(
+    s: &CsrMatrix,
+    h12: &mut CsrMatrix,
+    h21: &mut CsrMatrix,
+    config: &BearConfig,
+    timings: &mut StageTimings,
+) -> Result<(CscMatrix, CscMatrix)> {
+    let threads = config.effective_threads();
 
-        // The factorization is inherently sequential (each column
-        // depends on the previous ones); the inversion is one
-        // independent solve per column and splits across the workers.
-        let stage = Instant::now();
-        let s_lu = SparseLu::factor(&self.s.to_csc())?;
-        self.timings.factor_schur = stage.elapsed();
-        let stage = Instant::now();
-        let l2_inv = par_invert_triangular(s_lu.l(), Triangle::Lower, true, threads)?;
-        let u2_inv = par_invert_triangular(s_lu.u(), Triangle::Upper, false, threads)?;
-        self.timings.invert_schur = stage.elapsed();
+    // The factorization is inherently sequential (each column depends
+    // on the previous ones); the inversion is one independent solve per
+    // column and splits across the workers.
+    let stage = Instant::now();
+    let s_lu = SparseLu::factor(&s.to_csc())?;
+    timings.factor_schur = stage.elapsed();
+    let stage = Instant::now();
+    let l2_inv = par_invert_triangular(s_lu.l(), Triangle::Lower, true, threads)?;
+    let u2_inv = par_invert_triangular(s_lu.u(), Triangle::Upper, false, threads)?;
+    timings.invert_schur = stage.elapsed();
 
-        let xi = config.drop_tolerance;
-        if xi == 0.0 {
-            return Ok((l2_inv, u2_inv));
-        }
-        let stage = Instant::now();
-        self.h12 = par_drop_tolerance_csr(&self.h12, xi, threads)?;
-        self.h21 = par_drop_tolerance_csr(&self.h21, xi, threads)?;
-        let l2_inv = par_drop_tolerance_csc(&l2_inv, xi, threads)?;
-        let u2_inv = par_drop_tolerance_csc(&u2_inv, xi, threads)?;
-        self.timings.sparsify += stage.elapsed();
-        Ok((l2_inv, u2_inv))
+    let xi = config.drop_tolerance;
+    if xi == 0.0 {
+        return Ok((l2_inv, u2_inv));
     }
+    let stage = Instant::now();
+    *h12 = par_drop_tolerance_csr(h12, xi, threads)?;
+    *h21 = par_drop_tolerance_csr(h21, xi, threads)?;
+    let l2_inv = par_drop_tolerance_csc(&l2_inv, xi, threads)?;
+    let u2_inv = par_drop_tolerance_csc(&u2_inv, xi, threads)?;
+    timings.sparsify += stage.elapsed();
+    Ok((l2_inv, u2_inv))
 }
 
 /// Persistent per-row Gustavson accumulators for the Schur complement:
@@ -489,23 +470,23 @@ fn preprocess_to_disk_in_runs(
 ) -> Result<()> {
     config.validate()?;
     let mut writer = V3StreamWriter::create(path)?;
-    let mut reduced = reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut writer)?;
-    let (l2_inv, u2_inv) = reduced.factor_schur(config)?;
-    let Reduced { h12, h21, perm, n1, n2, block_sizes, .. } = &reduced;
+    let Reduced { s, mut h12, mut h21, perm, n1, n2, block_sizes, mut timings } =
+        reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut writer)?;
+    let (l2_inv, u2_inv) = factor_schur(&s, &mut h12, &mut h21, config, &mut timings)?;
     config.budget.check(
         l2_inv.memory_bytes() + u2_inv.memory_bytes() + h12.memory_bytes() + h21.memory_bytes(),
     )?;
     writer.finish(&ResidentParts {
-        n1: *n1,
-        n2: *n2,
+        n1,
+        n2,
         c: config.rwr.c,
-        perm,
-        block_sizes,
+        perm: &perm,
+        block_sizes: &block_sizes,
         degrees: &g.undirected_degrees(),
         l2_inv: &l2_inv,
         u2_inv: &u2_inv,
-        h12,
-        h21,
+        h12: &h12,
+        h21: &h21,
     })
 }
 
@@ -517,10 +498,8 @@ pub struct Bear {
     /// either fully resident or paged per block from a v3 index
     /// (see `crate::paging`).
     pub(crate) spokes: SpokeFactors,
-    /// `L₂⁻¹` — inverse of the unit-lower factor of the Schur complement.
-    pub(crate) l2_inv: CscMatrix,
-    /// `U₂⁻¹` — inverse of the upper factor of the Schur complement.
-    pub(crate) u2_inv: CscMatrix,
+    /// How the hub system `S r₂ = c·(q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` is solved.
+    pub(crate) hub: HubSolve,
     /// `H₁₂` — spoke → hub block of the reordered `H`.
     pub(crate) h12: CsrMatrix,
     /// `H₂₁` — hub → spoke block of the reordered `H`.
@@ -545,18 +524,87 @@ pub struct Bear {
     pub(crate) topk_bounds: std::sync::OnceLock<crate::topk_pruned::TopKBounds>,
 }
 
+/// The two forms of the hub solve of Algorithm 2. [`Bear::hub_half`]
+/// is the only query code that tells them apart.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum HubSolve {
+    /// `L₂⁻¹`/`U₂⁻¹`, the inverted LU factors of the Schur complement
+    /// (Algorithm 1 line 8): two sparse products per right-hand side.
+    /// The only form the index writers accept.
+    Inverted { l2_inv: CscMatrix, u2_inv: CscMatrix },
+    /// The Schur complement `S` itself, solved one right-hand side at a
+    /// time by BiCGSTAB with [`HUB_SOLVE_OPTIONS`]: `nnz(S)` in place of
+    /// the inverted factors' fill, which approaches `n₂²` on hub-heavy
+    /// graphs (Table 4), for more work per query (DESIGN.md §6).
+    Iterative { s: CsrMatrix },
+}
+
+/// BiCGSTAB's options for [`HubSolve::Iterative`]. `S` inherits the
+/// diagonal dominance of `H`, so it converges in a handful of
+/// iterations; the tolerance keeps answers within 1e-7 of the inverted
+/// form.
+pub(crate) const HUB_SOLVE_OPTIONS: SolveOptions =
+    SolveOptions { rel_tolerance: 1e-12, max_iterations: 10_000 };
+
+impl HubSolve {
+    /// Stored nonzeros: `(|L₂⁻¹|, |U₂⁻¹|)`, or `(|S|, 0)`.
+    fn nnz(&self) -> (usize, usize) {
+        match self {
+            HubSolve::Inverted { l2_inv, u2_inv } => (l2_inv.nnz(), u2_inv.nnz()),
+            HubSolve::Iterative { s } => (s.nnz(), 0),
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        match self {
+            HubSolve::Inverted { l2_inv, u2_inv } => l2_inv.memory_bytes() + u2_inv.memory_bytes(),
+            HubSolve::Iterative { s } => s.memory_bytes(),
+        }
+    }
+}
+
 impl Bear {
     /// Runs Algorithm 1 on `g`.
     pub fn new(g: &Graph, config: &BearConfig) -> Result<Self> {
-        Self::new_in_runs(g, config, RUN_ROWS)
+        Self::new_in_runs(g, config, RUN_ROWS, false)
     }
 
-    /// [`Bear::new`] with runs of `run_rows` rows.
-    fn new_in_runs(g: &Graph, config: &BearConfig, run_rows: usize) -> Result<Self> {
+    /// Runs Algorithm 1 on `g` up to the Schur complement (lines 1–7)
+    /// and keeps `S` itself in place of its inverted factors: the
+    /// memory-lean iterative hub form, the direction of the BePI
+    /// follow-up work, named `BEAR-HubIter`. Only `S` is sparsified by
+    /// `config.drop_tolerance`; the spoke factors, `H₁₂` and `H₂₁` stay
+    /// exact. Every query path serves it, answers within 1e-7 of
+    /// [`Bear::new`]'s, but [`Bear::save`] and [`Bear::save_v3`] reject
+    /// it: the index formats hold only the inverted factors.
+    pub fn new_hub_iterative(g: &Graph, config: &BearConfig) -> Result<Self> {
+        Self::new_in_runs(g, config, RUN_ROWS, true)
+    }
+
+    /// [`Bear::new`], or [`Bear::new_hub_iterative`] when `iterative`,
+    /// with runs of `run_rows` rows.
+    fn new_in_runs(
+        g: &Graph,
+        config: &BearConfig,
+        run_rows: usize,
+        iterative: bool,
+    ) -> Result<Self> {
         let start = Instant::now();
         let mut spokes = ResidentSpokes::default();
-        let mut reduced = reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut spokes)?;
-        let (l2_inv, u2_inv) = reduced.factor_schur(config)?;
+        let spoke_xi = if iterative { 0.0 } else { config.drop_tolerance };
+        let mut reduced = reduce_to_schur(g, config, spoke_xi, run_rows, &mut spokes)?;
+        let hub = if iterative {
+            let stage = Instant::now();
+            let threads = config.effective_threads();
+            let s = par_drop_tolerance_csr(&reduced.s, config.drop_tolerance, threads)?;
+            reduced.timings.sparsify += stage.elapsed();
+            HubSolve::Iterative { s }
+        } else {
+            let r = &mut reduced;
+            let (l2_inv, u2_inv) =
+                factor_schur(&r.s, &mut r.h12, &mut r.h21, config, &mut r.timings)?;
+            HubSolve::Inverted { l2_inv, u2_inv }
+        };
         reduced.timings.total = start.elapsed();
         let bear = Bear {
             spokes: SpokeFactors::resident(
@@ -564,8 +612,7 @@ impl Bear {
                 spokes.u1_inv.finish(),
                 &reduced.block_sizes,
             )?,
-            l2_inv,
-            u2_inv,
+            hub,
             h12: reduced.h12,
             h21: reduced.h21,
             perm: reduced.perm,
@@ -630,6 +677,7 @@ impl Bear {
     /// (the paper's Table 4 columns).
     pub fn stats(&self) -> PrecomputedStats {
         let (nnz_l1_inv, nnz_u1_inv) = self.spokes.nnz();
+        let (nnz_l2_inv, nnz_u2_inv) = self.hub.nnz();
         PrecomputedStats {
             n: self.num_nodes(),
             n1: self.n1,
@@ -638,13 +686,12 @@ impl Bear {
             sum_block_sq: self.block_sizes.iter().map(|&b| (b as u128) * (b as u128)).sum(),
             nnz_l1_inv,
             nnz_u1_inv,
-            nnz_l2_inv: self.l2_inv.nnz(),
-            nnz_u2_inv: self.u2_inv.nnz(),
+            nnz_l2_inv,
+            nnz_u2_inv,
             nnz_h12: self.h12.nnz(),
             nnz_h21: self.h21.nnz(),
             bytes: self.spokes.memory_bytes()
-                + self.l2_inv.memory_bytes()
-                + self.u2_inv.memory_bytes()
+                + self.hub.memory_bytes()
                 + self.h12.memory_bytes()
                 + self.h21.memory_bytes(),
             timings: self.timings,
@@ -826,8 +873,7 @@ mod tests {
         let (b_l1, b_u1) = b.spokes.to_whole().unwrap();
         assert_eq!(a_l1, b_l1, "L1_inv diverged");
         assert_eq!(a_u1, b_u1, "U1_inv diverged");
-        assert_eq!(a.l2_inv, b.l2_inv, "L2_inv diverged");
-        assert_eq!(a.u2_inv, b.u2_inv, "U2_inv diverged");
+        assert_eq!(a.hub, b.hub, "L2_inv or U2_inv diverged");
         assert_eq!(a.h12, b.h12, "H12 diverged");
         assert_eq!(a.h21, b.h21, "H21 diverged");
     }
@@ -964,7 +1010,10 @@ mod tests {
                 for run_rows in [RUN_ROWS, 1, 2, 3] {
                     for &threads in &test_threads() {
                         let cfg = BearConfig { threads, ..base };
-                        Bear::new_in_runs(g, &cfg, run_rows).unwrap().save(&v2_path).unwrap();
+                        Bear::new_in_runs(g, &cfg, run_rows, false)
+                            .unwrap()
+                            .save(&v2_path)
+                            .unwrap();
                         preprocess_to_disk_in_runs(g, &cfg, &v3_path, run_rows).unwrap();
                         let got =
                             (std::fs::read(&v2_path).unwrap(), std::fs::read(&v3_path).unwrap());

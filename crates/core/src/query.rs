@@ -12,10 +12,10 @@
 //! paper's query complexity `O(Σ n₁ᵢ² + n₂² + min(n₁n₂, m))` (Theorem 3).
 
 use crate::engine::QueryWorkspace;
-use crate::precompute::Bear;
+use crate::precompute::{Bear, HubSolve, HUB_SOLVE_OPTIONS};
 use crate::rwr::validate_distribution;
 use crate::solver::RwrSolver;
-use bear_sparse::mem::MemoryUsage;
+use bear_sparse::solvers::bicgstab;
 use bear_sparse::{CscMatrix, DenseBlock, Error, Result};
 
 impl Bear {
@@ -207,9 +207,13 @@ impl Bear {
     }
 
     /// The hub half of Algorithm 2, one lane per right-hand side of
-    /// `rhs`: `r₂ = c · U₂⁻¹ L₂⁻¹ (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` into `ws.r2`,
+    /// `rhs`: `r₂ = S⁻¹ · c (q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` into `ws.r2`,
     /// leaving `U₁⁻¹ L₁⁻¹ q₁` in `ws.x1`. Pruned top-k runs it too, so
-    /// its hub scores are the full solve's.
+    /// its hub scores are the full solve's. The only code that tells the
+    /// two forms of [`HubSolve`] apart: the inverted factors give
+    /// `r₂ = c · U₂⁻¹ L₂⁻¹ (…)`, and the iterative form scales the
+    /// right-hand side by `c` first and solves `S` for each lane with
+    /// BiCGSTAB, which depends on nothing but `S` and that lane.
     pub(crate) fn hub_half(&self, rhs: Rhs<'_>, ws: &mut QueryWorkspace) -> Result<()> {
         self.load_rhs(rhs, ws);
         let k = ws.k;
@@ -218,10 +222,29 @@ impl Bear {
         for (t, &qv) in ws.t3.iter_mut().zip(&ws.q2) {
             *t = qv - *t;
         }
-        whole_product(&self.l2_inv, k, &ws.t3, &mut ws.t4)?;
-        whole_product(&self.u2_inv, k, &ws.t4, &mut ws.t3)?;
-        for (r, &v) in ws.r2.iter_mut().zip(&ws.t3) {
-            *r = self.c * v;
+        match &self.hub {
+            HubSolve::Inverted { l2_inv, u2_inv } => {
+                whole_product(l2_inv, k, &ws.t3, &mut ws.t4)?;
+                whole_product(u2_inv, k, &ws.t4, &mut ws.t3)?;
+                for (r, &v) in ws.r2.iter_mut().zip(&ws.t3) {
+                    *r = self.c * v;
+                }
+            }
+            HubSolve::Iterative { s } => {
+                for t in ws.t3.iter_mut() {
+                    *t *= self.c;
+                }
+                let lane = ws.t4.get_mut(..self.n2).unwrap_or_default();
+                for j in 0..k {
+                    for (b, &t) in lane.iter_mut().zip(ws.t3.iter().skip(j).step_by(k)) {
+                        *b = t;
+                    }
+                    let x = bicgstab(s, lane, &HUB_SOLVE_OPTIONS)?;
+                    for (r, v) in ws.r2.iter_mut().skip(j).step_by(k).zip(x) {
+                        *r = v;
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -313,7 +336,10 @@ impl Rhs<'_> {
 
 impl RwrSolver for Bear {
     fn name(&self) -> &'static str {
-        "BEAR"
+        match self.hub {
+            HubSolve::Inverted { .. } => "BEAR",
+            HubSolve::Iterative { .. } => "BEAR-HubIter",
+        }
     }
 
     fn query(&self, seed: usize) -> Result<Vec<f64>> {
@@ -329,11 +355,7 @@ impl RwrSolver for Bear {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.spokes.memory_bytes()
-            + self.l2_inv.memory_bytes()
-            + self.u2_inv.memory_bytes()
-            + self.h12.memory_bytes()
-            + self.h21.memory_bytes()
+        self.stats().bytes
     }
 
     fn precomputed_nnz(&self) -> usize {
@@ -550,6 +572,95 @@ mod tests {
         assert!(bear.query_block_into(&[0, 1], &mut ws, &mut wrong).is_err());
         // Empty block is a no-op.
         assert!(bear.query_block(&[]).unwrap().is_empty());
+    }
+
+    /// `|a − b| < tol` entry by entry.
+    fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths");
+        for (x, y) in a.iter().zip(b) {
+            assert!((x - y).abs() < tol, "{what}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn hub_iterative_matches_exact_bear() {
+        let g = undirected(
+            9,
+            &[(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8), (1, 2)],
+        );
+        let exact = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
+        let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::exact(0.1)).unwrap();
+        for seed in 0..9 {
+            let what = format!("seed {seed}");
+            assert_close(&exact.query(seed).unwrap(), &hub_iter.query(seed).unwrap(), 1e-8, &what);
+        }
+    }
+
+    #[test]
+    fn hub_iterative_saves_memory_on_hub_heavy_graphs() {
+        // A dense-ish core: most nodes become hubs, so L₂⁻¹/U₂⁻¹ fill in.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        let n = 60;
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in 0..n {
+                if u != v && rng.gen_bool(0.15) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let exact = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+        let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::exact(0.05)).unwrap();
+        assert!(
+            hub_iter.memory_bytes() < exact.memory_bytes(),
+            "hub-iter {} bytes !< exact {} bytes",
+            hub_iter.memory_bytes(),
+            exact.memory_bytes()
+        );
+        // And still answers exactly (to solver tolerance).
+        assert_close(&exact.query(0).unwrap(), &hub_iter.query(0).unwrap(), 1e-7, "seed 0");
+    }
+
+    /// Seeded power-law graphs on which the hub solve of the last node
+    /// hit BiCGSTAB's `⟨r̂, v⟩ ≈ 0` breakdown and failed with
+    /// `DidNotConverge` when that breakdown was an error. The solver now
+    /// restarts there and checks the true residual before it answers,
+    /// so each answer matches exact BEAR.
+    #[test]
+    fn bicgstab_breakdown_restarts_and_answers_exactly() {
+        use bear_graph::generators::preferential_attachment;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (n, m, seed) in [(120, 2, 104), (120, 2, 678), (400, 3, 158)] {
+            let g = preferential_attachment(n, m, &mut StdRng::seed_from_u64(seed));
+            let exact = Bear::new(&g, &BearConfig::default()).unwrap();
+            let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::default()).unwrap();
+            let re = exact.query(n - 1).unwrap();
+            let ri = hub_iter.query(n - 1).unwrap();
+            assert_close(&re, &ri, 1e-7, &format!("graph ({n}, {m}, {seed})"));
+        }
+    }
+
+    /// The iterative form checks its inputs as any index does, and the
+    /// writers refuse it, typed, before writing anything. Every query
+    /// path's bits on it are pinned in `tests/golden_scores.rs` and
+    /// `tests/differential_oracle.rs`.
+    #[test]
+    fn hub_iterative_rejects_bad_inputs_and_writers() {
+        let g = undirected(4, &[(0, 1), (1, 2), (2, 3)]);
+        let bear = Bear::new_hub_iterative(&g, &BearConfig::exact(0.1)).unwrap();
+        assert_eq!(bear.name(), "BEAR-HubIter");
+        assert_eq!(bear.n_hubs() + bear.n_spokes(), 4);
+        assert!(bear.query(9).is_err());
+        assert!(bear.query_distribution(&[1.0]).is_err());
+        let path = std::env::temp_dir().join(format!("bear_hub_iter_{}.idx", std::process::id()));
+        for result in [bear.save(&path), bear.save_v3(&path)] {
+            assert!(matches!(result, Err(Error::InvalidConfig { param: "hub_solve", .. })));
+        }
+        assert!(!path.exists());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! behaviour on arbitrary graphs.
 
 use bear_core::engine::{EngineConfig, QueryEngine, QueryOptions};
-use bear_core::{Bear, BearConfig, BearHubIterative, QueryWorkspace, RwrSolver};
+use bear_core::{Bear, BearConfig, QueryWorkspace, RwrSolver};
 use bear_graph::Graph;
 use bear_sparse::DenseBlock;
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ proptest! {
     fn hub_iterative_equals_exact_bear(g in arb_graph(), s in 0.0f64..1.0) {
         let seed = ((s * g.num_nodes() as f64) as usize).min(g.num_nodes() - 1);
         let exact = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let hub_iter = BearHubIterative::new(&g, &BearConfig::exact(0.1)).unwrap();
+        let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::exact(0.1)).unwrap();
         let re = exact.query(seed).unwrap();
         let ri = hub_iter.query(seed).unwrap();
         for (a, b) in re.iter().zip(&ri) {

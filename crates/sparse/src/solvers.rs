@@ -1,11 +1,12 @@
 //! Iterative linear solvers for sparse systems.
 //!
-//! Used by the memory-lean hub solver (`bear-core::hub_iterative`), which
-//! keeps the Schur complement `S` itself instead of its inverted LU
-//! factors and solves `S x = b` per query. `S` inherits diagonal
-//! dominance from `H`, so Jacobi-preconditioned iterations converge
-//! geometrically; BiCGSTAB is provided for faster convergence on harder
-//! systems.
+//! Used by the memory-lean iterative hub form of a bear-core index
+//! (`Bear::new_hub_iterative`), which keeps the Schur complement `S`
+//! itself instead of its inverted LU factors; Algorithm 2's hub half
+//! solves `S x = b` with [`bicgstab`] once per right-hand side. `S`
+//! inherits diagonal dominance from `H`, so Jacobi-preconditioned
+//! iterations converge geometrically; BiCGSTAB is provided for faster
+//! convergence on harder systems.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Error, Result};

@@ -9,7 +9,8 @@
 //! structures the paper evaluates and adversarially random ones are
 //! covered. A uniform restart probability of 0.2 keeps the iterative
 //! method's contraction factor small enough that its converged answer
-//! sits well inside the shared tolerance.
+//! sits well inside the shared tolerance. The iterative hub form of the
+//! index (`Bear::new_hub_iterative`) is checked on the same panel.
 
 use bear_baselines::{Inversion, Iterative, IterativeConfig, LuDecomp, QrDecomp};
 use bear_core::rwr::RwrConfig;
@@ -117,6 +118,76 @@ fn every_query_path_matches_the_dense_inversion_oracle() {
         for (i, (got, want)) in batch.iter().zip(&truth).enumerate() {
             let err = linf(got, want);
             assert!(err < TOL, "{name}: query_block off oracle by {err:.3e} at seed #{i}");
+        }
+    }
+}
+
+/// The iterative hub form (`Bear::new_hub_iterative`) on the same
+/// panel: per-seed and distribution answers within [`TOL`] of the dense
+/// oracle, and every other path bit-identical to its own width-1
+/// answer: blocks of 1, 3 and 8, a paged copy under a one-block budget,
+/// the serving engine's batches and single seeds, and pruned top-k
+/// against its own full ranking, exact and with ξ > 0.
+#[test]
+fn iterative_hub_form_matches_the_oracle_on_every_path() {
+    use bear_core::{EngineConfig, QueryEngine, QueryOptions};
+    use std::sync::Arc;
+    for (name, g) in graph_panel() {
+        let n = g.num_nodes();
+        let rwr = RwrConfig { c: C, ..RwrConfig::default() };
+        let oracle = Inversion::new(&g, &rwr, &MemBudget::unlimited()).expect("oracle");
+        let seeds: Vec<usize> = (0..8).map(|i| (i * 977) % n).collect();
+        for xi in [0.0, 1e-4] {
+            let bear = Bear::new_hub_iterative(&g, &BearConfig::approx(C, xi)).expect("bear");
+            let singles: Vec<Vec<f64>> = seeds.iter().map(|&s| bear.query(s).unwrap()).collect();
+            let mut q = vec![0.0; n];
+            for (&s, w) in seeds.iter().zip([0.4, 0.3, 0.2, 0.1]) {
+                q[s] += w;
+            }
+            let distribution = bear.query_distribution(&q).unwrap();
+            if xi == 0.0 {
+                for (&seed, got) in seeds.iter().zip(&singles) {
+                    let err = linf(got, &oracle.query(seed).unwrap());
+                    assert!(err < TOL, "{name}: hub-iter off oracle by {err:.3e} at seed {seed}");
+                }
+                let err = linf(&distribution, &oracle.query_distribution(&q).unwrap());
+                assert!(err < TOL, "{name}: hub-iter distribution off oracle by {err:.3e}");
+            }
+
+            let paged = bear.paged_in_memory(None).unwrap();
+            let pager = paged.pager().expect("paged copy");
+            pager.set_budget(pager.directory().iter().map(|m| m.resident_bytes()).max()).unwrap();
+            for (form, index) in [("resident", &bear), ("paged", &paged)] {
+                let at = format!("{name} xi={xi} {form}");
+                for width in [1usize, 3, 8] {
+                    for (chunk, want) in seeds.chunks(width).zip(singles.chunks(width)) {
+                        assert_eq!(&index.query_block(chunk).unwrap(), want, "{at}: width {width}");
+                    }
+                }
+                assert_eq!(index.query_distribution(&q).unwrap(), distribution, "{at}");
+                for &seed in &seeds[..4] {
+                    for k in [1usize, 5, n / 2] {
+                        let want = index.query_top_k(seed, k).unwrap();
+                        let got = index.query_top_k_pruned(seed, k).unwrap();
+                        assert_eq!(got.len(), want.len(), "{at}: seed {seed} k {k}");
+                        for (a, b) in got.iter().zip(&want) {
+                            assert_eq!(a.node, b.node, "{at}: seed {seed} k {k}");
+                            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{at}: seed {seed}");
+                        }
+                    }
+                }
+            }
+
+            let engine = QueryEngine::new(Arc::new(paged), EngineConfig::default()).unwrap();
+            let opts = QueryOptions::default();
+            let batch = engine.serve_batch(&seeds, &opts).unwrap();
+            for ((&seed, served), want) in seeds.iter().zip(&batch).zip(&singles) {
+                assert_eq!(served.scores.as_slice(), want.as_slice(), "{name}: engine batch");
+                let again = engine.serve(seed, &opts).unwrap();
+                assert_eq!(again.scores.as_slice(), want.as_slice(), "{name}: engine seed");
+                let top = engine.query_top_k(seed, 5, &opts).unwrap();
+                assert_eq!(*top.nodes, bear.query_top_k(seed, 5).unwrap(), "{name}: engine top-k");
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! updates, the iterative-hub variant, top-k queries, and multi-threaded
 //! preprocessing — exercised together on registry datasets.
 
-use bear_core::{Bear, BearConfig, BearHubIterative, DynamicBear, RwrSolver, UpdateKind};
+use bear_core::{Bear, BearConfig, DynamicBear, RwrSolver, UpdateKind};
 use bear_datasets::small_suite;
 
 #[test]
@@ -26,7 +26,7 @@ fn hub_iterative_parity_across_datasets() {
     for spec in small_suite() {
         let g = spec.load();
         let exact = Bear::new(&g, &BearConfig::default()).unwrap();
-        let hub_iter = BearHubIterative::new(&g, &BearConfig::default()).unwrap();
+        let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::default()).unwrap();
         for seed in [1, g.num_nodes() - 1] {
             let re = exact.query(seed).unwrap();
             let ri = hub_iter.query(seed).unwrap();
@@ -42,7 +42,7 @@ fn hub_iterative_never_needs_more_memory_than_exact() {
     for spec in small_suite() {
         let g = spec.load();
         let exact = Bear::new(&g, &BearConfig::default()).unwrap();
-        let hub_iter = BearHubIterative::new(&g, &BearConfig::default()).unwrap();
+        let hub_iter = Bear::new_hub_iterative(&g, &BearConfig::default()).unwrap();
         // nnz(S) <= nnz(L2^-1) + nnz(U2^-1) always (the inverted factors
         // contain at least S's fill), so memory can only go down.
         assert!(
