@@ -86,8 +86,9 @@ pub use serving::{
 /// blocks in place in the same block. A back sweep split in two
 /// (DESIGN.md §18) lists its two parts and spawns one scoped helper
 /// thread, a paged solve reads and decodes every fault into fresh
-/// buffers, and [`Bear::query_block_into`] lists its `k` output
-/// columns. A full-vector answer is a fresh `n`-vector per seed either
+/// buffers, the iterative hub form ([`Bear::new_hub_iterative`]) runs
+/// BiCGSTAB on fresh vectors for each lane, and
+/// [`Bear::query_block_into`] lists its `k` output columns. A full-vector answer is a fresh `n`-vector per seed either
 /// way.
 pub struct QueryWorkspace {
     /// The width `k`: the number of right-hand sides each block holds
@@ -100,7 +101,8 @@ pub struct QueryWorkspace {
     pub(crate) q2: Vec<f64>,
     /// Hub-block scratch (`n2 × k`).
     pub(crate) t3: Vec<f64>,
-    /// Hub-block scratch (`n2 × k`).
+    /// Hub-block scratch (`n2 × k`); the iterative hub form gathers
+    /// one lane's right-hand side into its first `n2` values.
     pub(crate) t4: Vec<f64>,
     /// Hub-part results `r₂` (`n2 × k`).
     pub(crate) r2: Vec<f64>,
