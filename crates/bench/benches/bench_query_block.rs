@@ -1,13 +1,13 @@
 //! Criterion micro-benchmark: blocked multi-RHS query kernels
 //! ([`Bear::query_block_into`]) on a resident index at widths 1/4/16/64
-//! and on a paged v3 index at widths 1/8/16. Times a full pass over a
+//! and on a paged index at widths 1/8/16. Times a full pass over a
 //! fixed seed set so the numbers are per-query amortized and directly
 //! comparable across widths. Every width is bit-identical to width 1
 //! (`tests/golden_scores.rs`); blocking's end-to-end effect is
 //! perfbench's `batch_paged` workload, 16-seed requests each served as
 //! one solve.
 //!
-//! The paged arm writes the index as a v3 image in the system temp
+//! The paged arm writes the index to a file in the system temp
 //! directory and pages it under a third of its spoke bytes. For both
 //! arms it also prints the pass time per stored spoke nonzero per seed
 //! (`L₁⁻¹` plus `U₁⁻¹` nonzeros times seeds answered), the work unit of
@@ -134,9 +134,9 @@ fn bench_query_block(c: &mut Criterion) {
     bench_arm(c, "query_block", &bear, &seeds, &[1, 4, 16, 64]);
 
     let path = std::env::temp_dir().join(format!("bench_query_block_{}.idx", std::process::id()));
-    bear.save_v3(&path).expect("write v3 image");
-    let paged = Arc::new(Bear::load(&path).expect("load v3 image"));
-    let pager = paged.pager().expect("a v3 load pages");
+    bear.save(&path).expect("write index");
+    let paged = Arc::new(Bear::load(&path).expect("load index"));
+    let pager = paged.pager().expect("a default load pages");
     let spoke_bytes: usize = pager.directory().iter().map(|m| m.resident_bytes()).sum();
     pager.set_budget(Some(spoke_bytes / 3)).expect("budget");
     bench_arm(c, "query_block_paged", &paged, &seeds, &[1, 8, 16]);

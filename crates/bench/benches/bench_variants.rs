@@ -114,8 +114,8 @@ fn bench_topk_pruned(c: &mut Criterion) {
 /// The out-of-core kernel behind `batch_paged` (which solves each
 /// 16-seed request as one job, eight lanes per kernel call): a width-8
 /// `query_block_into` on `web_bs_like` with the spoke factors paged from
-/// an in-memory v3 segment image capped at a third of their bytes (so
-/// the pager faults, CRC-checks and decodes segments every solve), next
+/// an in-memory shard image capped at a third of their bytes (so the
+/// pager faults, CRC-checks and decodes shards every solve), next
 /// to the same solve on the resident index; plus CRC-32 throughput over
 /// 1 MiB, the checksum every fault verifies.
 fn bench_paged_kernel(c: &mut Criterion) {

@@ -3,16 +3,17 @@
 //! every cell — the artifact CI uploads so a regression shows exactly
 //! which damage class started slipping through.
 //!
-//! The grid runs over **both persisted formats**: the monolithic v2
-//! image and the sharded out-of-core v3 image (whose cells add
-//! segment-boundary truncations and bit flips inside shard payloads,
-//! the segment directory, and the v3 trailer). Each cell applies one
+//! The grid runs over the index format (`BEARIDX4`): cells anywhere in
+//! the file, cells aimed at the shard layout (shard-boundary truncations
+//! and bit flips inside a shard payload, the shard directory, and the
+//! trailer), and images of the retired formats. Each cell applies one
 //! corruption (truncation to a fraction of the file, a single bit flip
 //! at a position, header garbage, trailing junk) and asserts the
-//! durability contract: `Bear::load` must either return the typed
-//! `CorruptIndex` error or — only when the damage is a full-length
-//! no-op — answer bit-identically to the undamaged index. Any panic,
-//! untyped error, or silently absorbed corruption fails the run.
+//! durability contract: a paged `Bear::load` and a resident load must
+//! each either return the typed `CorruptIndex` error or — only when the
+//! damage is a full-length no-op — answer bit-identically to the
+//! undamaged index. Any panic, untyped error, or silently absorbed
+//! corruption fails the run.
 //!
 //! ```text
 //! cargo run --release -p bear-bench --bin durability_matrix -- \
@@ -20,7 +21,7 @@
 //! ```
 
 use bear_bench::harness::{ExperimentResult, ResultRow};
-use bear_core::{persist, Bear, BearConfig};
+use bear_core::{persist, Bear, BearConfig, LoadOptions};
 use bear_sparse::Error;
 use std::path::PathBuf;
 
@@ -34,9 +35,13 @@ struct Cell {
     bytes: Vec<u8>,
 }
 
-/// The format-agnostic damage grid. `trailer_len` steers the
-/// "all_but_trailer" cut (20 bytes for v2, 28 for v3).
-fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
+/// Trailer length: magic, resident-region crc, resident offset, file
+/// length.
+const TRAILER_LEN: usize = 28;
+
+/// The damage grid over the whole file.
+fn cells(full: &[u8]) -> Vec<Cell> {
+    let trailer_len = TRAILER_LEN;
     let len = full.len();
     let mut cells = Vec::new();
     // Torn writes: prefixes at coarse fractions plus the exact frame
@@ -69,6 +74,13 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
     wrong_magic[..8].copy_from_slice(b"NOTBEAR!");
     cells.push(Cell { class: "header", param: "wrong magic".into(), bytes: wrong_magic });
     cells.push(Cell { class: "header", param: "garbage".into(), bytes: vec![0x5A; 256] });
+    // Retired formats: the same image under an old magic.
+    for magic in [b"BEARIDX2", b"BEARIDX3"] {
+        let mut old = full.to_vec();
+        old[..8].copy_from_slice(magic);
+        let param = format!("retired magic {}", String::from_utf8_lossy(magic));
+        cells.push(Cell { class: "header", param, bytes: old });
+    }
     // Appended junk: the trailer records the true length, so trailing
     // bytes are torn-write debris and must be rejected.
     let mut padded = full.to_vec();
@@ -77,25 +89,24 @@ fn cells(full: &[u8], trailer_len: usize) -> Vec<Cell> {
     cells
 }
 
-/// v3-only cells aimed at the sharded layout: cuts on and inside
-/// segment frames, flips in a shard payload, the resident region
-/// (which holds the `SDIR` segment directory), and the trailer's
-/// resident-offset field.
-fn v3_shard_cells(full: &[u8]) -> Vec<Cell> {
+/// Cells aimed at the shard layout: cuts on and inside shard frames,
+/// flips in a shard payload, the resident region (which holds the
+/// `SDIR` shard directory), and the trailer's resident-offset field.
+fn shard_cells(full: &[u8]) -> Vec<Cell> {
     let read_u64 =
         |pos: usize| u64::from_le_bytes(full[pos..pos + 8].try_into().expect("u64 window"));
-    let trailer_off = full.len() - 28;
+    let trailer_off = full.len() - TRAILER_LEN;
     let resident_off = read_u64(trailer_off + 12) as usize;
     let mut cells = Vec::new();
 
     if resident_off > 8 {
-        // First segment frame: tag(4) len(8) payload crc(4) at offset 8.
+        // First shard frame: tag(4) len(8) payload crc(4) at offset 8.
         let seg0_payload_len = read_u64(12) as usize;
         let seg0_end = 8 + 12 + seg0_payload_len + 4;
         for (tag, keep) in [
-            ("mid_first_segment", 8 + 12 + seg0_payload_len / 2),
-            ("first_segment_boundary", seg0_end),
-            ("segments_only", resident_off),
+            ("mid_first_shard", 8 + 12 + seg0_payload_len / 2),
+            ("first_shard_boundary", seg0_end),
+            ("shards_only", resident_off),
         ] {
             cells.push(Cell {
                 class: "truncate_shard",
@@ -108,7 +119,7 @@ fn v3_shard_cells(full: &[u8]) -> Vec<Cell> {
         bytes[inside_seg0] ^= 1;
         cells.push(Cell {
             class: "bit_flip_shard",
-            param: format!("first segment payload byte {inside_seg0}"),
+            param: format!("first shard payload byte {inside_seg0}"),
             bytes,
         });
     }
@@ -130,20 +141,21 @@ fn v3_shard_cells(full: &[u8]) -> Vec<Cell> {
     cells
 }
 
-/// Runs every cell against one persisted format, appending a row per
-/// cell. Returns the number of contract violations.
+/// Runs every cell, appending a row per cell. Returns the number of
+/// contract violations.
 fn run_grid(
     out: &mut ExperimentResult,
     dataset: &str,
-    version_tag: &str,
     path: &PathBuf,
     reference: &[f64],
     grid: Vec<Cell>,
 ) -> u32 {
     let mut failures = 0u32;
+    let resident = LoadOptions { resident: true, ..LoadOptions::default() };
     for cell in grid {
         std::fs::write(path, &cell.bytes).expect("write cell");
         let load = std::panic::catch_unwind(|| Bear::load(path));
+        let resident_load = std::panic::catch_unwind(|| Bear::load_with(path, &resident));
         let verify = persist::verify_index(path);
         let outcome = match &load {
             Err(_) => {
@@ -166,12 +178,13 @@ fn run_grid(
                 format!("ABSORBED (bit_identical={identical})")
             }
         };
-        // load and verify must agree: both reject or both accept.
-        let verdicts_agree = matches!(&load, Ok(r) if r.is_ok() == verify.is_ok());
+        // The loads and verify must agree: all reject or all accept.
+        let verdicts_agree = matches!((&load, &resident_load),
+            (Ok(r), Ok(q)) if r.is_ok() == verify.is_ok() && q.is_ok() == verify.is_ok());
         if !verdicts_agree {
             failures += 1;
         }
-        let mut row = ResultRow::new(dataset, &format!("{version_tag}_{}", cell.class));
+        let mut row = ResultRow::new(dataset, &format!("v4_{}", cell.class));
         row.param = Some(format!("{}: load={outcome} verify_agrees={verdicts_agree}", cell.param));
         row.memory_bytes = Some(cell.bytes.len());
         if outcome.starts_with("PANIC")
@@ -200,48 +213,38 @@ fn main() {
     let mut out = ExperimentResult::new(
         "durability_matrix",
         &format!(
-            "read-side corruption grid over v2 and sharded v3 images of '{dataset}': every \
-             cell must fail with the typed CorruptIndex error (never panic, never load \
-             damaged data); verify_index must agree with load on every cell"
+            "read-side corruption grid over the v4 index of '{dataset}' and retired-format \
+             images: every cell must fail with the typed CorruptIndex error (never panic, \
+             never load damaged data); a resident load and verify_index must agree with \
+             the paged load on every cell"
         ),
     );
 
-    let mut failures = 0u32;
-    for version in [2u32, 3] {
-        let path: PathBuf =
-            std::env::temp_dir().join(format!("bear_durability_matrix_v{version}.idx"));
-        match version {
-            2 => bear.save(&path).expect("save v2"),
-            _ => bear.save_v3(&path).expect("save v3"),
-        }
-        let full = std::fs::read(&path).expect("read image");
+    let path: PathBuf = std::env::temp_dir().join("bear_durability_matrix.idx");
+    bear.save(&path).expect("save");
+    let full = std::fs::read(&path).expect("read image");
 
-        // The pristine image must verify end to end before any cell runs.
-        let report = persist::verify_index(&path).expect("fresh index must verify");
-        assert_eq!(report.version, version);
+    // The pristine image must verify end to end before any cell runs.
+    let report = persist::verify_index(&path).expect("fresh index must verify");
+    assert_eq!(report.version, 4);
 
-        let trailer_len = if version == 2 { 20 } else { 28 };
-        let mut grid = cells(&full, trailer_len);
-        if version == 3 {
-            grid.extend(v3_shard_cells(&full));
-        }
-        let tag = format!("v{version}");
-        failures += run_grid(&mut out, &dataset, &tag, &path, &reference, grid);
+    let mut grid = cells(&full);
+    grid.extend(shard_cells(&full));
+    let failures = run_grid(&mut out, &dataset, &path, &reference, grid);
 
-        // Control: restore the pristine image and prove it still answers.
-        std::fs::write(&path, &full).expect("restore");
-        let restored = Bear::load(&path).expect("restored image must load");
-        let answer = restored.query(0).expect("restored query");
-        assert!(
-            answer.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{tag} control answer drifted"
-        );
-        std::fs::remove_file(&path).ok();
-    }
+    // Control: restore the pristine image and prove it still answers.
+    std::fs::write(&path, &full).expect("restore");
+    let restored = Bear::load(&path).expect("restored image must load");
+    let answer = restored.query(0).expect("restored query");
+    assert!(
+        answer.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "control answer drifted"
+    );
+    std::fs::remove_file(&path).ok();
 
     out.print_table();
     out.write_json(&json_path).expect("write json");
     println!("wrote {json_path} ({} cells)", out.rows.len());
     assert_eq!(failures, 0, "{failures} durability cell(s) violated the corruption contract");
-    println!("durability matrix clean: every damaged image failed typed (v2 and v3)");
+    println!("durability matrix clean: every damaged image failed typed");
 }

@@ -1,13 +1,13 @@
 //! CRC-32 (IEEE 802.3, the zlib/PNG polynomial) over byte slices.
 //!
-//! The v2 index format frames every section with a CRC of its payload
-//! plus a whole-file trailer checksum (see [`crate::persist`]), so a
-//! torn write, truncation, or bit rot is detected *before* any parsing
-//! touches the bytes. The build environment is offline, so the
+//! The index format frames every section and every spoke shard with a
+//! CRC of its payload, plus a resident-region checksum in the trailer
+//! (see [`crate::persist`]), so a torn write, truncation, or bit rot is
+//! detected *before* any parsing touches the bytes. The build environment is offline, so the
 //! implementation is vendored here: slicing-by-16 (sixteen 256-entry
 //! tables, computed at compile time, fold sixteen input bytes per step),
 //! with the byte-at-a-time table step for the tail. Every pager fault
-//! checks its segment's CRC, so this is on the out-of-core query path.
+//! checks its shard's CRC, so this is on the out-of-core query path.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;

@@ -291,17 +291,19 @@ pub struct MetricsSnapshot {
     pub topk_candidates: u64,
     /// Nodes never scored thanks to pruning, summed over pruned queries.
     pub topk_nodes_pruned: u64,
-    /// Spoke-segment cache hits (paged v3 index only; zero otherwise).
-    /// These five are merged in from the block pager at snapshot time —
+    /// Spoke-shard cache hits (paged index only; zero otherwise). These
+    /// five are merged in from the block pager at snapshot time —
     /// [`Metrics`] itself stays pager-unaware.
     pub pager_hits: u64,
-    /// Spoke segments read and decoded from disk.
+    /// Spoke shards read and decoded from disk.
     pub pager_misses: u64,
-    /// Spoke segments evicted to stay within the residency budget.
+    /// Spoke shards evicted to stay within the residency budget.
     pub pager_evictions: u64,
     /// Bytes of spoke factors currently resident in the pager cache.
     pub pager_resident_bytes: u64,
-    /// Spoke blocks currently resident in the pager cache.
+    /// Spoke shards (one per unit of consecutive blocks) currently
+    /// resident in the pager cache; exported as
+    /// `bear_pager_resident_blocks`.
     pub pager_resident_blocks: u64,
 }
 

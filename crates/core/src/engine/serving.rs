@@ -165,11 +165,11 @@ pub struct EngineConfig {
     /// still be ≥ 1 ([`Error::InvalidConfig`] otherwise).
     pub block_width: usize,
     /// Resident-set cap (bytes) applied to the index's block pager at
-    /// engine construction, when the [`Bear`] was loaded from a v3
-    /// (out-of-core) index. `None` leaves the budget from load time
-    /// untouched; `Some(bytes)` re-caps the pager (shrinking evicts
-    /// immediately). Ignored — not an error — for fully resident
-    /// indexes, so one config serves both layouts.
+    /// engine construction, when the [`Bear`] was loaded paged. `None`
+    /// leaves the budget from load time untouched; `Some(bytes)` re-caps
+    /// the pager (shrinking evicts immediately). Ignored — not an error
+    /// — for resident indexes, so one config serves both. It also picks
+    /// how a server loads an index ([`EngineConfig::load_options`]).
     pub spoke_residency_bytes: Option<u64>,
 }
 
@@ -188,6 +188,17 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
+    /// How a server built on this configuration loads an index: every
+    /// unit resident when no spoke residency cap is set, and paged (the
+    /// cap applied by the engine) when one is. Every index-load site of
+    /// the serving stack goes through it.
+    pub fn load_options(&self) -> crate::LoadOptions {
+        crate::LoadOptions {
+            resident: self.spoke_residency_bytes.is_none(),
+            ..crate::LoadOptions::default()
+        }
+    }
+
     /// A builder starting from the defaults.
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder { config: EngineConfig::default() }
@@ -261,8 +272,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Resident-set cap for a paged (v3) index; ignored for resident
-    /// indexes. See [`EngineConfig::spoke_residency_bytes`].
+    /// Resident-set cap for a paged index; ignored for resident indexes.
+    /// See [`EngineConfig::spoke_residency_bytes`].
     pub fn spoke_residency_bytes(mut self, bytes: Option<u64>) -> Self {
         self.config.spoke_residency_bytes = bytes;
         self
@@ -644,8 +655,8 @@ impl QueryEngine {
         &self.bear
     }
 
-    /// Point-in-time serving metrics. When the index is paged (v3),
-    /// block-pager counters are merged into the snapshot here; the
+    /// Point-in-time serving metrics. When the index is paged, the
+    /// pager's counters are merged into the snapshot here; the
     /// [`Metrics`] sink itself stays pager-unaware.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
@@ -1408,21 +1419,21 @@ mod tests {
         st.hits + st.misses
     }
 
-    /// A 16-seed batch at `block_width` 8 on a v3 index paged under a
-    /// budget of three blocks is one solve: bit-identical to
+    /// A 16-seed batch at `block_width` 8 on an index paged under a
+    /// budget of three shards is one solve: bit-identical to
     /// [`Bear::query`], with exactly the shard fetches of one width-16
     /// `query_block_into` on an equally cold pager, and fewer than two
     /// width-8 calls make. Each spoke sweep fetches a touched shard once
     /// for the whole request, not once per eight seeds.
     #[test]
     fn batch_on_a_paged_index_sweeps_once_per_request() {
-        let bear = Bear::new(&chains_graph(24, 6), &BearConfig::exact(0.15)).unwrap();
+        let bear = Bear::new(&chains_graph(48, 30), &BearConfig::exact(0.15)).unwrap();
         let probe = bear.paged_in_memory(None).unwrap();
         let dir = probe.pager().unwrap().directory();
-        assert!(dir.len() >= 20, "blocks: {:?}", bear.block_sizes);
+        assert!(dir.len() >= 5, "shards: {dir:?}");
         let budget = 3 * dir.iter().map(|m| m.resident_bytes()).max().unwrap();
         let cold = || bear.paged_in_memory(Some(budget)).unwrap();
-        let seeds: Vec<usize> = (0..16).map(|i| 1 + i * 9).collect();
+        let seeds: Vec<usize> = (0..16).map(|i| 1 + i * 89).collect();
 
         let engine = QueryEngine::new(
             Arc::new(cold()),

@@ -6,42 +6,42 @@
 //! write or a flipped bit must never reach the query path. This module
 //! provides:
 //!
-//! * **Format v2 (`BEARIDX2`)** — the fully-resident write format. Ten
-//!   framed sections (`tag [4] | len u64 LE | payload | crc32 u32 LE`),
-//!   one per logical component (metadata, permutation, partition arrays,
-//!   the six matrices), followed by a 20-byte trailer
-//!   (`"BEARTRL2" | whole-file crc32 | file length`). The trailer is
-//!   verified before any payload is parsed, so truncation and bit rot
-//!   fail fast with [`bear_sparse::Error::CorruptIndex`] instead of
-//!   feeding damaged bytes to the structural validators.
-//! * **Format v3 (`BEARIDX3`)** — the out-of-core sharded format
-//!   (DESIGN.md §18). The spoke factors `L₁⁻¹`/`U₁⁻¹` are split into one
-//!   individually CRC'd segment per diagonal block
-//!   (`"SPKB" | payload len u64 | payload | crc32`), laid out
-//!   contiguously right after the magic; a *resident region* follows
-//!   with the nine remaining sections (hub/Schur matrices, partition
-//!   arrays, and the `SDIR` segment directory), and a 28-byte trailer
-//!   (`"BEARTRL3" | resident-region crc32 | resident offset | file
-//!   length`) closes the file. [`Bear::load_with`] CRC-verifies every
-//!   segment in bounded chunks at load time, then serves queries through
-//!   a [`crate::paging::BlockPager`] that materializes segments lazily
-//!   under a [`MemBudget`]; `V3StreamWriter` appends one segment per
-//!   block, so streamed preprocessing's peak RSS is independent of total
-//!   index size.
-//! * **One codec for both formats** — the eight sections v2 and v3 share
-//!   are encoded by one function and parsed by another; one frame reader
-//!   checks every section's tag, length, bounds and CRC; one trailer
-//!   check and one set of dimension rules serve loading and
-//!   verification alike.
-//! * **Crash-safe writes** — both formats go through one temp-file
-//!   writer: the bytes land in a hidden temp file *in the target
-//!   directory*, which is fsynced, atomically renamed over the
+//! * **One format (`BEARIDX4`)** (DESIGN.md §16, §18). The spoke factors
+//!   `L₁⁻¹`/`U₁⁻¹` are stored as one individually CRC'd **shard per
+//!   unit** (a run of consecutive diagonal blocks, see
+//!   `crate::paging::UnitBuilder`): `"SPKB" | payload len u64 |
+//!   payload | crc32`, laid out contiguously right after the magic. A
+//!   *resident region* follows with nine framed sections
+//!   (`tag [4] | len u64 LE | payload | crc32 u32 LE`: metadata,
+//!   permutation, partition arrays, the hub and Schur matrices, and the
+//!   `SDIR` shard directory), and a 28-byte trailer (`"BEARTRL4" |
+//!   resident-region crc32 | resident offset | file length`) closes the
+//!   file. The trailer is verified before any section is parsed, so
+//!   truncation and bit rot fail fast with
+//!   [`bear_sparse::Error::CorruptIndex`] instead of feeding damaged
+//!   bytes to the structural validators. Each `SDIR` entry names its
+//!   shard's first block and block count, and the shards must tile the
+//!   block sizes in order.
+//! * **One shard codec and one frame check** — `shard_frame` encodes a
+//!   unit, `read_shard` reads one frame and checks its tag, its length
+//!   and its CRC against both the frame and the directory, and
+//!   `load_shard` decodes it and audits that every entry lies inside
+//!   its column's block. A pager miss, the load-time CRC sweep, the
+//!   one-pass resident load and `verify-index` all go through them.
+//! * **Two ways to load** — [`LoadOptions::resident`] reads each shard
+//!   once (read, check, decode) and holds every unit; otherwise every
+//!   shard's CRC is checked up front and the units page through a
+//!   [`crate::paging::BlockPager`] under a [`MemBudget`].
+//! * **Crash-safe writes** — [`Bear::save`] and the streamed
+//!   [`crate::preprocess_to_disk`] write through one shard writer and
+//!   one temp-file writer: the bytes land in a hidden temp file *in the
+//!   target directory*, which is fsynced, atomically renamed over the
 //!   destination, and followed by a directory fsync. A crash at any
 //!   point leaves either the old index or the new one, never a
-//!   half-written hybrid under the real name.
-//! * **Retired format v1** — a `BEARIDX1` file (no checksums, no
-//!   framing) fails to load with `CorruptIndex { section: "header", .. }`
-//!   whose detail says to re-run `bear preprocess`.
+//!   half-written hybrid under the real name. Both write the same bytes.
+//! * **Retired formats** — a `BEARIDX1`, `BEARIDX2` or `BEARIDX3` file
+//!   fails to load with `CorruptIndex { section: "header", .. }` whose
+//!   detail says to re-run `bear preprocess`.
 //! * **Quarantine** — [`Bear::load_or_quarantine`] renames an artifact
 //!   that fails integrity checks to `<path>.corrupt` so operators can
 //!   inspect the bytes offline and a retry loop cannot re-serve it.
@@ -52,88 +52,60 @@
 //! Every load-path failure — framing, checksum, or a payload that parses
 //! but violates a structural invariant — is reported as
 //! `Error::CorruptIndex { section, detail }` naming the section that
-//! failed. The crash-injection suite in
-//! `crates/core/tests/crash_injection.rs` sweeps truncations and bit
+//! failed (and the shard, for a spoke shard). The crash-injection suite
+//! in `crates/core/tests/crash_injection.rs` sweeps truncations and bit
 //! flips over real images to hold that contract.
 
 use crate::paging::{
-    corrupt_shard, BlockPager, FactorPair, FileSource, MemSource, SegmentMeta, SegmentSource,
-    SpokeFactors, SEGMENT_FRAME_OVERHEAD, SEGMENT_TAG,
+    corrupt_shard, BlockPager, FactorPair, FileSource, Layout, MemSource, SegmentMeta,
+    SegmentSource, SpokeFactors,
 };
 use crate::precompute::{Bear, HubSolve};
-use crate::solver::RwrSolver as _;
 use bear_sparse::mem::{MemBudget, MemoryUsage};
 use bear_sparse::{CscMatrix, CsrMatrix, Error, Permutation, Result};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+/// The index magic; the trailer magic; the retired magics, by version.
+const MAGIC: &[u8; 8] = b"BEARIDX4";
+const TRAILER_MAGIC: &[u8; 8] = b"BEARTRL4";
+const RETIRED: [(&[u8; 8], u32); 3] = [(b"BEARIDX1", 1), (b"BEARIDX2", 2), (b"BEARIDX3", 3)];
 /// Both magics are eight bytes.
 const MAGIC_LEN: usize = 8;
-/// Chunk size for streamed checksum verification — bounds peak
-/// allocation when verifying or loading an index larger than RAM.
+/// Magic (8) + resident-region crc32 (4) + resident-region offset (8) +
+/// file length (8). The CRC covers only the resident region — each
+/// shard carries its own frame CRC, so integrity checks never have to
+/// hash the (potentially larger-than-RAM) shard area in one piece.
+const TRAILER_LEN: usize = 28;
+/// The on-disk format version [`verify_index`] reports.
+const VERSION: u32 = 4;
+/// Chunk size for the streamed resident-region checksum — bounds peak
+/// allocation when verifying or loading a large index.
 const VERIFY_CHUNK: usize = 256 * 1024;
-/// Bytes per `SDIR` directory entry: offset, frame length, crc, block
-/// dimension, `L₁⁻¹` nnz, `U₁⁻¹` nnz — six `u64`s.
-const SDIR_ENTRY_LEN: usize = 48;
+/// Frame tag of a spoke shard.
+const SHARD_TAG: &[u8; 4] = b"SPKB";
+/// Frame overhead: tag (4) + payload length (8) + payload crc (4).
+const FRAME_OVERHEAD: usize = 16;
+/// Bytes per `SDIR` directory entry: offset, frame length, crc, first
+/// block, block count, dimension, `L₁⁻¹` nnz, `U₁⁻¹` nnz — eight `u64`s.
+const SDIR_ENTRY_LEN: usize = 64;
 
 /// A section's four-byte tag and the name `Error::CorruptIndex { section,
 /// .. }` reports for it.
 type Section = (&'static [u8; 4], &'static str);
 
-/// What tells the two formats apart on disk.
-struct Format {
-    version: u32,
-    magic: &'static [u8; MAGIC_LEN],
-    trailer_magic: &'static [u8; 8],
-    /// v2: magic (8) + whole-file crc32 (4) + file length (8). v3: magic
-    /// (8) + resident-region crc32 (4) + resident-region offset (8) +
-    /// file length (8). The v3 CRC covers only the resident region — each
-    /// spoke segment carries its own frame CRC, so integrity checks never
-    /// have to hash the (potentially larger-than-RAM) segment area in one
-    /// piece.
-    trailer_len: usize,
-    /// The framed sections, in file order.
-    sections: &'static [Section],
-}
-
-const V2: Format = Format {
-    version: 2,
-    magic: b"BEARIDX2",
-    trailer_magic: b"BEARTRL2",
-    trailer_len: 20,
-    sections: &[
-        (b"META", "meta"),
-        (b"PERM", "perm"),
-        (b"BSIZ", "block_sizes"),
-        (b"DEGS", "degrees"),
-        (b"L1IV", "l1_inv"),
-        (b"U1IV", "u1_inv"),
-        (b"L2IV", "l2_inv"),
-        (b"U2IV", "u2_inv"),
-        (b"H12M", "h12"),
-        (b"H21M", "h21"),
-    ],
-};
-
-/// The v3 resident region lacks the spoke factors — they live in the
-/// per-block segments indexed by `SDIR`.
-const V3: Format = Format {
-    version: 3,
-    magic: b"BEARIDX3",
-    trailer_magic: b"BEARTRL3",
-    trailer_len: 28,
-    sections: &[
-        (b"META", "meta"),
-        (b"PERM", "perm"),
-        (b"BSIZ", "block_sizes"),
-        (b"DEGS", "degrees"),
-        (b"L2IV", "l2_inv"),
-        (b"U2IV", "u2_inv"),
-        (b"H12M", "h12"),
-        (b"H21M", "h21"),
-        (b"SDIR", "segment_directory"),
-    ],
-};
+/// The resident region's framed sections, in file order.
+const SECTIONS: [Section; 9] = [
+    (b"META", "meta"),
+    (b"PERM", "perm"),
+    (b"BSIZ", "block_sizes"),
+    (b"DEGS", "degrees"),
+    (b"L2IV", "l2_inv"),
+    (b"U2IV", "u2_inv"),
+    (b"H12M", "h12"),
+    (b"H21M", "h21"),
+    (b"SDIR", "segment_directory"),
+];
 
 fn io_err(e: std::io::Error) -> Error {
     Error::InvalidStructure(format!("index io error: {e}"))
@@ -164,14 +136,6 @@ fn retag(section: &'static str) -> impl Fn(Error) -> Error {
     }
 }
 
-/// Maps a read failure into shard-tagged corruption.
-fn shard_err(b: usize) -> impl Fn(Error) -> Error {
-    move |e| match e {
-        Error::CorruptIndex { detail, .. } => corrupt_shard(b, detail),
-        other => other,
-    }
-}
-
 /// Converts an on-disk `u64` (length, dimension, or index) to `usize`,
 /// returning a typed error when it does not fit. On 32-bit targets a
 /// plain `as usize` would silently truncate an oversized value into a
@@ -198,7 +162,7 @@ fn le_u32(b: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Section encoding
+// Encoding
 // ---------------------------------------------------------------------------
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -231,6 +195,13 @@ fn push_f64_array(out: &mut Vec<u8>, data: &[f64]) {
     }
 }
 
+/// A matrix's `indptr | indices | values`, each length-prefixed.
+fn push_arrays(out: &mut Vec<u8>, indptr: &[usize], indices: &[usize], values: &[f64]) {
+    push_usize_array(out, indptr);
+    push_usize_array(out, indices);
+    push_f64_array(out, values);
+}
+
 /// Shared CSC/CSR payload: `nrows | ncols | indptr | indices | values`.
 fn matrix_payload(
     nrows: usize,
@@ -242,9 +213,7 @@ fn matrix_payload(
     let mut p = Vec::with_capacity(16 + 8 * (indptr.len() + indices.len() + values.len() + 3));
     push_u64(&mut p, nrows as u64);
     push_u64(&mut p, ncols as u64);
-    push_usize_array(&mut p, indptr);
-    push_usize_array(&mut p, indices);
-    push_f64_array(&mut p, values);
+    push_arrays(&mut p, indptr, indices, values);
     p
 }
 
@@ -267,8 +236,8 @@ fn push_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) -> u32 {
     crc
 }
 
-/// Borrowed pieces of the eight sections both formats carry — everything
-/// except the spoke factors.
+/// Borrowed pieces of the resident region's sections, except the shard
+/// directory.
 pub(crate) struct ResidentParts<'a> {
     pub(crate) n1: usize,
     pub(crate) n2: usize,
@@ -282,17 +251,10 @@ pub(crate) struct ResidentParts<'a> {
     pub(crate) h21: &'a CsrMatrix,
 }
 
-/// Frames the sections of `fmt` onto `out`, in file order. The eight
-/// shared sections come from `p`; `own` supplies the payloads only one
-/// format has: the whole spoke factors (`L1IV`, `U1IV`) in v2, the
-/// segment directory (`SDIR`) in v3.
-fn push_sections(
-    out: &mut Vec<u8>,
-    fmt: &Format,
-    p: &ResidentParts<'_>,
-    own: impl Fn(&[u8; 4]) -> Vec<u8>,
-) {
-    for &(tag, _) in fmt.sections {
+/// Frames the resident region's sections onto `out`, in file order, with
+/// `dir` as the shard directory.
+fn push_sections(out: &mut Vec<u8>, p: &ResidentParts<'_>, dir: &[SegmentMeta]) {
+    for (tag, _) in SECTIONS {
         let payload = match tag {
             b"META" => {
                 let mut meta = Vec::with_capacity(24);
@@ -308,32 +270,37 @@ fn push_sections(
             b"U2IV" => csc_payload(p.u2_inv),
             b"H12M" => csr_payload(p.h12),
             b"H21M" => csr_payload(p.h21),
-            _ => own(tag),
+            _ => sdir_payload(dir),
         };
         push_section(out, tag, &payload);
     }
 }
 
-/// `SDIR` payload: segment count, then six `u64`s per segment.
+/// `SDIR` payload: shard count, then eight `u64`s per shard.
 fn sdir_payload(dir: &[SegmentMeta]) -> Vec<u8> {
     let mut p = Vec::with_capacity(8 + dir.len() * SDIR_ENTRY_LEN);
     push_u64(&mut p, dir.len() as u64);
     for s in dir {
-        push_u64(&mut p, s.offset);
-        push_u64(&mut p, s.frame_len);
-        push_u64(&mut p, s.crc as u64);
-        push_u64(&mut p, s.block_dim);
-        push_u64(&mut p, s.l1_nnz);
-        push_u64(&mut p, s.u1_nnz);
+        for v in [
+            s.offset,
+            s.frame_len,
+            u64::from(s.crc),
+            s.first_block,
+            s.blocks,
+            s.dim,
+            s.l1_nnz,
+            s.u1_nnz,
+        ] {
+            push_u64(&mut p, v);
+        }
     }
     p
 }
 
-/// The 28-byte v3 trailer for a resident region starting at
-/// `resident_off`.
-fn v3_trailer(region: &[u8], resident_off: u64) -> [u8; 28] {
-    let mut t = [0u8; 28];
-    t[..8].copy_from_slice(V3.trailer_magic);
+/// The 28-byte trailer for a resident region starting at `resident_off`.
+fn trailer(region: &[u8], resident_off: u64) -> [u8; TRAILER_LEN] {
+    let mut t = [0u8; TRAILER_LEN];
+    t[..8].copy_from_slice(TRAILER_MAGIC);
     t[8..12].copy_from_slice(&crate::crc32::crc32(region).to_le_bytes());
     t[12..20].copy_from_slice(&resident_off.to_le_bytes());
     let total = resident_off + region.len() as u64 + t.len() as u64;
@@ -342,10 +309,156 @@ fn v3_trailer(region: &[u8], resident_off: u64) -> [u8; 28] {
 }
 
 // ---------------------------------------------------------------------------
+// The shard codec
+// ---------------------------------------------------------------------------
+
+/// Encodes a unit starting at block `first_block` as a shard payload:
+/// `first_block | blocks | dim | L₁⁻¹ arrays | U₁⁻¹ arrays` (each matrix
+/// as length-prefixed `indptr | indices | values`; the dimension is the
+/// unit's on both axes).
+pub(crate) fn encode_shard(first_block: usize, pair: &FactorPair) -> Vec<u8> {
+    let words = |m: &CscMatrix| m.indptr().len() + m.indices().len() + m.values().len();
+    let mut out = Vec::with_capacity(24 + 8 * (words(&pair.l1) + words(&pair.u1) + 6));
+    push_u64(&mut out, first_block as u64);
+    push_u64(&mut out, pair.blocks() as u64);
+    push_u64(&mut out, pair.dim() as u64);
+    for m in [&pair.l1, &pair.u1] {
+        push_arrays(&mut out, m.indptr(), m.indices(), m.values());
+    }
+    out
+}
+
+/// Frames a unit starting at block `first_block` as a shard to be placed
+/// at byte `offset`: the frame bytes and the directory entry that
+/// locates them.
+pub(crate) fn shard_frame(
+    first_block: usize,
+    pair: &FactorPair,
+    offset: u64,
+) -> (Vec<u8>, SegmentMeta) {
+    let payload = encode_shard(first_block, pair);
+    let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    let crc = push_section(&mut frame, SHARD_TAG, &payload);
+    let meta = SegmentMeta {
+        offset,
+        frame_len: frame.len() as u64,
+        crc,
+        first_block: first_block as u64,
+        blocks: pair.blocks() as u64,
+        dim: pair.dim() as u64,
+        l1_nnz: pair.l1.nnz() as u64,
+        u1_nnz: pair.u1.nnz() as u64,
+    };
+    (frame, meta)
+}
+
+/// Reads shard `s`'s frame, located by `meta`, and checks it: the tag,
+/// the payload length against the directory's frame length, and the
+/// payload's CRC against both the frame's copy and the directory's.
+/// Returns the whole frame; its payload is `[12, len − 4)`.
+pub(crate) fn read_shard(
+    source: &dyn SegmentSource,
+    meta: &SegmentMeta,
+    s: usize,
+) -> Result<Vec<u8>> {
+    let frame_len = usize::try_from(meta.frame_len)
+        .ok()
+        .filter(|&len| len >= FRAME_OVERHEAD)
+        .ok_or_else(|| corrupt_shard(s, format!("frame length {} invalid", meta.frame_len)))?;
+    let mut buf = vec![0u8; frame_len];
+    source.read_at(meta.offset, &mut buf).map_err(|e| match e {
+        Error::CorruptIndex { detail, .. } => corrupt_shard(s, detail),
+        other => other,
+    })?;
+    let (head, rest) = buf.split_at(12);
+    let (payload, crc4) = rest.split_at(frame_len - FRAME_OVERHEAD);
+    if &head[..4] != SHARD_TAG {
+        return Err(corrupt_shard(s, "shard tag missing (directory points at garbage)"));
+    }
+    let payload_len = le_u64(&head[4..12]);
+    if payload_len != payload.len() as u64 {
+        return Err(corrupt_shard(
+            s,
+            format!("frame length {payload_len} disagrees with directory ({})", payload.len()),
+        ));
+    }
+    let (stored, actual) = (le_u32(crc4), crate::crc32::crc32(payload));
+    if stored != actual || stored != meta.crc {
+        return Err(corrupt_shard(
+            s,
+            format!(
+                "shard checksum mismatch: frame {stored:#010x}, directory {:#010x}, computed {actual:#010x}",
+                meta.crc
+            ),
+        ));
+    }
+    Ok(buf)
+}
+
+/// Decodes shard `s`'s payload against its directory entry `meta`,
+/// running the full structural audit (`try_from_parts`) on both
+/// matrices and the block audit of `layout` — a checksum-valid shard can
+/// still have been written with broken structure, non-finite values, or
+/// an entry across a block boundary.
+pub(crate) fn decode_shard(
+    payload: &[u8],
+    s: usize,
+    meta: &SegmentMeta,
+    layout: &Layout,
+) -> Result<FactorPair> {
+    let mut cur = SectionReader::for_shard(payload, s);
+    for (what, want) in [("first block", meta.first_block), ("block count", meta.blocks)] {
+        let got = cur.u64()?;
+        if got != want {
+            return Err(corrupt_shard(s, format!("shard {what} {got} (directory: {want})")));
+        }
+    }
+    let dim = cur.u64()?;
+    if dim != meta.dim {
+        return Err(corrupt_shard(
+            s,
+            format!("shard dimension {dim} does not match directory ({})", meta.dim),
+        ));
+    }
+    let dim = checked_usize(dim, "shard dimension").map_err(|e| corrupt_shard(s, e))?;
+    let mut mats = Vec::with_capacity(2);
+    for which in ["l1_inv", "u1_inv"] {
+        let indptr = cur.usize_array()?;
+        let indices = cur.usize_array()?;
+        let values = cur.f64_array()?;
+        let m = CscMatrix::try_from_parts(dim, dim, indptr, indices, values)
+            .map_err(|e| corrupt_shard(s, format!("{which}: {e}")))?;
+        mats.push(m);
+    }
+    cur.finish()?;
+    let (Some(u1), Some(l1)) = (mats.pop(), mats.pop()) else {
+        return Err(corrupt_shard(s, "shard decoded fewer than two matrices"));
+    };
+    let blocks =
+        checked_usize(meta.blocks, "shard block count").map_err(|e| corrupt_shard(s, e))?;
+    let pair = FactorPair::new(l1, u1, blocks).map_err(|e| corrupt_shard(s, e))?;
+    layout.audit(s, &pair)?;
+    Ok(pair)
+}
+
+/// Reads, checks and decodes shard `s`: [`read_shard`] then
+/// [`decode_shard`].
+pub(crate) fn load_shard(
+    source: &dyn SegmentSource,
+    meta: &SegmentMeta,
+    s: usize,
+    layout: &Layout,
+) -> Result<FactorPair> {
+    let frame = read_shard(source, meta, s)?;
+    let payload = frame.get(12..frame.len() - 4).unwrap_or_default();
+    decode_shard(payload, s, meta, layout)
+}
+
+// ---------------------------------------------------------------------------
 // Crash-safe writer
 // ---------------------------------------------------------------------------
 
-/// One crash-safe file write, shared by both formats. Bytes are appended
+/// One crash-safe file write. Bytes are appended
 /// to a hidden temp file in the target's directory — rename(2) is only
 /// atomic within a filesystem, and a temp file elsewhere could cross a
 /// mount boundary. [`AtomicFile::commit`] fsyncs the file, renames it
@@ -483,46 +596,30 @@ fn apply_torn_injection(_tmp: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Frames block `b`'s segment for a v3 image, to be placed at byte
-/// `offset`: the frame bytes and the directory entry that locates them.
-pub(crate) fn segment_frame(b: usize, pair: &FactorPair, offset: u64) -> (Vec<u8>, SegmentMeta) {
-    let payload = crate::paging::encode_segment(b, pair);
-    let mut frame = Vec::with_capacity(payload.len() + SEGMENT_FRAME_OVERHEAD);
-    let crc = push_section(&mut frame, SEGMENT_TAG, &payload);
-    let meta = SegmentMeta {
-        offset,
-        frame_len: frame.len() as u64,
-        crc,
-        block_dim: pair.dim() as u64,
-        l1_nnz: pair.l1.nnz() as u64,
-        u1_nnz: pair.u1.nnz() as u64,
-    };
-    (frame, meta)
-}
-
-/// Streams a v3 image to disk block by block: preprocessing hands each
-/// finished block's factors to [`V3StreamWriter::write_segment`] and
-/// drops them, so peak RSS stays independent of total index size.
-/// [`V3StreamWriter::finish`] appends the resident region and trailer
-/// and commits through the same [`AtomicFile`] as the v2 writer.
-/// [`Bear::save_v3`] streams through it too, so there is one v3
-/// encoder.
-pub(crate) struct V3StreamWriter {
+/// Streams an index image to disk one shard at a time: preprocessing
+/// hands each finished unit to [`IndexWriter::write_shard`] and drops
+/// it, so peak RSS stays independent of total index size.
+/// [`IndexWriter::finish`] appends the resident region and trailer and
+/// commits through [`AtomicFile`]. [`Bear::save`] writes through it too,
+/// so there is one encoder.
+pub(crate) struct IndexWriter {
     file: AtomicFile,
     dir: Vec<SegmentMeta>,
+    /// Blocks written so far: the next shard's first block.
+    blocks: usize,
 }
 
-impl V3StreamWriter {
+impl IndexWriter {
     pub(crate) fn create(path: &Path) -> Result<Self> {
         let mut file = AtomicFile::create(path)?;
-        file.append(V3.magic)?;
-        Ok(V3StreamWriter { file, dir: Vec::new() })
+        file.append(MAGIC)?;
+        Ok(IndexWriter { file, dir: Vec::new(), blocks: 0 })
     }
 
-    /// Appends the next block's segment (blocks must arrive in ascending
-    /// block order).
-    pub(crate) fn write_segment(&mut self, pair: &FactorPair) -> Result<()> {
-        let (frame, meta) = segment_frame(self.dir.len(), pair, self.file.len);
+    /// Appends the next unit's shard (units must arrive in block order).
+    pub(crate) fn write_shard(&mut self, pair: &FactorPair) -> Result<()> {
+        let (frame, meta) = shard_frame(self.blocks, pair, self.file.len);
+        self.blocks += pair.blocks();
         self.dir.push(meta);
         self.file.append(&frame)
     }
@@ -531,15 +628,15 @@ impl V3StreamWriter {
     pub(crate) fn finish(mut self, parts: &ResidentParts<'_>) -> Result<()> {
         let resident_off = self.file.len;
         let mut region = Vec::new();
-        push_sections(&mut region, &V3, parts, |_| sdir_payload(&self.dir));
+        push_sections(&mut region, parts, &self.dir);
         self.file.append(&region)?;
-        self.file.append(&v3_trailer(&region, resident_off))?;
+        self.file.append(&trailer(&region, resident_off))?;
         self.file.commit()
     }
 }
 
 impl Bear {
-    /// The sections both formats share. Both hold the inverted Schur
+    /// The resident region's sections. They hold the inverted Schur
     /// factors, so an index built by [`Bear::new_hub_iterative`] fails
     /// here, typed, before anything is written.
     fn resident_parts(&self) -> Result<ResidentParts<'_>> {
@@ -565,55 +662,41 @@ impl Bear {
         })
     }
 
-    /// Writes the precomputed index to `path` in the v2 format,
-    /// crash-safely: the image is built in memory (a paged index is
-    /// materialized block by block first — v2 is fully resident by
-    /// definition), written to a hidden temp file in the target
-    /// directory, fsynced, atomically renamed over `path`, and the
-    /// directory is fsynced. A crash (or error) at any point leaves the
-    /// previous contents of `path` intact.
+    /// Writes the precomputed index to `path`, one shard per unit (a
+    /// paged index fetches each unit in turn), crash-safely: the bytes go
+    /// to a hidden temp file in the target directory, which is fsynced,
+    /// atomically renamed over `path`, and the directory is fsynced. A
+    /// crash (or error) at any point leaves the previous contents of
+    /// `path` intact. The bytes are those [`crate::preprocess_to_disk`]
+    /// streams for the same graph and configuration.
     pub fn save(&self, path: &Path) -> Result<()> {
         let parts = self.resident_parts()?;
-        let (l1_inv, u1_inv) = self.spokes.to_whole()?;
-        let mut image = V2.magic.to_vec();
-        push_sections(&mut image, &V2, &parts, |tag| {
-            csc_payload(if tag == b"L1IV" { &l1_inv } else { &u1_inv })
-        });
-        let file_crc = crate::crc32::crc32(&image);
-        let total = image.len() + V2.trailer_len;
-        image.extend_from_slice(V2.trailer_magic);
-        image.extend_from_slice(&file_crc.to_le_bytes());
-        push_u64(&mut image, total as u64);
-        let mut file = AtomicFile::create(path)?;
-        file.append(&image)?;
-        file.commit()
-    }
-
-    /// Writes the index to `path` in the sharded out-of-core v3 format,
-    /// with the same crash-safe protocol as [`Bear::save`], through the
-    /// segment writer that [`crate::preprocess_to_disk`] streams into.
-    /// The result can be loaded fully resident or paged under a budget
-    /// via [`Bear::load_with`].
-    pub fn save_v3(&self, path: &Path) -> Result<()> {
-        let parts = self.resident_parts()?;
-        let pairs = self.spokes.split_pairs(&self.block_sizes)?;
-        let mut writer = V3StreamWriter::create(path)?;
-        for pair in &pairs {
-            writer.write_segment(pair)?;
+        let mut writer = IndexWriter::create(path)?;
+        for u in 0..self.spokes.num_units() {
+            writer.write_shard(&*self.spokes.unit(u)?)?;
         }
         writer.finish(&parts)
     }
 
+    /// The same as [`Bear::save`]; kept for callers written when the
+    /// sharded layout had a writer of its own.
+    pub fn save_v3(&self, path: &Path) -> Result<()> {
+        self.save(path)
+    }
+
     /// A copy of this index whose spoke factors page from an in-memory
-    /// v3 segment region ([`MemSource`]) under `budget_bytes` (`None` =
+    /// shard region ([`MemSource`]) under `budget_bytes` (`None` =
     /// unlimited): the out-of-core query path, CRC check and decode on
     /// every fault included, without a file. For benchmarks and tests;
     /// answers are bit-identical to this index's.
     pub fn paged_in_memory(&self, budget_bytes: Option<usize>) -> Result<Bear> {
-        let mut image = V3.magic.to_vec();
-        let mut dir = Vec::with_capacity(self.block_sizes.len());
-        for (b, pair) in self.spokes.split_pairs(&self.block_sizes)?.iter().enumerate() {
-            let (frame, meta) = segment_frame(b, pair, image.len() as u64);
+        let mut image = MAGIC.to_vec();
+        let mut dir = Vec::with_capacity(self.spokes.num_units());
+        let mut first_block = 0;
+        for u in 0..self.spokes.num_units() {
+            let unit = self.spokes.unit(u)?;
+            let (frame, meta) = shard_frame(first_block, &unit, image.len() as u64);
+            first_block += unit.blocks();
             image.extend_from_slice(&frame);
             dir.push(meta);
         }
@@ -627,17 +710,16 @@ impl Bear {
 // Section parsing
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked cursor over one section or spoke-segment payload —
-/// the one decoder for both formats' length-prefixed arrays. Every read
-/// reports the owning section on failure, so a truncated inner array
-/// surfaces as `CorruptIndex { section: "h12", .. }` rather than a
-/// generic error; a segment's errors are `spoke_segment` and name the
-/// shard.
-pub(crate) struct SectionReader<'a> {
+/// Bounds-checked cursor over one section or shard payload — the one
+/// decoder for their length-prefixed arrays. Every read reports the
+/// owning section on failure, so a truncated inner array surfaces as
+/// `CorruptIndex { section: "h12", .. }` rather than a generic error; a
+/// shard's errors are `spoke_segment` and name the shard.
+struct SectionReader<'a> {
     bytes: &'a [u8],
     pos: usize,
     section: &'static str,
-    /// The spoke block a segment payload holds; `None` for a section.
+    /// The shard a payload belongs to; `None` for a section.
     shard: Option<usize>,
 }
 
@@ -646,9 +728,8 @@ impl<'a> SectionReader<'a> {
         SectionReader { bytes, pos: 0, section, shard: None }
     }
 
-    /// A cursor over the payload of the segment holding spoke block
-    /// `shard`.
-    pub(crate) fn for_shard(bytes: &'a [u8], shard: usize) -> Self {
+    /// A cursor over the payload of shard `shard`.
+    fn for_shard(bytes: &'a [u8], shard: usize) -> Self {
         SectionReader { bytes, pos: 0, section: "spoke_segment", shard: Some(shard) }
     }
 
@@ -672,7 +753,7 @@ impl<'a> SectionReader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64> {
+    fn u64(&mut self) -> Result<u64> {
         Ok(le_u64(self.take(8)?))
     }
 
@@ -705,7 +786,7 @@ impl<'a> SectionReader<'a> {
         Ok(words)
     }
 
-    pub(crate) fn usize_array(&mut self) -> Result<Vec<usize>> {
+    fn usize_array(&mut self) -> Result<Vec<usize>> {
         let words = self.words()?;
         let mut out = Vec::with_capacity(words.len());
         for &w in words {
@@ -717,13 +798,13 @@ impl<'a> SectionReader<'a> {
         Ok(out)
     }
 
-    pub(crate) fn f64_array(&mut self) -> Result<Vec<f64>> {
+    fn f64_array(&mut self) -> Result<Vec<f64>> {
         Ok(self.words()?.iter().map(|&w| f64::from_le_bytes(w)).collect())
     }
 
     /// Rejects trailing garbage — a payload longer than its content
     /// means the frame length lies about the structure inside it.
-    pub(crate) fn finish(self) -> Result<()> {
+    fn finish(self) -> Result<()> {
         if self.pos != self.bytes.len() {
             return Err(self.corrupt(format_args!(
                 "{} unconsumed bytes at end of payload",
@@ -799,22 +880,21 @@ fn parse_sdir(payload: &[u8]) -> Result<Vec<SegmentMeta>> {
     if need.is_none() {
         return Err(corrupt(
             "segment_directory",
-            format!("corrupt segment count {count}: payload holds {} bytes", r.remaining()),
+            format!("corrupt shard count {count}: payload holds {} bytes", r.remaining()),
         ));
     }
-    let count = checked_usize(count, "segment count").map_err(wrap("segment_directory"))?;
+    let count = checked_usize(count, "shard count").map_err(wrap("segment_directory"))?;
     let mut dir = Vec::with_capacity(count);
     for _ in 0..count {
         let offset = r.u64()?;
         let frame_len = r.u64()?;
         let crc64 = r.u64()?;
         let crc = u32::try_from(crc64).map_err(|_| {
-            corrupt("segment_directory", format!("segment crc {crc64} overflows u32"))
+            corrupt("segment_directory", format!("shard crc {crc64} overflows u32"))
         })?;
-        let block_dim = r.u64()?;
-        let l1_nnz = r.u64()?;
-        let u1_nnz = r.u64()?;
-        dir.push(SegmentMeta { offset, frame_len, crc, block_dim, l1_nnz, u1_nnz });
+        let (first_block, blocks, dim) = (r.u64()?, r.u64()?, r.u64()?);
+        let (l1_nnz, u1_nnz) = (r.u64()?, r.u64()?);
+        dir.push(SegmentMeta { offset, frame_len, crc, first_block, blocks, dim, l1_nnz, u1_nnz });
     }
     r.finish()?;
     Ok(dir)
@@ -827,14 +907,14 @@ enum Part {
     Csr(CsrMatrix),
 }
 
-/// An image's sections as they are read and parsed, plus what the
+/// An image's resident region as it is read and parsed, plus what the
 /// dimension rules compare.
 #[derive(Default)]
 struct Image {
     /// Keep the permutation and matrices (loading), or audit each one and
     /// drop it before the next section is read (verification).
     keep: bool,
-    /// Offset of the first section: the v3 resident region's offset.
+    /// Offset of the resident region (its first section).
     start: u64,
     sections: Vec<SectionInfo>,
     n1: usize,
@@ -900,9 +980,9 @@ impl Image {
 
     /// The dimension rules every reader enforces: `n = n1 + n2` nodes in
     /// the permutation and degree list, block sizes summing to `n1`, and
-    /// every matrix shaped as its place in the partition requires. (A v3
-    /// image's spoke segments are checked against the block sizes by the
-    /// segment directory instead.)
+    /// every matrix shaped as its place in the partition requires. (The
+    /// shards are checked against the block sizes through the directory
+    /// instead.)
     fn check_dims(&self) -> Result<()> {
         let (n1, n2) = (self.n1, self.n2);
         // Checked sums: corrupt headers near usize::MAX must fail typed,
@@ -912,7 +992,6 @@ impl Image {
             .ok_or_else(|| corrupt("meta", format!("n1 {n1} + n2 {n2} overflows")))?;
         let block_sum = self.block_sizes.iter().try_fold(0usize, |s, &b| s.checked_add(b));
         let shaped = |&(tag, (rows, cols)): &(&[u8; 4], (usize, usize))| match tag {
-            b"L1IV" | b"U1IV" => rows == n1,
             b"L2IV" | b"U2IV" => rows == n2,
             b"H12M" => (rows, cols) == (n1, n2),
             _ => (rows, cols) == (n2, n1),
@@ -927,32 +1006,64 @@ impl Image {
         Ok(())
     }
 
-    /// Assembles a loaded index. `spokes` is the pager over a v3 image's
-    /// segments, or `None` for v2, whose first two matrix sections are
-    /// the whole spoke factors.
-    fn into_bear(self, spokes: Option<SpokeFactors>) -> Result<Bear> {
+    /// Checks the directory against the file geometry — shard frames laid
+    /// out contiguously from right after the magic to the start of the
+    /// resident region, so none overlap and no bytes go unindexed (hence
+    /// unverified) — and against the blocks, which its shards must tile
+    /// in order. Returns the layout they give.
+    fn layout(&self) -> Result<Layout> {
+        let mut expected = MAGIC_LEN as u64;
+        for (s, meta) in self.dir.iter().enumerate() {
+            if meta.offset != expected {
+                return Err(corrupt_shard(
+                    s,
+                    format!("shard at offset {} (expected {expected})", meta.offset),
+                ));
+            }
+            if meta.frame_len < FRAME_OVERHEAD as u64 {
+                return Err(corrupt_shard(s, format!("frame length {} too short", meta.frame_len)));
+            }
+            expected = expected
+                .checked_add(meta.frame_len)
+                .filter(|&e| e <= self.start)
+                .ok_or_else(|| {
+                    corrupt_shard(
+                        s,
+                        format!("shard extends past the resident region at {}", self.start),
+                    )
+                })?;
+        }
+        if expected != self.start {
+            return Err(corrupt(
+                "segment_directory",
+                format!(
+                    "{} unindexed bytes between shards and resident region",
+                    self.start - expected
+                ),
+            ));
+        }
+        Layout::from_directory(&self.block_sizes, &self.dir)
+    }
+
+    /// Bytes of the kept hub-side matrices.
+    fn kept_bytes(&self) -> usize {
+        self.kept
+            .iter()
+            .map(|part| match part {
+                Part::Perm(_) => 0,
+                Part::Csc(m) => m.memory_bytes(),
+                Part::Csr(m) => m.memory_bytes(),
+            })
+            .sum()
+    }
+
+    /// Assembles a loaded index around `spokes`.
+    fn into_bear(self, spokes: SpokeFactors) -> Result<Bear> {
         use Part::{Csc, Csr, Perm};
-        let wrong = || corrupt("header", "wrong section count");
-        let (perm, spokes, l2_inv, u2_inv, h12, h21) = match spokes {
-            Some(spokes) => {
-                let Ok([Perm(perm), Csc(l2_inv), Csc(u2_inv), Csr(h12), Csr(h21)]) =
-                    <[Part; 5]>::try_from(self.kept)
-                else {
-                    return Err(wrong());
-                };
-                (perm, spokes, l2_inv, u2_inv, h12, h21)
-            }
-            None => {
-                let Ok(
-                    [Perm(perm), Csc(l1_inv), Csc(u1_inv), Csc(l2_inv), Csc(u2_inv), Csr(h12), Csr(h21)],
-                ) = <[Part; 7]>::try_from(self.kept)
-                else {
-                    return Err(wrong());
-                };
-                let spokes = SpokeFactors::resident(l1_inv, u1_inv, &self.block_sizes)
-                    .map_err(|e| corrupt("block_sizes", e.to_string()))?;
-                (perm, spokes, l2_inv, u2_inv, h12, h21)
-            }
+        let Ok([Perm(perm), Csc(l2_inv), Csc(u2_inv), Csr(h12), Csr(h21)]) =
+            <[Part; 5]>::try_from(self.kept)
+        else {
+            return Err(corrupt("header", "wrong section count"));
         };
         Ok(Bear {
             spokes,
@@ -977,8 +1088,9 @@ impl Image {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Opens an index file and identifies its format by the magic.
-fn open_index(path: &Path) -> Result<(FileSource, u64, &'static Format)> {
+/// Opens an index file and checks its magic; a retired format's magic
+/// fails with a detail that says to re-run `bear preprocess`.
+fn open_index(path: &Path) -> Result<(FileSource, u64)> {
     let mut file = std::fs::File::open(path).map_err(io_err)?;
     let mut magic = [0u8; MAGIC_LEN];
     if let Err(e) = file.read_exact(&mut magic) {
@@ -988,20 +1100,21 @@ fn open_index(path: &Path) -> Result<(FileSource, u64, &'static Format)> {
             io_err(e)
         });
     }
-    let total = file.metadata().map_err(io_err)?.len();
-    let fmt = match &magic {
-        m if m == V2.magic => &V2,
-        m if m == V3.magic => &V3,
-        b"BEARIDX1" => {
+    if &magic != MAGIC {
+        if let Some((_, v)) = RETIRED.iter().find(|(m, _)| **m == magic) {
             return Err(corrupt(
                 "header",
-                "format v1 (BEARIDX1) is no longer supported; re-run `bear preprocess` to \
-                 write a v2 or v3 index",
-            ))
+                format!(
+                    "format v{v} ({}) is no longer supported; re-run `bear preprocess` to \
+                     write a v{VERSION} index",
+                    String::from_utf8_lossy(&magic)
+                ),
+            ));
         }
-        m => return Err(corrupt("header", format!("not a BEAR index file (magic {m:?})"))),
-    };
-    Ok((FileSource::new(file), total, fmt))
+        return Err(corrupt("header", format!("not a BEAR index file (magic {magic:?})")));
+    }
+    let total = file.metadata().map_err(io_err)?.len();
+    Ok((FileSource::new(file), total))
 }
 
 /// CRC32 of `[off, off + remaining)`, read in bounded chunks.
@@ -1019,12 +1132,12 @@ fn streamed_crc(src: &FileSource, mut off: u64, mut remaining: u64) -> Result<u3
     Ok(crc.finish())
 }
 
-/// Checks the trailer of a `fmt` image of `total` bytes — its magic, the
-/// file length it records, and the CRC it stores over everything before
-/// the trailer (v2) or over the resident region (v3) — and returns the
-/// span `[start, end)` the sections must fill exactly.
-fn check_trailer(src: &FileSource, total: u64, fmt: &Format) -> Result<(u64, u64)> {
-    let (magic_len, trailer_len) = (MAGIC_LEN as u64, fmt.trailer_len as u64);
+/// Checks the trailer of an image of `total` bytes — its magic, the
+/// file length it records, and the CRC it stores over the resident
+/// region — and returns the span `[start, end)` the resident region's
+/// sections must fill exactly.
+fn check_trailer(src: &FileSource, total: u64) -> Result<(u64, u64)> {
+    let (magic_len, trailer_len) = (MAGIC_LEN as u64, TRAILER_LEN as u64);
     if total < magic_len + trailer_len {
         return Err(corrupt(
             "trailer",
@@ -1032,37 +1145,32 @@ fn check_trailer(src: &FileSource, total: u64, fmt: &Format) -> Result<(u64, u64
         ));
     }
     let end = total - trailer_len;
-    let mut trailer = vec![0u8; fmt.trailer_len];
+    let mut trailer = [0u8; TRAILER_LEN];
     src.read_at(end, &mut trailer).map_err(retag("trailer"))?;
-    if &trailer[..8] != fmt.trailer_magic {
+    if &trailer[..8] != TRAILER_MAGIC {
         return Err(corrupt("trailer", "trailer magic missing (torn or truncated write)"));
     }
-    let stored_len = le_u64(&trailer[fmt.trailer_len - 8..]);
+    let stored_len = le_u64(&trailer[20..28]);
     if stored_len != total {
         return Err(corrupt(
             "trailer",
             format!("trailer records a {stored_len}-byte file, actual size is {total}"),
         ));
     }
-    let (crc_start, start) = if fmt.version == 2 {
-        (0, magic_len)
-    } else {
-        let resident_off = le_u64(&trailer[12..20]);
-        if resident_off < magic_len || resident_off > end {
-            return Err(corrupt(
-                "trailer",
-                format!("resident region offset {resident_off} outside file bounds"),
-            ));
-        }
-        (resident_off, resident_off)
-    };
+    let start = le_u64(&trailer[12..20]);
+    if start < magic_len || start > end {
+        return Err(corrupt(
+            "trailer",
+            format!("resident region offset {start} outside file bounds"),
+        ));
+    }
     let stored_crc = le_u32(&trailer[8..12]);
-    let actual_crc = streamed_crc(src, crc_start, end - crc_start).map_err(retag("trailer"))?;
+    let actual_crc = streamed_crc(src, start, end - start).map_err(retag("trailer"))?;
     if stored_crc != actual_crc {
         return Err(corrupt(
             "trailer",
             format!(
-                "checksum mismatch over bytes {crc_start}..{end}: stored {stored_crc:#010x}, \
+                "checksum mismatch over bytes {start}..{end}: stored {stored_crc:#010x}, \
                  computed {actual_crc:#010x}"
             ),
         ));
@@ -1123,22 +1231,16 @@ fn read_frame(
     Ok((payload, frame_end))
 }
 
-/// Reads a `fmt` image: the trailer and its checksum, then every section
-/// through [`read_frame`], each parsed before the next is read, and the
-/// dimension rules. With `keep` false (verification) each section is
-/// dropped once parsed, so peak allocation is the largest single section
-/// plus the `O(n)` block sizes and degrees.
-fn read_image(
-    src: &FileSource,
-    total: u64,
-    fmt: &Format,
-    budget: &MemBudget,
-    keep: bool,
-) -> Result<Image> {
-    let (start, end) = check_trailer(src, total, fmt)?;
+/// Reads an image's resident region: the trailer and its checksum, then
+/// every section through [`read_frame`], each parsed before the next is
+/// read, and the dimension rules. With `keep` false (verification) each
+/// section is dropped once parsed, so peak allocation is the largest
+/// single section plus the `O(n)` block sizes and degrees.
+fn read_image(src: &FileSource, total: u64, budget: &MemBudget, keep: bool) -> Result<Image> {
+    let (start, end) = check_trailer(src, total)?;
     let mut image = Image { keep, start, ..Image::default() };
     let mut pos = start;
-    for &section in fmt.sections {
+    for section in SECTIONS {
         let (payload, next) = read_frame(src, pos, end, section, budget)?;
         image.parse(section, &payload)?;
         pos = next;
@@ -1153,121 +1255,6 @@ fn read_image(
     Ok(image)
 }
 
-/// Cross-checks the directory against the file geometry: one segment
-/// per block, frames laid out contiguously from right after the magic to
-/// the start of the resident region. Contiguity implies no overlap and
-/// no unindexed (hence unverified) gaps.
-fn validate_v3_dir(dir: &[SegmentMeta], num_blocks: usize, resident_off: u64) -> Result<()> {
-    if dir.len() != num_blocks {
-        return Err(corrupt(
-            "segment_directory",
-            format!("directory holds {} segments for {num_blocks} blocks", dir.len()),
-        ));
-    }
-    let mut expected = MAGIC_LEN as u64;
-    for (b, meta) in dir.iter().enumerate() {
-        if meta.offset != expected {
-            return Err(corrupt_shard(
-                b,
-                format!("segment at offset {} (expected {expected})", meta.offset),
-            ));
-        }
-        if meta.frame_len < SEGMENT_FRAME_OVERHEAD as u64 {
-            return Err(corrupt_shard(b, format!("frame length {} too short", meta.frame_len)));
-        }
-        expected = expected.checked_add(meta.frame_len).filter(|&e| e <= resident_off).ok_or_else(
-            || {
-                corrupt_shard(
-                    b,
-                    format!("segment extends past the resident region at {resident_off}"),
-                )
-            },
-        )?;
-    }
-    if expected != resident_off {
-        return Err(corrupt(
-            "segment_directory",
-            format!(
-                "{} unindexed bytes between segments and resident region",
-                resident_off - expected
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Checks a v3 image's segment directory against the file geometry, then
-/// streams every segment through its CRC in bounded chunks, verifying
-/// the frame header and both checksum copies without materializing the
-/// payload. Truncation and bit rot in any shard surface here as typed
-/// `CorruptIndex { section: "spoke_segment", .. }`, so
-/// [`Bear::load_or_quarantine`] catches them before serving.
-fn verify_segments(src: &FileSource, image: &Image) -> Result<()> {
-    validate_v3_dir(&image.dir, image.block_sizes.len(), image.start)?;
-    for (b, meta) in image.dir.iter().enumerate() {
-        let mut hdr = [0u8; 12];
-        src.read_at(meta.offset, &mut hdr).map_err(shard_err(b))?;
-        if &hdr[..4] != SEGMENT_TAG {
-            return Err(corrupt_shard(b, "segment tag missing (directory points at garbage)"));
-        }
-        let payload_len = le_u64(&hdr[4..12]);
-        let expect = meta.frame_len - SEGMENT_FRAME_OVERHEAD as u64;
-        if payload_len != expect {
-            return Err(corrupt_shard(
-                b,
-                format!("frame length {payload_len} disagrees with directory ({expect})"),
-            ));
-        }
-        let payload_start = meta.offset + 12;
-        let actual = streamed_crc(src, payload_start, payload_len).map_err(shard_err(b))?;
-        let mut crc4 = [0u8; 4];
-        src.read_at(payload_start + payload_len, &mut crc4).map_err(shard_err(b))?;
-        let stored = u32::from_le_bytes(crc4);
-        if stored != actual || stored != meta.crc {
-            return Err(corrupt_shard(
-                b,
-                format!(
-                    "segment checksum mismatch: frame {stored:#010x}, directory {:#010x}, computed {actual:#010x}",
-                    meta.crc
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn load_v3(src: FileSource, mut image: Image, opts: &LoadOptions) -> Result<Bear> {
-    // Eager integrity sweep: every segment's CRC is verified (in bounded
-    // chunks) before the index serves a single query, so torn writes and
-    // bit rot fail the *load* — quarantine-able — instead of a query
-    // hours later.
-    verify_segments(&src, &image)?;
-    // The hub/Schur matrices must be resident for every query, so an
-    // index whose resident part exceeds the budget is a typed
-    // `OutOfBudget`; the spoke factors page under whatever budget the
-    // resident part leaves over.
-    let resident_bytes: usize = image
-        .kept
-        .iter()
-        .map(|part| match part {
-            Part::Perm(_) => 0,
-            Part::Csc(m) => m.memory_bytes(),
-            Part::Csr(m) => m.memory_bytes(),
-        })
-        .sum();
-    opts.budget.check(resident_bytes)?;
-    let pager_budget = opts.budget.limit().map(|l| l.saturating_sub(resident_bytes));
-    let dir = std::mem::take(&mut image.dir);
-    let pager = BlockPager::new(Box::new(src), dir, &image.block_sizes, pager_budget)?;
-    let mut spokes = SpokeFactors::Paged { pager };
-    if opts.resident {
-        let (l1_inv, u1_inv) = spokes.to_whole()?;
-        opts.budget.check(resident_bytes + l1_inv.memory_bytes() + u1_inv.memory_bytes())?;
-        spokes = SpokeFactors::resident(l1_inv, u1_inv, &image.block_sizes)?;
-    }
-    image.into_bear(Some(spokes))
-}
-
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
@@ -1275,14 +1262,14 @@ fn load_v3(src: FileSource, mut image: Image, opts: &LoadOptions) -> Result<Bear
 /// Options controlling how [`Bear::load_with`] materializes an index.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadOptions {
-    /// Memory budget. A v2 image is fully resident and must fit in its
-    /// entirety (typed [`Error::OutOfBudget`] otherwise); a v3 image must
-    /// fit only its *resident* part (hub/Schur matrices) — the spoke
-    /// factors page on demand under whatever budget remains.
+    /// Memory budget. The hub-side matrices must always fit (typed
+    /// [`Error::OutOfBudget`] otherwise); a resident load must fit every
+    /// unit too, while a paged load pages the units under whatever
+    /// budget remains.
     pub budget: MemBudget,
-    /// Force a v3 image fully resident: fetch every segment, rebuild the
-    /// whole factors, and never touch the pager on the query path.
-    /// Ignored for v2 (always resident).
+    /// Load every unit into memory, reading each shard once, and never
+    /// touch a pager on the query path. Otherwise the units page on
+    /// demand.
     pub resident: bool,
 }
 
@@ -1293,42 +1280,63 @@ impl Default for LoadOptions {
 }
 
 impl Bear {
-    /// Reads a precomputed index written by [`Bear::save`] (v2) or
-    /// [`Bear::save_v3`] (sharded v3, loaded paged with an unlimited
-    /// budget). Shorthand for [`Bear::load_with`] with default
-    /// [`LoadOptions`]. A format-v1 file (`BEARIDX1`) is rejected with
-    /// `CorruptIndex { section: "header", .. }`; re-run `bear preprocess`
-    /// to replace it.
+    /// Reads a precomputed index written by [`Bear::save`] or
+    /// [`crate::preprocess_to_disk`], paged under an unlimited budget.
+    /// Shorthand for [`Bear::load_with`] with default [`LoadOptions`]. A
+    /// file of a retired format (`BEARIDX1`, `BEARIDX2`, `BEARIDX3`) is
+    /// rejected with `CorruptIndex { section: "header", .. }`; re-run
+    /// `bear preprocess` to replace it.
     ///
-    /// The file is a trust boundary. Checksums (whole-file or
-    /// per-segment plus resident-region for v3) are verified before any
-    /// parsing; every matrix and the node ordering are re-validated via
-    /// the `try_from_parts` constructors (sorted, in-bounds,
-    /// duplicate-free indices; monotone `indptr`; bijective permutation;
-    /// finite values), and the partition dimensions are cross-checked.
-    /// Any failure — torn write, bit rot, or a corrupt-but-length-valid
-    /// payload — returns [`Error::CorruptIndex`] naming the section,
-    /// never a panic and never an index that answers with garbage (see
+    /// The file is a trust boundary. The resident-region checksum and
+    /// every shard's are verified before any is parsed; every matrix and
+    /// the node ordering are re-validated via the `try_from_parts`
+    /// constructors (sorted, in-bounds, duplicate-free indices; monotone
+    /// `indptr`; bijective permutation; finite values), every shard's
+    /// entries must lie inside their blocks, and the partition
+    /// dimensions are cross-checked. Any failure — torn write, bit rot,
+    /// or a corrupt-but-length-valid payload — returns
+    /// [`Error::CorruptIndex`] naming the section, never a panic and
+    /// never an index that answers with garbage (see
     /// `crates/core/tests/crash_injection.rs`).
     pub fn load(path: &Path) -> Result<Self> {
         Self::load_with(path, &LoadOptions::default())
     }
 
-    /// Like [`Bear::load`], with explicit residency control: `opts.budget`
-    /// caps memory (v3 spoke factors page on demand under it; v2 must fit
-    /// entirely), and `opts.resident` forces a v3 image fully into
-    /// memory.
+    /// Like [`Bear::load`], with explicit residency control:
+    /// `opts.budget` caps memory and `opts.resident` holds every unit in
+    /// memory. A resident load reads each shard once — read, CRC check,
+    /// decode — charging its bytes to the budget first. A paged load
+    /// checks every shard's CRC up front, so a damaged index fails the
+    /// load instead of a query hours later, then pages the units under
+    /// the budget the hub-side matrices leave.
     pub fn load_with(path: &Path, opts: &LoadOptions) -> Result<Self> {
         crate::fail_point!("persist::load");
-        let (src, total, fmt) = open_index(path)?;
-        let image = read_image(&src, total, fmt, &opts.budget, true)?;
-        if fmt.version == 3 {
-            return load_v3(src, image, opts);
-        }
-        let bear = image.into_bear(None)?;
-        // v2 is fully resident: the whole index charges the budget.
-        opts.budget.check(bear.memory_bytes())?;
-        Ok(bear)
+        let (src, total) = open_index(path)?;
+        let mut image = read_image(&src, total, &opts.budget, true)?;
+        let layout = image.layout()?;
+        // The hub/Schur matrices must be resident for every query.
+        let hub_bytes = image.kept_bytes();
+        opts.budget.check(hub_bytes)?;
+        let dir = std::mem::take(&mut image.dir);
+        let spokes = if opts.resident {
+            let mut held = hub_bytes;
+            let mut units = Vec::with_capacity(dir.len());
+            for (s, meta) in dir.iter().enumerate() {
+                held = held.saturating_add(meta.resident_bytes());
+                opts.budget.check(held)?;
+                units.push(load_shard(&src, meta, s, &layout)?);
+            }
+            SpokeFactors::Resident { units, layout: Box::new(layout) }
+        } else {
+            for (s, meta) in dir.iter().enumerate() {
+                read_shard(&src, meta, s)?;
+            }
+            let budget = opts.budget.limit().map(|l| l.saturating_sub(hub_bytes));
+            SpokeFactors::Paged {
+                pager: BlockPager::with_layout(Box::new(src), dir, layout, budget),
+            }
+        };
+        image.into_bear(spokes)
     }
 
     /// Like [`Bear::load`], but an artifact that fails integrity or
@@ -1362,7 +1370,7 @@ impl Bear {
 /// One framed section of an index, as reported by [`verify_index`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SectionInfo {
-    /// Four-character section tag (e.g. `META`, `L1IV`).
+    /// Four-character section tag (e.g. `META`, `SDIR`).
     pub tag: String,
     /// Payload length in bytes (framing overhead excluded).
     pub len: u64,
@@ -1371,7 +1379,7 @@ pub struct SectionInfo {
 /// Result of a successful [`verify_index`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexReport {
-    /// On-disk format version: 2 (`BEARIDX2`) or 3 (`BEARIDX3`).
+    /// On-disk format version: 4 (`BEARIDX4`), the only one that loads.
     pub version: u32,
     /// Total file size in bytes.
     pub file_len: u64,
@@ -1381,9 +1389,9 @@ pub struct IndexReport {
     pub n2: usize,
     /// Restart probability.
     pub c: f64,
-    /// Section inventory (for v3, the resident region's sections).
+    /// The resident region's section inventory.
     pub sections: Vec<SectionInfo>,
-    /// Spoke-block segments (v3 only; zero for v2).
+    /// Spoke shards (one per unit).
     pub segments: usize,
 }
 
@@ -1396,36 +1404,30 @@ pub fn verify_index(path: &Path) -> Result<IndexReport> {
     verify_index_with(path, &MemBudget::unlimited())
 }
 
-/// Like [`verify_index`], but with bounded peak allocation: the checksums
-/// are streamed in chunks, each section is parsed (full structural
-/// audit) and dropped before the next is read, and a v3 image's spoke
-/// segments are decoded one at a time through a zero-budget pager. Every
+/// Like [`verify_index`], but with bounded peak allocation: the
+/// resident-region checksum is streamed in chunks, each section is
+/// parsed (full structural audit) and dropped before the next is read,
+/// and the shards are read, checked and decoded one at a time. Every
 /// transient allocation is charged against `budget` first — so
 /// `bear verify-index` works on an index larger than RAM.
 pub fn verify_index_with(path: &Path, budget: &MemBudget) -> Result<IndexReport> {
-    let (src, total, fmt) = open_index(path)?;
-    let image = read_image(&src, total, fmt, budget, false)?;
-    let segments = image.dir.len();
-    if fmt.version == 3 {
-        verify_segments(&src, &image)?;
-        // Structural audit of every segment, one decoded block resident
-        // at a time (budget zero: each fetch evicts the previous block).
-        let pager = BlockPager::new(Box::new(src), image.dir, &image.block_sizes, Some(0))?;
-        for (b, meta) in pager.directory().iter().enumerate() {
-            let frame = checked_usize(meta.frame_len, "segment frame length")
-                .map_err(wrap("segment_directory"))?;
-            budget.check(frame.saturating_add(meta.resident_bytes()))?;
-            pager.fetch(b)?;
-        }
+    let (src, total) = open_index(path)?;
+    let image = read_image(&src, total, budget, false)?;
+    let layout = image.layout()?;
+    for (s, meta) in image.dir.iter().enumerate() {
+        let frame = checked_usize(meta.frame_len, "shard frame length")
+            .map_err(wrap("segment_directory"))?;
+        budget.check(frame.saturating_add(meta.resident_bytes()))?;
+        load_shard(&src, meta, s, &layout)?;
     }
     Ok(IndexReport {
-        version: fmt.version,
+        version: VERSION,
         file_len: total,
         n1: image.n1,
         n2: image.n2,
         c: image.c,
         sections: image.sections,
-        segments,
+        segments: image.dir.len(),
     })
 }
 
@@ -1433,6 +1435,7 @@ pub fn verify_index_with(path: &Path, budget: &MemBudget) -> Result<IndexReport>
 mod tests {
     use super::*;
     use crate::precompute::{Bear, BearConfig};
+    use crate::solver::RwrSolver as _;
     use bear_graph::Graph;
 
     fn sample_graph() -> Graph {
@@ -1446,16 +1449,49 @@ mod tests {
         Graph::from_edges(10, &edges).unwrap()
     }
 
+    /// Several spoke caves so the image carries several blocks.
+    fn blocky_graph() -> Graph {
+        let mut edges = Vec::new();
+        for v in 1..6 {
+            edges.push((0, v));
+            edges.push((v, 0));
+        }
+        for &(a, b) in &[(6, 7), (7, 8), (9, 10), (11, 12), (12, 13), (13, 11)] {
+            edges.push((a, b));
+            edges.push((b, a));
+        }
+        for v in [6, 9, 11] {
+            edges.push((0, v));
+            edges.push((v, 0));
+        }
+        Graph::from_edges(14, &edges).unwrap()
+    }
+
+    /// A hub joined to `chains` chains of `len` nodes: one block per
+    /// chain, several units.
+    fn hub_and_chains(chains: usize, len: usize) -> Graph {
+        let mut edges = Vec::new();
+        for ch in 0..chains {
+            let first = 1 + ch * len;
+            edges.push((0, first));
+            edges.extend((first..first + len - 1).map(|i| (i, i + 1)));
+        }
+        let sym: Vec<(usize, usize)> = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        Graph::from_edges(1 + chains * len, &sym).unwrap()
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(name)
     }
 
-    /// Recomputes every section CRC and the trailer over a surgically
-    /// edited image (payload bytes changed, lengths unchanged), so tests
-    /// can reach the structural validators *beneath* the checksums.
-    fn fix_checksums(bytes: &mut [u8]) {
-        let trailer_off = bytes.len() - V2.trailer_len;
-        let mut pos = MAGIC_LEN;
+    /// Recomputes every resident-region section CRC and the trailer CRC
+    /// over a surgically edited image (payload bytes changed, lengths
+    /// unchanged), so tests can reach the structural validators
+    /// *beneath* the checksums.
+    fn fix_resident_checksums(bytes: &mut [u8]) {
+        let trailer_off = bytes.len() - TRAILER_LEN;
+        let start = le_u64(&bytes[trailer_off + 12..trailer_off + 20]) as usize;
+        let mut pos = start;
         while pos < trailer_off {
             let len = le_u64(&bytes[pos + 4..pos + 12]) as usize;
             let payload_end = pos + 12 + len;
@@ -1463,8 +1499,8 @@ mod tests {
             bytes[payload_end..payload_end + 4].copy_from_slice(&crc.to_le_bytes());
             pos = payload_end + 4;
         }
-        let file_crc = crate::crc32::crc32(&bytes[..trailer_off]);
-        bytes[trailer_off + 8..trailer_off + 12].copy_from_slice(&file_crc.to_le_bytes());
+        let crc = crate::crc32::crc32(&bytes[start..trailer_off]);
+        bytes[trailer_off + 8..trailer_off + 12].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -1482,19 +1518,26 @@ mod tests {
         }
     }
 
+    /// `save` → load (paged or resident) → `save` reproduces the image
+    /// byte for byte, and `save_v3` writes the same bytes as `save`.
     #[test]
-    fn v2_round_trip_is_bit_identical() {
-        let g = sample_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
+    fn round_trip_is_bit_identical() {
+        let bear = Bear::new(&hub_and_chains(20, 30), &BearConfig::exact(0.1)).unwrap();
+        assert!(bear.spokes.num_units() > 1);
         let a = tmp("bear_persist_bitident_a.idx");
         let b = tmp("bear_persist_bitident_b.idx");
         bear.save(&a).unwrap();
-        Bear::load(&a).unwrap().save(&b).unwrap();
-        let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        let ba = std::fs::read(&a).unwrap();
+        assert_eq!(&ba[..8], MAGIC);
+        for resident in [false, true] {
+            let opts = LoadOptions { resident, ..LoadOptions::default() };
+            Bear::load_with(&a, &opts).unwrap().save(&b).unwrap();
+            assert_eq!(ba, std::fs::read(&b).unwrap(), "save -> load -> save, {resident}");
+        }
+        bear.save_v3(&b).unwrap();
+        assert_eq!(ba, std::fs::read(&b).unwrap(), "save_v3 differs from save");
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
-        assert_eq!(&ba[..8], V2.magic);
-        assert_eq!(ba, bb, "save -> load -> save must reproduce the image byte for byte");
     }
 
     #[test]
@@ -1521,6 +1564,38 @@ mod tests {
         );
     }
 
+    /// An image of a retired format — here a current image with its magic
+    /// swapped, so nothing else would stop it — fails typed at load and
+    /// at verification, naming the format and `bear preprocess`.
+    #[test]
+    fn retired_formats_are_rejected_typed() {
+        let bear = Bear::new(&blocky_graph(), &BearConfig::exact(0.1)).unwrap();
+        let path = tmp("bear_persist_retired.idx");
+        bear.save(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        for (magic, v) in RETIRED {
+            let mut old = image.clone();
+            old[..8].copy_from_slice(magic);
+            std::fs::write(&path, &old).unwrap();
+            for err in [
+                Bear::load(&path).unwrap_err(),
+                Bear::load_with(&path, &LoadOptions { resident: true, ..Default::default() })
+                    .unwrap_err(),
+                verify_index(&path).unwrap_err(),
+            ] {
+                match err {
+                    Error::CorruptIndex { section: "header", detail } => assert!(
+                        detail.contains(&format!("format v{v}"))
+                            && detail.contains("bear preprocess"),
+                        "{detail}"
+                    ),
+                    other => panic!("v{v}: unexpected error {other}"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn load_rejects_truncated_file_without_huge_allocation() {
         let g = sample_graph();
@@ -1541,39 +1616,22 @@ mod tests {
     }
 
     #[test]
-    fn v2_checksums_catch_a_single_flipped_bit() {
-        let g = sample_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_bitflip.idx");
-        bear.save(&path).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        for byte in [9, full.len() / 3, full.len() - V2.trailer_len + 9] {
-            let mut bytes = full.clone();
-            bytes[byte] ^= 0x10;
-            std::fs::write(&path, &bytes).unwrap();
-            let err = Bear::load(&path).unwrap_err();
-            assert!(
-                matches!(err, Error::CorruptIndex { .. }),
-                "bit flip at byte {byte}: unexpected error {err}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_rejects_structural_corruption_beneath_checksums() {
+    fn rejects_structural_corruption_beneath_checksums() {
         let g = sample_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
         let path = tmp("bear_persist_meta_corrupt.idx");
         bear.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // META payload starts after magic (8) + frame header (12); its
-        // restart probability is the third u64 field. Set it to 2.0 and
-        // re-fix every checksum: the CRCs now pass, so only the semantic
-        // validator can catch it.
-        let c_off = 8 + 12 + 16;
+        // META is the resident region's first section; its restart
+        // probability is the third u64 field after the frame header (12).
+        // Set it to 2.0 and re-fix every checksum: the CRCs now pass, so
+        // only the semantic validator can catch it.
+        let trailer_off = bytes.len() - TRAILER_LEN;
+        let start = le_u64(&bytes[trailer_off + 12..trailer_off + 20]) as usize;
+        assert_eq!(&bytes[start..start + 4], b"META");
+        let c_off = start + 12 + 16;
         bytes[c_off..c_off + 8].copy_from_slice(&2.0f64.to_le_bytes());
-        fix_checksums(&mut bytes);
+        fix_resident_checksums(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         let err = Bear::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
@@ -1620,17 +1678,18 @@ mod tests {
     }
 
     #[test]
-    fn verify_index_reports_v2_sections() {
-        let g = sample_graph();
+    fn verify_index_reports_sections_and_shards() {
+        let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
         let path = tmp("bear_persist_verify.idx");
         bear.save(&path).unwrap();
         let report = verify_index(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(report.version, 2);
-        assert_eq!(report.n1 + report.n2, 10);
+        assert_eq!(report.version, 4);
+        assert_eq!(report.n1 + report.n2, 14);
         assert!((report.c - 0.1).abs() < 1e-12);
-        assert_eq!(report.sections.len(), V2.sections.len());
+        assert_eq!(report.segments, bear.spokes.num_units());
+        assert_eq!(report.sections.len(), SECTIONS.len());
         assert_eq!(report.sections[0].tag, "META");
         assert_eq!(report.sections[0].len, 24);
     }
@@ -1647,49 +1706,40 @@ mod tests {
         assert_eq!(bear.query(2).unwrap(), loaded.query(2).unwrap());
     }
 
-    /// Several spoke caves so the v3 image carries multiple segments.
-    fn blocky_graph() -> Graph {
-        let mut edges = Vec::new();
-        for v in 1..6 {
-            edges.push((0, v));
-            edges.push((v, 0));
+    /// The spoke memory figure is `sparse_bytes(n₁, nnz)` per factor
+    /// whatever holds the units: `stats()` (bytes included) and
+    /// `memory_bytes` are equal for `Bear::new`, a resident load, a paged
+    /// load and `paged_in_memory`.
+    #[test]
+    fn stats_do_not_depend_on_residency() {
+        for g in [blocky_graph(), hub_and_chains(20, 30)] {
+            let bear = Bear::new(&g, &BearConfig::approx(0.1, 1e-4)).unwrap();
+            let path = tmp("bear_persist_stats.idx");
+            bear.save(&path).unwrap();
+            let resident =
+                Bear::load_with(&path, &LoadOptions { resident: true, ..Default::default() })
+                    .unwrap();
+            let paged = Bear::load(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert!(resident.pager().is_none() && paged.pager().is_some());
+            for other in [&resident, &paged, &bear.paged_in_memory(Some(1)).unwrap()] {
+                assert_eq!(other.stats(), bear.stats());
+                assert_eq!(other.stats().bytes, bear.stats().bytes);
+                assert_eq!(other.memory_bytes(), bear.memory_bytes());
+            }
         }
-        for &(a, b) in &[(6, 7), (7, 8), (9, 10), (11, 12), (12, 13), (13, 11)] {
-            edges.push((a, b));
-            edges.push((b, a));
-        }
-        for v in [6, 9, 11] {
-            edges.push((0, v));
-            edges.push((v, 0));
-        }
-        Graph::from_edges(14, &edges).unwrap()
     }
 
     #[test]
-    fn v3_round_trip_is_bit_identical() {
+    fn paged_answers_are_bit_identical_to_in_memory() {
         let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let a = tmp("bear_persist_v3_bitident_a.idx");
-        let b = tmp("bear_persist_v3_bitident_b.idx");
-        bear.save_v3(&a).unwrap();
-        Bear::load(&a).unwrap().save_v3(&b).unwrap();
-        let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
-        assert_eq!(&ba[..8], V3.magic);
-        assert_eq!(ba, bb, "save_v3 -> load -> save_v3 must reproduce the image byte for byte");
-    }
-
-    #[test]
-    fn v3_paged_answers_are_bit_identical_to_in_memory() {
-        let g = blocky_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_paged.idx");
-        bear.save_v3(&path).unwrap();
+        let path = tmp("bear_persist_paged.idx");
+        bear.save(&path).unwrap();
         let loaded = Bear::load(&path).unwrap();
-        let pager = loaded.spokes.pager().expect("v3 default load must page");
-        // One byte of spoke budget: at most one block stays resident, so
-        // every query pages blocks in and out mid-flight.
+        let pager = loaded.spokes.pager().expect("a default load must page");
+        // One byte of spoke budget: at most one unit stays resident, so
+        // every query pages units in and out mid-flight.
         pager.set_budget(Some(1)).unwrap();
         std::fs::remove_file(&path).ok();
         for seed in 0..loaded.num_nodes() {
@@ -1700,133 +1750,138 @@ mod tests {
             );
         }
         let stats = loaded.spokes.pager().unwrap().stats();
-        assert!(stats.misses > 0, "tiny budget must force segment loads");
-        assert!(stats.evictions > 0, "tiny budget must force evictions");
+        assert!(stats.misses > 0, "tiny budget must force shard loads");
     }
 
+    /// A resident load holds the same units as `Bear::new` and pages
+    /// nothing.
     #[test]
-    fn v3_resident_load_option_materializes_factors() {
-        let g = blocky_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_resident.idx");
-        bear.save_v3(&path).unwrap();
+    fn resident_load_option_holds_every_unit() {
+        let bear = Bear::new(&hub_and_chains(20, 30), &BearConfig::exact(0.1)).unwrap();
+        let path = tmp("bear_persist_resident.idx");
+        bear.save(&path).unwrap();
         let opts = LoadOptions { resident: true, ..LoadOptions::default() };
         let loaded = Bear::load_with(&path, &opts).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(loaded.spokes.pager().is_none(), "resident load must not page");
+        let (SpokeFactors::Resident { units: a, .. }, SpokeFactors::Resident { units: b, .. }) =
+            (&bear.spokes, &loaded.spokes)
+        else {
+            panic!("both resident")
+        };
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((&x.l1, &x.u1, x.blocks()), (&y.l1, &y.u1, y.blocks()));
+        }
         for seed in 0..loaded.num_nodes() {
             assert_eq!(bear.query(seed).unwrap(), loaded.query(seed).unwrap());
         }
     }
 
     #[test]
-    fn v3_load_rejects_tiny_budget_typed() {
+    fn load_rejects_tiny_budget_typed() {
         let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_budget.idx");
-        bear.save_v3(&path).unwrap();
-        let opts = LoadOptions { budget: MemBudget::bytes(32), resident: false };
-        let err = Bear::load_with(&path, &opts).unwrap_err();
+        let path = tmp("bear_persist_budget.idx");
+        bear.save(&path).unwrap();
+        for resident in [false, true] {
+            let opts = LoadOptions { budget: MemBudget::bytes(32), resident };
+            let err = Bear::load_with(&path, &opts).unwrap_err();
+            assert!(matches!(err, Error::OutOfBudget { .. }), "unexpected: {err}");
+        }
         std::fs::remove_file(&path).ok();
-        assert!(matches!(err, Error::OutOfBudget { .. }), "unexpected: {err}");
     }
 
     #[test]
-    fn v3_corruption_is_typed_everywhere() {
+    fn corruption_is_typed_everywhere() {
         let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_corrupt.idx");
-        bear.save_v3(&path).unwrap();
+        let path = tmp("bear_persist_corrupt.idx");
+        bear.save(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
+        let resident = LoadOptions { resident: true, ..LoadOptions::default() };
         // Truncation anywhere must be a typed load error, never a panic.
         for keep in [0, 7, 9, 20, full.len() / 4, full.len() / 2, full.len() - 5] {
             std::fs::write(&path, &full[..keep]).unwrap();
-            let err = Bear::load(&path).unwrap_err();
-            assert!(
-                matches!(err, Error::CorruptIndex { .. }),
-                "truncated to {keep} bytes: unexpected error {err}"
-            );
+            for err in
+                [Bear::load(&path), Bear::load_with(&path, &resident)].map(Result::unwrap_err)
+            {
+                assert!(
+                    matches!(err, Error::CorruptIndex { .. }),
+                    "truncated to {keep} bytes: unexpected error {err}"
+                );
+            }
         }
-        // So must a flipped bit anywhere (segments, resident region,
-        // trailer).
+        // So must a flipped bit anywhere (shards, resident region,
+        // trailer), loaded either way.
         for byte in [10, 40, full.len() / 3, full.len() * 2 / 3, full.len() - 10] {
             let mut bytes = full.clone();
             bytes[byte] ^= 0x04;
             std::fs::write(&path, &bytes).unwrap();
-            let err = Bear::load(&path).unwrap_err();
-            assert!(
-                matches!(err, Error::CorruptIndex { .. }),
-                "bit flip at byte {byte}: unexpected error {err}"
-            );
+            for err in
+                [Bear::load(&path), Bear::load_with(&path, &resident)].map(Result::unwrap_err)
+            {
+                assert!(
+                    matches!(err, Error::CorruptIndex { .. }),
+                    "bit flip at byte {byte}: unexpected error {err}"
+                );
+            }
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn v3_segment_bitflip_names_the_shard() {
+    fn shard_bitflip_names_the_shard() {
         let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_shard_flip.idx");
-        bear.save_v3(&path).unwrap();
+        let path = tmp("bear_persist_shard_flip.idx");
+        bear.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // First segment payload starts after magic (8) + frame header
+        // The first shard's payload starts after magic (8) + frame header
         // (12); flip a bit inside it.
         bytes[8 + 12 + 4] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = Bear::load(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        match &err {
-            Error::CorruptIndex { section, detail } => {
-                assert_eq!(*section, "spoke_segment");
-                assert!(detail.contains("shard 0"), "detail must name the shard: {detail}");
+        let resident = LoadOptions { resident: true, ..LoadOptions::default() };
+        for err in [Bear::load(&path), Bear::load_with(&path, &resident)].map(Result::unwrap_err) {
+            match &err {
+                Error::CorruptIndex { section, detail } => {
+                    assert_eq!(*section, "spoke_segment");
+                    assert!(detail.contains("shard 0"), "detail must name the shard: {detail}");
+                }
+                other => panic!("unexpected error: {other}"),
             }
-            other => panic!("unexpected error: {other}"),
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn v3_load_or_quarantine_quarantines_corrupt_index() {
+    fn load_or_quarantine_quarantines_corrupt_index() {
         let g = blocky_graph();
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_quarantine.idx");
-        let quarantined = tmp("bear_persist_v3_quarantine.idx.corrupt");
+        let path = tmp("bear_persist_quarantine_shards.idx");
+        let quarantined = tmp("bear_persist_quarantine_shards.idx.corrupt");
         std::fs::remove_file(&quarantined).ok();
-        bear.save_v3(&path).unwrap();
+        bear.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let err = Bear::load_or_quarantine(&path).unwrap_err();
         assert!(matches!(err, Error::CorruptIndex { .. }), "unexpected: {err}");
-        assert!(!path.exists(), "corrupt v3 artifact left in place");
+        assert!(!path.exists(), "corrupt artifact left in place");
         assert!(quarantined.exists(), "quarantine file missing");
         std::fs::remove_file(&quarantined).ok();
     }
 
     #[test]
-    fn verify_index_reports_v3_segments() {
-        let g = blocky_graph();
+    fn verify_index_streams_within_a_bounded_budget() {
+        let g = hub_and_chains(20, 30);
         let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_verify.idx");
-        bear.save_v3(&path).unwrap();
-        let report = verify_index(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(report.version, 3);
-        assert_eq!(report.n1 + report.n2, 14);
-        assert_eq!(report.segments, bear.block_sizes().len());
-        assert_eq!(report.sections.len(), V3.sections.len());
-        assert!((report.c - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn verify_index_streams_v3_within_a_bounded_budget() {
-        let g = blocky_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v3_verify_budget.idx");
-        bear.save_v3(&path).unwrap();
+        let path = tmp("bear_persist_verify_budget.idx");
+        bear.save(&path).unwrap();
         let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        // A budget below the full file size still verifies: the segment
-        // sweep holds at most one decoded block at a time.
+        // A budget below the full file size still verifies: the shard
+        // sweep holds at most one decoded unit at a time.
         let mut lo = 64usize;
         let mut ok_at = None;
         while lo <= file_len {
@@ -1839,32 +1894,6 @@ mod tests {
         let ok_at = ok_at.expect("no bounded budget verified the index");
         assert!(ok_at < file_len, "verification peak ({ok_at}) not below file size ({file_len})");
         // And a hopeless budget fails typed, not with an abort.
-        let err = verify_index_with(&path, &MemBudget::bytes(16)).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, Error::OutOfBudget { .. }), "unexpected: {err}");
-    }
-
-    #[test]
-    fn verify_index_streams_v2_within_a_bounded_budget() {
-        let g = blocky_graph();
-        let bear = Bear::new(&g, &BearConfig::exact(0.1)).unwrap();
-        let path = tmp("bear_persist_v2_verify_budget.idx");
-        bear.save(&path).unwrap();
-        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-        let mut lo = 64usize;
-        let mut ok_at = None;
-        while lo <= file_len {
-            if verify_index_with(&path, &MemBudget::bytes(lo)).is_ok() {
-                ok_at = Some(lo);
-                break;
-            }
-            lo *= 2;
-        }
-        let ok_at = ok_at.expect("no bounded budget verified the index");
-        assert!(
-            ok_at < file_len,
-            "v2 verification peak ({ok_at}) not below file size ({file_len})"
-        );
         let err = verify_index_with(&path, &MemBudget::bytes(16)).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, Error::OutOfBudget { .. }), "unexpected: {err}");

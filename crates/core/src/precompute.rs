@@ -14,8 +14,8 @@
 //! 9. (BEAR-Approx) drop entries below the drop tolerance `ξ` from all
 //!    six precomputed matrices.
 
-use crate::paging::{runs, FactorPair, SpokeFactors};
-use crate::persist::{ResidentParts, V3StreamWriter};
+use crate::paging::{runs, FactorPair, SpokeFactors, UnitBuilder};
+use crate::persist::{IndexWriter, ResidentParts};
 use crate::rwr::{build_h, RwrConfig};
 use crate::stats::{PrecomputedStats, StageTimings};
 use bear_graph::{slashburn, Graph, SlashBurnConfig};
@@ -25,9 +25,7 @@ use bear_sparse::parallel::{par_invert_triangular, par_spgemm, run_by_cost};
 use bear_sparse::solvers::SolveOptions;
 use bear_sparse::sparsify::{drop_tolerance_csc, par_drop_tolerance_csc, par_drop_tolerance_csr};
 use bear_sparse::triangular::Triangle;
-use bear_sparse::{
-    ops, BlockDiagBuilder, CscMatrix, CsrMatrix, Error, Permutation, Result, SparseLu,
-};
+use bear_sparse::{ops, CscMatrix, CsrMatrix, Error, Permutation, Result, SparseLu};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -120,38 +118,36 @@ impl BearConfig {
 /// complement rarely, few enough that one run's factors stay small.
 pub(crate) const RUN_ROWS: usize = 4096;
 
-/// Receives each diagonal block's inverted factors `(L₁⁻¹, U₁⁻¹)`,
-/// block-local and in block order, from [`reduce_to_schur`].
+/// Receives the spoke factors as units (see [`UnitBuilder`]), in block
+/// order, from [`reduce_to_schur`].
 pub(crate) trait SpokeSink {
-    /// Takes the next block's factors and returns the bytes of spoke
-    /// factors the sink holds in memory afterwards; the caller charges
-    /// them, with `H₁₂` and `H₂₁`, against the budget.
-    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize>;
+    /// Takes the next unit and returns the bytes of spoke factors the
+    /// sink holds in memory afterwards; the caller charges them, with
+    /// `H₁₂`, `H₂₁` and the unit being grouped, against the budget.
+    fn push(&mut self, unit: FactorPair) -> Result<usize>;
 }
 
-/// The in-memory sink: appends every block to the whole block-diagonal
-/// factors.
+/// The in-memory sink: keeps every unit.
 #[derive(Debug, Default)]
-pub(crate) struct ResidentSpokes {
-    pub(crate) l1_inv: BlockDiagBuilder,
-    pub(crate) u1_inv: BlockDiagBuilder,
+struct ResidentSpokes {
+    units: Vec<FactorPair>,
+    bytes: usize,
 }
 
 impl SpokeSink for ResidentSpokes {
-    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize> {
-        self.l1_inv.push(&l1);
-        self.u1_inv.push(&u1);
-        Ok(self.l1_inv.memory_bytes() + self.u1_inv.memory_bytes())
+    fn push(&mut self, unit: FactorPair) -> Result<usize> {
+        self.bytes += unit.l1.memory_bytes() + unit.u1.memory_bytes();
+        self.units.push(unit);
+        Ok(self.bytes)
     }
 }
 
-/// The streamed sink: each block becomes one v3 segment, and only the
-/// block being written is held.
-impl SpokeSink for V3StreamWriter {
-    fn push(&mut self, l1: CscMatrix, u1: CscMatrix) -> Result<usize> {
-        let held = l1.memory_bytes() + u1.memory_bytes();
-        self.write_segment(&FactorPair::new(l1, u1)?)?;
-        Ok(held)
+/// The streamed sink: each unit becomes one shard on disk and is
+/// dropped.
+impl SpokeSink for IndexWriter {
+    fn push(&mut self, unit: FactorPair) -> Result<usize> {
+        self.write_shard(&unit)?;
+        Ok(0)
     }
 }
 
@@ -217,8 +213,9 @@ pub(crate) struct Reduced {
 /// blocks go through [`block_stage`] on `config.effective_threads()`
 /// workers, largest first; the run's rows of `U₁⁻¹L₁⁻¹H₁₂` come from
 /// one pair of SpGEMMs and are folded into `S` (see
-/// [`SchurAccumulator`]); then each block's factors go to `sink`. Only
-/// one run's blocks are alive at a time beyond what the sink keeps, and
+/// [`SchurAccumulator`]); then each block's factors are grouped into
+/// units, and each finished unit goes to `sink`. Only one run's blocks
+/// and one open unit are alive at a time beyond what the sink keeps, and
 /// the output is bit-identical for every thread count and run length.
 pub(crate) fn reduce_to_schur(
     g: &Graph,
@@ -264,6 +261,7 @@ pub(crate) fn reduce_to_schur(
 
     // Lines 5–6 (and line 9 for the spoke factors), one run at a time.
     let mut schur = SchurAccumulator::new(n2);
+    let (mut units, mut held) = (UnitBuilder::default(), 0);
     for (blocks, rows) in runs(&ordering.block_sizes, run_rows) {
         let (sizes, starts) = (&ordering.block_sizes[blocks.clone()], &offsets[blocks]);
         let costs: Vec<u128> = sizes.iter().map(|&size| (size as u128).pow(2)).collect();
@@ -292,8 +290,14 @@ pub(crate) fn reduce_to_schur(
         schur.scatter_run(&h21, rows.start, rows.end, &r)?;
         timings.schur += stage.elapsed();
         for block in done {
-            config.budget.check(hub_bytes + sink.push(block.l1, block.u1)?)?;
+            if let Some(unit) = units.push(&block.l1, &block.u1)? {
+                held = sink.push(unit)?;
+            }
+            config.budget.check(hub_bytes + held + units.memory_bytes())?;
         }
+    }
+    if let Some(unit) = units.take()? {
+        config.budget.check(hub_bytes + sink.push(unit)?)?;
     }
 
     let stage = Instant::now();
@@ -443,18 +447,18 @@ impl SchurAccumulator {
     }
 }
 
-/// Runs Algorithm 1 and streams the result straight to a v3 on-disk
-/// index at `path`, never holding more than one run of spoke blocks'
-/// inverted factors in memory: peak preprocessing RSS is bounded by the
-/// graph, the hub-side matrices, the `n₂ × n₂` Schur accumulator and one
-/// run — independent of the total index size.
+/// Runs Algorithm 1 and streams the result straight to an on-disk index
+/// at `path`, never holding more than one run of spoke blocks' inverted
+/// factors and one unit in memory: peak preprocessing RSS is bounded by
+/// the graph, the hub-side matrices, the `n₂ × n₂` Schur accumulator and
+/// one run — independent of the total index size.
 ///
 /// The output is byte-for-byte identical to
-/// `Bear::new(g, config)?.save_v3(path)`: both run the same pipeline
-/// (`reduce_to_schur`) and differ only in where the spoke blocks go.
+/// `Bear::new(g, config)?.save(path)`: both run the same pipeline
+/// (`reduce_to_schur`) and differ only in where the units go.
 ///
 /// `config.budget` bounds the *resident working set* (hub matrices plus
-/// the block being written), not the total index written — that is the
+/// the unit being grouped), not the total index written — that is the
 /// point of the streamed path. `config.threads` parallelizes the block
 /// stage of each run as well as the hub-side kernels.
 pub fn preprocess_to_disk(g: &Graph, config: &BearConfig, path: &Path) -> Result<()> {
@@ -469,7 +473,7 @@ fn preprocess_to_disk_in_runs(
     run_rows: usize,
 ) -> Result<()> {
     config.validate()?;
-    let mut writer = V3StreamWriter::create(path)?;
+    let mut writer = IndexWriter::create(path)?;
     let Reduced { s, mut h12, mut h21, perm, n1, n2, block_sizes, mut timings } =
         reduce_to_schur(g, config, config.drop_tolerance, run_rows, &mut writer)?;
     let (l2_inv, u2_inv) = factor_schur(&s, &mut h12, &mut h21, config, &mut timings)?;
@@ -494,9 +498,9 @@ fn preprocess_to_disk_in_runs(
 /// queries via block elimination (Algorithm 2).
 #[derive(Debug, Clone)]
 pub struct Bear {
-    /// `L₁⁻¹`/`U₁⁻¹` — inverted factors of `H₁₁` (block diagonal),
-    /// either fully resident or paged per block from a v3 index
-    /// (see `crate::paging`).
+    /// `L₁⁻¹`/`U₁⁻¹` — inverted factors of `H₁₁` (block diagonal), one
+    /// pair per unit, either resident or paged per unit from an index
+    /// file (see `crate::paging`).
     pub(crate) spokes: SpokeFactors,
     /// How the hub system `S r₂ = c·(q₂ − H₂₁ U₁⁻¹ L₁⁻¹ q₁)` is solved.
     pub(crate) hub: HubSolve,
@@ -575,8 +579,8 @@ impl Bear {
     /// follow-up work, named `BEAR-HubIter`. Only `S` is sparsified by
     /// `config.drop_tolerance`; the spoke factors, `H₁₂` and `H₂₁` stay
     /// exact. Every query path serves it, answers within 1e-7 of
-    /// [`Bear::new`]'s, but [`Bear::save`] and [`Bear::save_v3`] reject
-    /// it: the index formats hold only the inverted factors.
+    /// [`Bear::new`]'s, but [`Bear::save`] rejects it: the index format
+    /// holds only the inverted factors.
     pub fn new_hub_iterative(g: &Graph, config: &BearConfig) -> Result<Self> {
         Self::new_in_runs(g, config, RUN_ROWS, true)
     }
@@ -607,11 +611,7 @@ impl Bear {
         };
         reduced.timings.total = start.elapsed();
         let bear = Bear {
-            spokes: SpokeFactors::resident(
-                spokes.l1_inv.finish(),
-                spokes.u1_inv.finish(),
-                &reduced.block_sizes,
-            )?,
+            spokes: SpokeFactors::resident(spokes.units, &reduced.block_sizes)?,
             hub,
             h12: reduced.h12,
             h21: reduced.h21,
@@ -665,8 +665,8 @@ impl Bear {
     }
 
     /// The block pager backing the spoke factors, when this index was
-    /// loaded out-of-core (v3, [`crate::LoadOptions::resident`] false). `None`
-    /// for fully resident indexes. Use it to re-cap the resident set
+    /// loaded paged ([`crate::LoadOptions::resident`] false). `None` for
+    /// resident indexes. Use it to re-cap the resident set
     /// ([`crate::BlockPager::set_budget`]) or read paging counters
     /// ([`crate::BlockPager::stats`]).
     pub fn pager(&self) -> Option<&crate::BlockPager> {
@@ -793,12 +793,12 @@ mod tests {
     }
 
     /// The streamed out-of-core preprocessing path must write the exact
-    /// bytes `Bear::new` + `save_v3` would: per-block factorization,
+    /// bytes `Bear::new` + `save` would: per-block factorization,
     /// the block-streamed Schur complement, and per-block sparsification
     /// are all proven bit-identical to the in-memory pipeline by
     /// comparing the finished images directly.
     #[test]
-    fn streamed_preprocessing_writes_identical_v3_bytes() {
+    fn streamed_preprocessing_writes_identical_bytes() {
         let g = bear_graph::generators::hub_and_spoke(
             &bear_graph::generators::HubSpokeConfig {
                 num_hubs: 5,
@@ -815,7 +815,7 @@ mod tests {
                 if xi == 0.0 { BearConfig::exact(0.12) } else { BearConfig::approx(0.12, xi) };
             let a = std::env::temp_dir().join(format!("bear_stream_{tag}_mem.idx"));
             let b = std::env::temp_dir().join(format!("bear_stream_{tag}_disk.idx"));
-            Bear::new(&g, &cfg).unwrap().save_v3(&a).unwrap();
+            Bear::new(&g, &cfg).unwrap().save(&a).unwrap();
             preprocess_to_disk(&g, &cfg, &b).unwrap();
             let (ba, bb) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
             std::fs::remove_file(&a).ok();
@@ -869,10 +869,13 @@ mod tests {
         assert_eq!(a.perm.as_new_to_old(), b.perm.as_new_to_old(), "permutation diverged");
         assert_eq!(a.block_sizes, b.block_sizes, "block sizes diverged");
         assert_eq!((a.n1, a.n2), (b.n1, b.n2), "spoke/hub split diverged");
-        let (a_l1, a_u1) = a.spokes.to_whole().unwrap();
-        let (b_l1, b_u1) = b.spokes.to_whole().unwrap();
-        assert_eq!(a_l1, b_l1, "L1_inv diverged");
-        assert_eq!(a_u1, b_u1, "U1_inv diverged");
+        assert_eq!(a.spokes.num_units(), b.spokes.num_units(), "units diverged");
+        for u in 0..a.spokes.num_units() {
+            let (x, y) = (a.spokes.unit(u).unwrap(), b.spokes.unit(u).unwrap());
+            assert_eq!(x.l1, y.l1, "L1_inv diverged in unit {u}");
+            assert_eq!(x.u1, y.u1, "U1_inv diverged in unit {u}");
+            assert_eq!(x.blocks(), y.blocks(), "unit {u} diverged");
+        }
         assert_eq!(a.hub, b.hub, "L2_inv or U2_inv diverged");
         assert_eq!(a.h12, b.h12, "H12 diverged");
         assert_eq!(a.h21, b.h21, "H21 diverged");
@@ -990,12 +993,12 @@ mod tests {
     }
 
     /// Where one run ends and the next begins never shows in the index:
-    /// the v2 image of `Bear::new` + `save` and the v3 image of
-    /// `preprocess_to_disk` are byte-identical for runs of 1, 2 and 3
-    /// rows and the default, at every thread count, exact and with a
-    /// drop tolerance. Every corpus graph fits in one default run, so the
-    /// short runs are what put Schur folds, block stages and sink pushes
-    /// on both sides of a boundary.
+    /// the images of `Bear::new` + `save` and of `preprocess_to_disk` are
+    /// byte-identical to each other and to themselves for runs of 1, 2
+    /// and 3 rows and the default, at every thread count, exact and with
+    /// a drop tolerance. Every corpus graph fits in one default run, so
+    /// the short runs are what put Schur folds, block stages and unit
+    /// boundaries on both sides of a run boundary.
     #[test]
     fn run_boundaries_leave_the_images_unchanged() {
         let mut graphs = golden_corpus();
@@ -1003,33 +1006,29 @@ mod tests {
         let scratch = |label: &str| {
             std::env::temp_dir().join(format!("bear_runs_{}_{label}.idx", std::process::id()))
         };
-        let (v2_path, v3_path) = (scratch("v2"), scratch("v3"));
+        let (saved, streamed) = (scratch("saved"), scratch("streamed"));
         for (gi, g) in graphs.iter().enumerate() {
             for base in [BearConfig::exact(0.05), BearConfig::approx(0.05, 2e-2)] {
-                let mut want: Option<(Vec<u8>, Vec<u8>)> = None;
+                let mut want: Option<Vec<u8>> = None;
                 for run_rows in [RUN_ROWS, 1, 2, 3] {
                     for &threads in &test_threads() {
                         let cfg = BearConfig { threads, ..base };
-                        Bear::new_in_runs(g, &cfg, run_rows, false)
-                            .unwrap()
-                            .save(&v2_path)
-                            .unwrap();
-                        preprocess_to_disk_in_runs(g, &cfg, &v3_path, run_rows).unwrap();
-                        let got =
-                            (std::fs::read(&v2_path).unwrap(), std::fs::read(&v3_path).unwrap());
+                        Bear::new_in_runs(g, &cfg, run_rows, false).unwrap().save(&saved).unwrap();
+                        preprocess_to_disk_in_runs(g, &cfg, &streamed, run_rows).unwrap();
+                        let got = std::fs::read(&saved).unwrap();
                         let want = want.get_or_insert_with(|| got.clone());
                         let at = format!(
                             "graph {gi}, xi {}, runs of {run_rows} rows, {threads} threads",
                             base.drop_tolerance
                         );
-                        assert!(got.0 == want.0, "v2 image differs: {at}");
-                        assert!(got.1 == want.1, "v3 image differs: {at}");
+                        assert!(got == *want, "saved image differs: {at}");
+                        assert!(std::fs::read(&streamed).unwrap() == *want, "streamed: {at}");
                     }
                 }
             }
         }
-        std::fs::remove_file(&v2_path).ok();
-        std::fs::remove_file(&v3_path).ok();
+        std::fs::remove_file(&saved).ok();
+        std::fs::remove_file(&streamed).ok();
     }
 
     #[test]

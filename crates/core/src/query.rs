@@ -657,9 +657,8 @@ mod tests {
         assert!(bear.query(9).is_err());
         assert!(bear.query_distribution(&[1.0]).is_err());
         let path = std::env::temp_dir().join(format!("bear_hub_iter_{}.idx", std::process::id()));
-        for result in [bear.save(&path), bear.save_v3(&path)] {
-            assert!(matches!(result, Err(Error::InvalidConfig { param: "hub_solve", .. })));
-        }
+        let result = bear.save(&path);
+        assert!(matches!(result, Err(Error::InvalidConfig { param: "hub_solve", .. })));
         assert!(!path.exists());
     }
 

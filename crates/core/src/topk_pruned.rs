@@ -213,13 +213,14 @@ pub(crate) struct TopKBounds {
 }
 
 impl TopKBounds {
-    /// One walk over the diagonal blocks, each taken as a sweep takes
-    /// it ([`crate::paging::SpokeFactors::factors`]): a slice of the
-    /// whole resident factors from row and column `base`, or the block
-    /// fetched once when paged. `L₁⁻¹`/`U₁⁻¹` are block diagonal, so
-    /// every table entry depends only on entries of its own block, and
-    /// three ascending column walks per block visit the same nonzeros in
-    /// the same order as walks over the whole matrices.
+    /// One walk over the units, each taken as a sweep takes it
+    /// ([`crate::paging::SpokeFactors::unit`]): borrowed when resident,
+    /// fetched once when paged. Within a unit, one walk over its blocks,
+    /// block `b` starting `base` rows and columns into the unit's
+    /// run-local factors. `L₁⁻¹`/`U₁⁻¹` are block diagonal, so every
+    /// table entry depends only on entries of its own block, and three
+    /// ascending column walks per block visit the same nonzeros in the
+    /// same order as walks over the whole matrices.
     fn for_bear(bear: &Bear) -> Result<TopKBounds> {
         let spokes = &bear.spokes;
         let nb = spokes.starts().len().saturating_sub(1);
@@ -230,61 +231,65 @@ impl TopKBounds {
         let mut g = vec![0.0f64; n1];
         let mut w_max = Vec::with_capacity(nb);
         let mut finite = true;
-        for b in 0..nb {
-            let (bs, be) = spokes.block_range(b)?;
-            let block = spokes.factors(b, bs, be)?;
-            let (l1, u1, base) = block.parts();
-            // Column `base + c` of the factors is spoke `bs + c`, and row
-            // `r` is spoke `bs + r − base`.
-            let columns = base..base + (be - bs);
-            // lrow_l = Σ_j |L₁⁻¹_{lj}|: row absolute sums, accumulated
-            // by walking the columns.
-            for c in columns.clone() {
-                let (rows, vals) = l1.col(c);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    if let Some(slot) = lrow.get_mut(bs + r - base) {
-                        *slot += v.abs();
+        for u in 0..spokes.num_units() {
+            let ((us, _), blocks) = spokes.unit_span(u)?;
+            let unit = spokes.unit(u)?;
+            let (l1, u1) = (&unit.l1, &unit.u1);
+            for b in blocks {
+                let (bs, be) = spokes.block_range(b)?;
+                // Column `c` of the unit's factors is spoke `us + c`, and
+                // so is row `c`; block `b` starts at column `base`.
+                let base = bs - us;
+                let columns = base..base + (be - bs);
+                // lrow_l = Σ_j |L₁⁻¹_{lj}|: row absolute sums, accumulated
+                // by walking the columns.
+                for c in columns.clone() {
+                    let (rows, vals) = l1.col(c);
+                    for (&r, &v) in rows.iter().zip(vals) {
+                        if let Some(slot) = lrow.get_mut(us + r) {
+                            *slot += v.abs();
+                        }
                     }
                 }
-            }
-            // w_i = Σ_l |U₁⁻¹_{il}|·lrow_l and u_j = max_i |U₁⁻¹_{ij}|,
-            // both from one column walk over U₁⁻¹.
-            for c in columns.clone() {
-                let scale = lrow.get(bs + c - base).copied().unwrap_or(0.0);
-                let (rows, vals) = u1.col(c);
-                let mut cm = 0.0f64;
-                for (&r, &v) in rows.iter().zip(vals) {
-                    let a = v.abs();
-                    if a > cm {
-                        cm = a;
+                // w_i = Σ_l |U₁⁻¹_{il}|·lrow_l and u_j = max_i |U₁⁻¹_{ij}|,
+                // both from one column walk over U₁⁻¹.
+                for c in columns.clone() {
+                    let scale = lrow.get(us + c).copied().unwrap_or(0.0);
+                    let (rows, vals) = u1.col(c);
+                    let mut cm = 0.0f64;
+                    for (&r, &v) in rows.iter().zip(vals) {
+                        let a = v.abs();
+                        if a > cm {
+                            cm = a;
+                        }
+                        if let Some(slot) = w.get_mut(us + r) {
+                            *slot += a * scale;
+                        }
                     }
-                    if let Some(slot) = w.get_mut(bs + r - base) {
-                        *slot += a * scale;
+                    if let Some(slot) = u_colmax.get_mut(us + c) {
+                        *slot = cm;
                     }
                 }
-                if let Some(slot) = u_colmax.get_mut(bs + c - base) {
-                    *slot = cm;
+                // g_l = Σ_j |L₁⁻¹_{jl}|·u_j: column walk over L₁⁻¹.
+                for c in columns {
+                    let (rows, vals) = l1.col(c);
+                    let mut acc = 0.0f64;
+                    for (&r, &v) in rows.iter().zip(vals) {
+                        acc += v.abs() * u_colmax.get(us + r).copied().unwrap_or(0.0);
+                    }
+                    if let Some(slot) = g.get_mut(us + c) {
+                        *slot = acc;
+                    }
                 }
+                let mut wb = 0.0f64;
+                for &wi in w.get(bs..be).unwrap_or_default() {
+                    if wi > wb {
+                        wb = wi;
+                    }
+                }
+                finite &= wb.is_finite();
+                w_max.push(wb);
             }
-            // g_l = Σ_j |L₁⁻¹_{jl}|·u_j: column walk over L₁⁻¹.
-            for c in columns {
-                let (rows, vals) = l1.col(c);
-                let mut acc = 0.0f64;
-                for (&r, &v) in rows.iter().zip(vals) {
-                    acc += v.abs() * u_colmax.get(bs + r - base).copied().unwrap_or(0.0);
-                }
-                if let Some(slot) = g.get_mut(bs + c - base) {
-                    *slot = acc;
-                }
-            }
-            let mut wb = 0.0f64;
-            for &wi in w.get(bs..be).unwrap_or_default() {
-                if wi > wb {
-                    wb = wi;
-                }
-            }
-            finite &= wb.is_finite();
-            w_max.push(wb);
         }
         finite &= g.iter().all(|v| v.is_finite());
         Ok(TopKBounds { w_max, g, finite })

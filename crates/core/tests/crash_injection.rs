@@ -7,9 +7,13 @@
 //! a valid index either loads bit-identically or fails with
 //! `Error::CorruptIndex` — never a panic, never an index that would
 //! serve wrong answers.** And on the write side: **a crash (injected
-//! failure) at any step of `Bear::save`, `Bear::save_v3` or
-//! `preprocess_to_disk` leaves the previous index intact and loadable;
-//! only a fully synced, renamed image ever occupies the target path.**
+//! failure) at any step of `Bear::save` or `preprocess_to_disk` leaves
+//! the previous index intact and loadable; only a fully synced, renamed
+//! image ever occupies the target path.** Both write through one shard
+//! writer and one temp-file writer, and every shard carries its own CRC
+//! frame, so damage anywhere — a shard, the directory, the resident
+//! region, the trailer — fails typed at load, resident or paged, never
+//! at query time from a page fault.
 //!
 //! Run via:
 //!
@@ -17,7 +21,7 @@
 //! cargo test -p bear-core --test crash_injection --features failpoints
 //! ```
 
-use bear_core::{Bear, BearConfig};
+use bear_core::{Bear, BearConfig, LoadOptions};
 use bear_graph::Graph;
 use bear_sparse::Error;
 use std::path::PathBuf;
@@ -114,13 +118,14 @@ fn every_truncation_fails_typed_or_loads_identically() {
 }
 
 #[test]
-fn every_probed_bit_flip_fails_typed_or_loads_identically() {
+fn every_probed_bit_flip_fails_typed_at_load() {
     let _serial = serial();
     let bear = build();
     let path = tmp("bear_crash_flip_sweep.idx");
     bear.save(&path).unwrap();
     let full = std::fs::read(&path).unwrap();
     let reference = bear.query(7).unwrap();
+    let resident = LoadOptions { resident: true, ..LoadOptions::default() };
 
     // Probe every byte with a stride-free single-bit flip (bit index
     // varies with position so all eight bit lanes are covered).
@@ -129,13 +134,17 @@ fn every_probed_bit_flip_fails_typed_or_loads_identically() {
         let mut bytes = full.clone();
         bytes[byte] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
-        match Bear::load(&path) {
-            // A flip must never be silently absorbed. (CRC-32 detects
-            // all single-bit errors, so Ok here would mean the byte is
-            // outside the checksummed span — there is no such byte.)
-            Ok(_) => panic!("bit flip at byte {byte} bit {bit} was absorbed"),
-            Err(Error::CorruptIndex { .. }) => {}
-            Err(other) => panic!("flip at byte {byte} bit {bit}: untyped error {other:?}"),
+        // A flip must never be silently absorbed, by either load: the
+        // paged load CRC-checks every shard up front and the resident
+        // load reads each once. (CRC-32 detects all single-bit errors,
+        // so Ok here would mean the byte is outside the checksummed span
+        // — there is no such byte.)
+        for loaded in [Bear::load(&path), Bear::load_with(&path, &resident)] {
+            match loaded {
+                Ok(_) => panic!("bit flip at byte {byte} bit {bit} was absorbed"),
+                Err(Error::CorruptIndex { .. }) => {}
+                Err(other) => panic!("flip at byte {byte} bit {bit}: untyped error {other:?}"),
+            }
         }
     }
 
@@ -300,175 +309,8 @@ fn lying_disk_bit_rot_is_caught_at_load() {
     std::fs::remove_file(&path).ok();
 }
 
-// ---------------------------------------------------------------------------
-// Sharded v3 images: the same durability contract, segment by segment.
-// `save_v3` and `preprocess_to_disk` append segments through one v3
-// writer that commits through the same temp-file writer and failpoint
-// sites as `save`, and every shard carries its own CRC frame, so damage
-// anywhere — a segment, the directory, the resident region, the
-// trailer — must fail typed at load, never at query time from a page
-// fault.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v3_every_truncation_fails_typed_or_loads_identically() {
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_trunc_sweep.idx");
-    bear.save_v3(&path).unwrap();
-    let full = std::fs::read(&path).unwrap();
-    let reference = bear.query(3).unwrap();
-
-    for keep in 0..=full.len() {
-        std::fs::write(&path, &full[..keep]).unwrap();
-        match Bear::load(&path) {
-            Ok(loaded) => {
-                assert_eq!(keep, full.len(), "a strict v3 prefix ({keep} bytes) loaded");
-                assert_eq!(loaded.query(3).unwrap(), reference);
-            }
-            Err(Error::CorruptIndex { .. }) => {}
-            Err(other) => panic!("v3 truncation to {keep} bytes: untyped error {other:?}"),
-        }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v3_every_probed_bit_flip_fails_typed_at_load() {
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_flip_sweep.idx");
-    bear.save_v3(&path).unwrap();
-    let full = std::fs::read(&path).unwrap();
-    let reference = bear.query(7).unwrap();
-
-    // The load-time sweep CRC-checks every segment frame as well as the
-    // resident region, so no byte of the file is outside a checksummed
-    // span: every flip must be caught *at load*, before any query can
-    // page a damaged shard in.
-    for byte in 0..full.len() {
-        let bit = byte % 8;
-        let mut bytes = full.clone();
-        bytes[byte] ^= 1 << bit;
-        std::fs::write(&path, &bytes).unwrap();
-        match Bear::load(&path) {
-            Ok(_) => panic!("v3 bit flip at byte {byte} bit {bit} was absorbed"),
-            Err(Error::CorruptIndex { .. }) => {}
-            Err(other) => panic!("v3 flip at byte {byte} bit {bit}: untyped error {other:?}"),
-        }
-    }
-
-    std::fs::write(&path, &full).unwrap();
-    assert_eq!(Bear::load(&path).unwrap().query(7).unwrap(), reference);
-    std::fs::remove_file(&path).ok();
-}
-
-/// Like [`assert_crash_preserves_target`] but for `save_v3`, which
-/// streams each block's segment through the v3 writer that
-/// `preprocess_to_disk` uses.
-#[cfg(feature = "failpoints")]
-fn assert_v3_crash_preserves_target(site: &'static str, action: FailAction, tag: &str) {
-    let bear = build();
-    let path = tmp(&format!("bear_crash_v3_{tag}.idx"));
-    bear.save_v3(&path).unwrap();
-    let before = std::fs::read(&path).unwrap();
-
-    failpoints::configure(site, action);
-    let err = bear.save_v3(&path).unwrap_err();
-    failpoints::clear(site);
-    assert!(
-        matches!(err, Error::InvalidStructure(_)),
-        "injected v3 crash at {site} surfaced oddly: {err:?}"
-    );
-
-    assert_eq!(std::fs::read(&path).unwrap(), before, "v3 crash at {site} altered the target");
-    Bear::load(&path).unwrap();
-    assert_no_temp_files(&format!("bear_crash_v3_{tag}"));
-    std::fs::remove_file(&path).ok();
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_crash_at_any_save_step_preserves_previous_index() {
-    let _serial = serial();
-    assert_v3_crash_preserves_target("persist::save::write", FailAction::Fail, "w_fail");
-    assert_v3_crash_preserves_target("persist::save::sync", FailAction::Fail, "sync_fail");
-    assert_v3_crash_preserves_target("persist::save::rename", FailAction::Fail, "rename_fail");
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_torn_stream_crash_preserves_previous_index() {
-    let _serial = serial();
-    let probe = tmp("bear_crash_v3_size_probe.idx");
-    build().save_v3(&probe).unwrap();
-    let size = std::fs::metadata(&probe).unwrap().len();
-    std::fs::remove_file(&probe).ok();
-    // Cuts landing mid-segment, mid-resident-region, and inside the
-    // trailer — the writer must discard the torn temp file in every
-    // case.
-    for k in [0, 1, size / 4, size / 2, size - 1] {
-        assert_v3_crash_preserves_target("persist::save::write", FailAction::TruncateAt(k), "torn");
-    }
-}
-
-/// The lying-disk scenario against shard segments: the temp file is
-/// damaged after the fsync and the rename succeeds, so a corrupt v3
-/// image lands at the target. `load_or_quarantine` must fail typed and
-/// move the artifact aside — truncations and bit rot alike.
-#[cfg(feature = "failpoints")]
-#[test]
-fn v3_lying_disk_damage_is_caught_at_load_and_quarantined() {
-    let _serial = serial();
-    let bear = build();
-    let path = tmp("bear_crash_v3_lying.idx");
-    let quarantined = tmp("bear_crash_v3_lying.idx.corrupt");
-    std::fs::remove_file(&quarantined).ok();
-
-    bear.save_v3(&path).unwrap();
-    let full_len = std::fs::read(&path).unwrap().len() as u64;
-
-    // Torn tails: cuts inside the segment region, the resident region,
-    // and the trailer.
-    for k in [0, 8, 27, full_len / 4, full_len / 2, full_len - 1] {
-        failpoints::configure("persist::save::torn", FailAction::TruncateAt(k));
-        bear.save_v3(&path).unwrap(); // the disk lies: save sees success
-        failpoints::clear_all();
-
-        let err = Bear::load_or_quarantine(&path).unwrap_err();
-        assert!(
-            matches!(err, Error::CorruptIndex { .. }),
-            "torn v3 image (cut to {k}) must fail typed, got: {err:?}"
-        );
-        assert!(!path.exists(), "torn v3 artifact (cut to {k}) was not quarantined");
-        assert!(quarantined.exists(), "quarantine file missing for v3 cut {k}");
-        std::fs::remove_file(&quarantined).ok();
-        bear.save_v3(&path).unwrap();
-    }
-
-    // Bit rot inside the first shard's payload (the segment region
-    // starts right after the 8-byte magic, so bit 200 lands in segment
-    // bytes) plus spots across the rest of the image.
-    let bits = full_len * 8;
-    for bit in [200, 64 * 8, bits / 3, bits / 2, bits - 1] {
-        failpoints::configure("persist::save::torn", FailAction::BitFlip(bit));
-        bear.save_v3(&path).unwrap();
-        failpoints::clear_all();
-
-        let err = Bear::load_or_quarantine(&path).unwrap_err();
-        assert!(
-            matches!(err, Error::CorruptIndex { .. }),
-            "v3 bit rot at bit {bit} must fail typed, got: {err:?}"
-        );
-        assert!(quarantined.exists(), "quarantine file missing for v3 bit {bit}");
-        std::fs::remove_file(&quarantined).ok();
-        bear.save_v3(&path).unwrap();
-    }
-    std::fs::remove_file(&path).ok();
-}
-
 /// `preprocess_to_disk` (what `bear preprocess --out-of-core` runs)
-/// streams each block's segment to the temp file as it is factored and
+/// streams each unit's shard to the temp file as it is factored and
 /// commits at the end. A crash at any step, or a torn write cut at any
 /// length, must leave the previous index byte-identical and loadable,
 /// with no temp file behind.

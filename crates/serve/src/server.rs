@@ -800,9 +800,11 @@ fn handle_admin_load(ctx: &ServerCtx, req: &Request) -> Response {
     };
     // `load_or_quarantine`: a checksum/structure failure renames the
     // artifact to `<path>.corrupt` so a crash-looping operator script
-    // cannot keep re-publishing a damaged file.
-    let engine = Bear::load_or_quarantine(Path::new(index))
-        .and_then(|bear| QueryEngine::new(Arc::new(bear), ctx.config.engine_config.clone()));
+    // cannot keep re-publishing a damaged file. Resident unless the
+    // engine configuration caps spoke residency.
+    let config = &ctx.config.engine_config;
+    let engine = Bear::load_or_quarantine_with(Path::new(index), &config.load_options())
+        .and_then(|bear| QueryEngine::new(Arc::new(bear), config.clone()));
     match engine {
         Ok(engine) => {
             let nodes = engine.bear().num_nodes();

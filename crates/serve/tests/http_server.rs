@@ -485,6 +485,32 @@ fn admin_load_rejects_bad_index_and_keeps_serving() {
     std::fs::remove_file(&bad).ok();
 }
 
+/// `/admin/load` loads an index resident when the server's engine
+/// configuration sets no spoke residency cap, and paged under the cap
+/// when it sets one; both serve the reference answers.
+#[test]
+fn admin_load_is_resident_unless_a_residency_cap_is_set() {
+    let reference = Bear::new(&test_graph(), &BearConfig::exact(0.15)).unwrap();
+    let path = std::env::temp_dir().join("bear_serve_residency.idx");
+    reference.save(&path).unwrap();
+    for cap in [None, Some(1 << 20)] {
+        let engine_config = EngineConfig { spoke_residency_bytes: cap, ..engine_config() };
+        let registry = Arc::new(Registry::new());
+        let config = ServerConfig { http_threads: 2, engine_config, ..ServerConfig::default() };
+        let server = Server::start(Arc::clone(&registry), config).unwrap();
+        let load = format!("/admin/load?graph=g&index={}", path.display());
+        let resp = client::post(server.addr(), &load, &[]).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let tenant = registry.get("g").unwrap();
+        assert_eq!(tenant.engine.bear().pager().is_some(), cap.is_some(), "cap {cap:?}");
+        let resp = client::get(server.addr(), "/v1/query?graph=g&seed=3", &[]).unwrap();
+        let scores = client::json_number_array(&resp.body_str(), "scores").unwrap();
+        assert_eq!(scores, reference.query(3).unwrap(), "cap {cap:?}");
+        server.shutdown();
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// The hot-swap guarantee under concurrent load: while two new index
 /// versions are published through `/admin/load`, every request from
 /// every client thread succeeds with bit-identical scores — zero

@@ -524,6 +524,11 @@ impl BlockDiagBuilder {
         self.indptr.len() - 1
     }
 
+    /// Stored nonzeros placed so far.
+    pub fn nnz(&self) -> usize {
+        self.indices.len()
+    }
+
     /// Appends the square `block` at offset [`BlockDiagBuilder::dim`].
     pub fn push(&mut self, block: &CscMatrix) {
         debug_assert_eq!(block.nrows(), block.ncols());
@@ -547,19 +552,8 @@ impl crate::mem::MemoryUsage for BlockDiagBuilder {
     /// What [`BlockDiagBuilder::finish`] would report: the matrix placed
     /// so far in CSC storage.
     fn memory_bytes(&self) -> usize {
-        crate::mem::sparse_bytes(self.dim(), self.indices.len())
+        crate::mem::sparse_bytes(self.dim(), self.nnz())
     }
-}
-
-/// Concatenates square CSC matrices along the diagonal into one CSC matrix
-/// of dimension `dim` (which must equal the sum of block dimensions).
-pub fn block_diag_concat(blocks: &[CscMatrix], dim: usize) -> CscMatrix {
-    let mut out = BlockDiagBuilder::default();
-    for b in blocks {
-        out.push(b);
-    }
-    debug_assert_eq!(out.dim(), dim);
-    out.finish()
 }
 
 #[cfg(test)]

@@ -67,36 +67,32 @@ fn unlimited_budget_never_fails_for_budget_reasons() {
     assert!(LuDecomp::new(&g, &rwr, &unlimited).is_ok());
 }
 
-/// Exceeding the budget at load time means different things per format:
-/// a fully resident v2 image that does not fit is a typed
-/// [`Error::OutOfBudget`], while a v3 image *pages* — the same budget
-/// that rejects the resident format serves the sharded one, with
+/// Exceeding the budget at load time means different things per
+/// residency: a resident load that does not fit is a typed
+/// [`Error::OutOfBudget`], while a paged load of the same file *pages* —
+/// the same budget that rejects holding every unit serves the index with
 /// answers bit-identical to an unlimited load.
 #[test]
-fn v3_pages_under_a_budget_that_rejects_resident_formats() {
+fn paged_load_pages_under_a_budget_that_rejects_a_resident_load() {
     use bear_core::LoadOptions;
 
     let g = small_suite()[0].load();
     let bear = Bear::new(&g, &BearConfig::default()).unwrap();
-    let dir = std::env::temp_dir();
-    let v2 = dir.join("bear_oom_v2.idx");
-    let v3 = dir.join("bear_oom_v3.idx");
-    bear.save(&v2).unwrap();
-    bear.save_v3(&v3).unwrap();
+    let path = std::env::temp_dir().join("bear_oom_residency.idx");
+    bear.save(&path).unwrap();
 
-    // A budget one byte short of the full index: the resident v2 image
-    // needs all of it and must refuse, while v3 only charges its hub
+    // A budget one byte short of the full index: a resident load needs
+    // all of it and must refuse, while a paged load only charges the hub
     // part (the spoke factors page) and loads fine.
-    let full = bear.memory_bytes();
-    let budget_bytes = full - 1;
-    let opts = LoadOptions { budget: MemBudget::bytes(budget_bytes), resident: false };
+    let budget = MemBudget::bytes(bear.memory_bytes() - 1);
+    let resident = LoadOptions { budget, resident: true };
     assert!(
-        matches!(Bear::load_with(&v2, &opts), Err(Error::OutOfBudget { .. })),
-        "a v2 image over budget must fail typed, not load"
+        matches!(Bear::load_with(&path, &resident), Err(Error::OutOfBudget { .. })),
+        "a resident load over budget must fail typed, not load"
     );
-    let paged = Bear::load_with(&v3, &opts)
-        .expect("a v3 image over budget must page its spoke factors, not error");
-    assert!(paged.pager().is_some(), "under-budget v3 load must be paged");
+    let paged = Bear::load_with(&path, &LoadOptions { budget, resident: false })
+        .expect("a paged load over budget must page its spoke factors, not error");
+    assert!(paged.pager().is_some(), "an over-budget paged load must be paged");
     for seed in [0, 1, g.num_nodes() - 1] {
         let got = paged.query(seed).unwrap();
         let want = bear.query(seed).unwrap();
@@ -105,30 +101,29 @@ fn v3_pages_under_a_budget_that_rejects_resident_formats() {
             assert_eq!(a.to_bits(), b.to_bits(), "paged answer drifted under budget");
         }
     }
-
-    for p in [&v2, &v3] {
-        std::fs::remove_file(p).ok();
-    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Hammers one engine over a paged index from many threads under a
-/// one-byte resident cap — every fetch evicts someone else's block.
+/// one-byte resident cap — every fetch evicts someone else's shard.
 /// The run must not deadlock, every answer stays bit-identical, and
 /// the pager counters reconcile: every access is a hit or a miss, and
-/// the resident set respects the cap's block floor.
+/// the resident set respects the cap's one-shard floor.
 #[test]
 fn concurrent_engine_on_tiny_budget_stays_exact_and_consistent() {
     use bear_core::engine::{EngineConfig, QueryEngine};
     use bear_core::QueryOptions;
     use std::sync::Arc;
 
-    let g = small_suite()[0].load();
+    // Two spoke units at least, so a one-byte cap has something to evict.
+    let g = small_suite()[2].load();
     let bear = Bear::new(&g, &BearConfig::default()).unwrap();
     let path = std::env::temp_dir().join("bear_oom_hammer.idx");
-    bear.save_v3(&path).unwrap();
+    bear.save(&path).unwrap();
 
     let paged = Arc::new(Bear::load(&path).unwrap());
-    let pager = paged.pager().expect("v3 load is paged").clone();
+    let pager = paged.pager().expect("a default load is paged").clone();
+    assert!(pager.num_shards() >= 2, "{:?}", pager.directory());
     let n = paged.num_nodes();
     let reference: Vec<Vec<f64>> = (0..n).map(|s| bear.query(s).unwrap()).collect();
 
@@ -165,7 +160,7 @@ fn concurrent_engine_on_tiny_budget_stays_exact_and_consistent() {
     }
 
     let stats = pager.stats();
-    assert!(stats.misses > 0, "a one-byte cap must fault blocks in");
+    assert!(stats.misses > 0, "a one-byte cap must fault shards in");
     assert!(stats.evictions > 0, "a one-byte cap must evict");
     // Eviction conservation: what was faulted in and is no longer
     // resident must have been evicted.
@@ -174,9 +169,9 @@ fn concurrent_engine_on_tiny_budget_stays_exact_and_consistent() {
         stats.evictions,
         "pager counters must reconcile: misses - resident = evictions"
     );
-    // A 1-byte cap still keeps at most one block pinned (over-budget
+    // A 1-byte cap still keeps at most one shard pinned (over-budget
     // fetches are allowed through, then evicted down to the cap).
-    assert!(stats.resident_blocks <= 1, "cap of 1 byte holds at most one block");
+    assert!(stats.resident_blocks <= 1, "cap of 1 byte holds at most one shard");
 
     drop(engine);
     std::fs::remove_file(&path).ok();

@@ -2,11 +2,11 @@
 //! driven through the block pager — `query`, `query_block`,
 //! `query_top_k_pruned` — is **bit-identical** (f64 bits and node
 //! order) to the fully resident in-memory index, for every residency
-//! budget from everything-resident down to at most one block, and even
+//! budget from everything-resident down to at most one unit, and even
 //! while another thread forces evictions mid-query; and the back sweep
-//! split in two block ranges on two threads is bit-identical too.
+//! split in two unit ranges on two threads is bit-identical too.
 //!
-//! This is the contract that makes the v3 format safe to serve: paging
+//! This is the contract that makes a paged index safe to serve: paging
 //! is a pure space/time trade — it may never perturb a single bit of
 //! an answer.
 
@@ -46,10 +46,10 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 }
 
 /// The residency ladder for one paged index: unlimited, the full spoke
-/// footprint, half, a single largest block, and one byte (at most one
-/// block ever resident, evictions on every switch).
+/// footprint, half, a single largest shard, and one byte (at most one
+/// shard ever resident, evictions on every switch).
 fn budget_ladder(paged: &Bear) -> Vec<Option<usize>> {
-    let dir = paged.pager().expect("v3 load is paged").directory();
+    let dir = paged.pager().expect("a default load is paged").directory();
     let total: usize = dir.iter().map(|m| m.resident_bytes()).sum();
     let largest = dir.iter().map(|m| m.resident_bytes()).max().unwrap_or(1);
     let mut ladder = vec![None, Some(total), Some(total / 2), Some(largest), Some(1)];
@@ -61,9 +61,9 @@ fn budget_ladder(paged: &Bear) -> Vec<Option<usize>> {
 fn check_paging_identity(g: &Graph, config: &BearConfig, seeds: &[usize]) {
     let reference = Bear::new(g, config).unwrap();
     let path = scratch_index();
-    reference.save_v3(&path).unwrap();
+    reference.save(&path).unwrap();
     let paged = Bear::load(&path).unwrap();
-    let pager = paged.pager().expect("v3 load is paged");
+    let pager = paged.pager().expect("a default load is paged");
 
     let k = 5.min(g.num_nodes().saturating_sub(1)).max(1);
     for budget in budget_ladder(&paged) {
@@ -94,7 +94,7 @@ fn check_paging_identity(g: &Graph, config: &BearConfig, seeds: &[usize]) {
     let stats = pager.stats();
     // A graph that SlashBurn classifies as all-hub has no spoke blocks
     // to page; everywhere else the one-byte rung must have faulted.
-    assert!(stats.misses > 0 || pager.num_blocks() == 0, "the one-byte rung must fault blocks in");
+    assert!(stats.misses > 0 || pager.num_shards() == 0, "the one-byte rung must fault shards in");
 
     drop(paged);
     std::fs::remove_file(&path).ok();
@@ -146,20 +146,20 @@ fn blocky_graph() -> Graph {
 }
 
 /// Mid-query evictions, forced two ways at once: the querying thread
-/// runs under a one-byte budget (so its own block sweep evicts as it
-/// advances), while a saboteur thread loops over all blocks fetching
-/// them out of order — every block the query is about to use may have
+/// runs under a one-byte budget (so its own unit sweep evicts as it
+/// advances), while a saboteur thread loops over all shards fetching
+/// them out of order — every shard the query is about to use may have
 /// just been evicted and must be transparently re-faulted, with the
 /// answer still exact to the bit.
 #[test]
 fn forced_mid_query_evictions_stay_bit_identical() {
-    let g = blocky_graph();
+    let g = hub_and_chains(12, 30);
     let reference = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
     let path = scratch_index();
-    reference.save_v3(&path).unwrap();
+    reference.save(&path).unwrap();
     let paged = std::sync::Arc::new(Bear::load(&path).unwrap());
-    let pager = paged.pager().expect("v3 load is paged").clone();
-    assert!(pager.num_blocks() >= 2, "test graph must shard into multiple blocks");
+    let pager = paged.pager().expect("a default load is paged").clone();
+    assert!(pager.num_shards() >= 2, "test graph must shard into multiple units");
     pager.set_budget(Some(1)).unwrap();
 
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -167,18 +167,18 @@ fn forced_mid_query_evictions_stay_bit_identical() {
         let pager = pager.clone();
         let stop = std::sync::Arc::clone(&stop);
         std::thread::spawn(move || {
-            let blocks = pager.num_blocks();
-            let mut b = 0;
+            let shards = pager.num_shards();
+            let mut s = 0;
             while !stop.load(Ordering::Relaxed) {
                 // Descending order to maximally disagree with the
-                // ascending block sweep of the query path.
-                b = (b + blocks - 1) % blocks;
-                pager.fetch(b).expect("saboteur fetch");
+                // ascending unit sweep of the query path.
+                s = (s + shards - 1) % shards;
+                pager.fetch(s).expect("saboteur fetch");
             }
         })
     };
 
-    for round in 0..20 {
+    for round in 0..5 {
         for seed in 0..g.num_nodes() {
             let want = reference.query(seed).unwrap();
             let got = paged.query(seed).unwrap();
@@ -207,7 +207,7 @@ fn resident_load_option_matches_paged_and_in_memory() {
     let g = blocky_graph();
     let reference = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
     let path = scratch_index();
-    reference.save_v3(&path).unwrap();
+    reference.save(&path).unwrap();
 
     let resident =
         Bear::load_with(&path, &LoadOptions { budget: MemBudget::unlimited(), resident: true })
@@ -228,7 +228,7 @@ fn resident_load_option_matches_paged_and_in_memory() {
 /// A hub (node 0) joined to `chains` chains of `len` nodes each:
 /// SlashBurn removes the hub and every chain becomes its own spoke
 /// block, whose inverted factors are dense triangles (`len²` stored
-/// nonzeros a block, about).
+/// nonzeros a block, about); eight such blocks make a unit.
 fn hub_and_chains(chains: usize, len: usize) -> Graph {
     let mut edges = Vec::new();
     for ch in 0..chains {
@@ -242,8 +242,8 @@ fn hub_and_chains(chains: usize, len: usize) -> Graph {
 }
 
 /// The seed-interleaved spoke sweep through the public query paths, on
-/// a graph whose spoke blocks cross [`SPLIT_SWEEP_FLOOR`] (every back
-/// sweep touches every block, so it splits on the resident and the
+/// a graph whose spoke units cross [`SPLIT_SWEEP_FLOOR`] (every back
+/// sweep touches every unit, so it splits on the resident and the
 /// paged index alike) and on one below it (it never does). At widths 1,
 /// 3, 8 and 16, `query_block` on the resident index and on the paged
 /// one under unlimited, a third of the factors, and one-byte budgets is
@@ -254,7 +254,7 @@ fn hub_and_chains(chains: usize, len: usize) -> Graph {
 /// pins width-1 answers). The seeds mix spokes of different blocks, a
 /// hub and a duplicate, so some seeds are zero in blocks where others
 /// are not.
-/// A fresh unlimited load fetches each touched block once per sweep
+/// A fresh unlimited load fetches each touched unit once per sweep
 /// (`hits + misses ≤ 2 × misses` over the hub half's forward sweep and
 /// the back sweep), and the counters reconcile after every batch.
 #[test]
@@ -262,7 +262,7 @@ fn split_back_sweep_stays_bit_identical_and_fetches_once() {
     for (g, splits) in [(hub_and_chains(48, 30), true), (blocky_graph(), false)] {
         let reference = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
         let path = scratch_index();
-        reference.save_v3(&path).unwrap();
+        reference.save(&path).unwrap();
         let n = g.num_nodes();
         for k in [1usize, 3, 8, 16] {
             let mut seeds: Vec<usize> = (0..k).map(|i| (i * 97 + 1) % n).collect();
@@ -276,7 +276,7 @@ fn split_back_sweep_stays_bit_identical_and_fetches_once() {
                 assert_bits_eq(rc, wc, &format!("resident width {k} column {j}"));
             }
             let paged = Bear::load(&path).unwrap();
-            let pager = paged.pager().expect("v3 load is paged");
+            let pager = paged.pager().expect("a default load is paged");
             let dir = pager.directory();
             let nnz: u64 = dir.iter().map(|m| m.l1_nnz + m.u1_nnz).sum();
             assert_eq!(nnz > SPLIT_SWEEP_FLOOR, splits, "spoke nonzeros {nnz}");
@@ -299,8 +299,8 @@ fn split_back_sweep_stays_bit_identical_and_fetches_once() {
 }
 
 /// Every resident batch width from 2 to 17 against width 1: each column
-/// of a width-`k` `query_block` on the resident index (the per-block
-/// sweep over runs of blocks, split in two above
+/// of a width-`k` `query_block` on the resident index (the sweep over
+/// units, split in two above
 /// [`SPLIT_SWEEP_FLOOR`]) has the bits of the width-1 `query` of its
 /// seed, whose sweep never gathers. Widths 2, 4, 8 and 16 run the
 /// specialised kernels, the rest the generic one.
