@@ -5,21 +5,21 @@
 //! leaves isolated, hence dangling, nodes), and a hand-built graph with
 //! dangling nodes and self-loops; each is indexed exactly and with a
 //! drop tolerance ξ > 0. Every answer is computed twice — on the resident
-//! index and on its v3 file paged under a one-block budget — and both must
+//! index and on its file paged under a one-shard budget — and both must
 //! hash to the same pinned value. A change that moves a single bit of any
 //! answer, on any path, fails here.
 //!
 //! The index files are pinned the same way: each graph and configuration
-//! is written by `Bear::save` (v2), `Bear::save_v3` and
-//! `preprocess_to_disk` (both v3), and the FNV-1a hash of each file's
-//! bytes must match. Answers alone cannot catch a writer that reorders or
-//! reframes sections.
+//! is written by `Bear::save`, `Bear::save_v3` (the same writer) and
+//! `preprocess_to_disk`, and the FNV-1a hash of each file's bytes must
+//! match — the same hash for all three. Answers alone cannot catch a
+//! writer that reorders or reframes sections.
 //!
 //! The index form that keeps the sparse Schur complement and solves it
 //! with BiCGSTAB per query (`Bear::new_hub_iterative`) has answer hashes
 //! of its own, pinned when it still had a query pipeline of its own:
 //! its answers through the shared Algorithm 2 at every width, and paged
-//! under a one-block budget, must still hash to them.
+//! under a one-shard budget, must still hash to them.
 
 mod common;
 
@@ -131,11 +131,11 @@ fn every_query_path_matches_the_golden_bits() {
         for (config, cfg) in configs() {
             let resident = Bear::new(&g, &cfg).unwrap();
             let path = scratch_index(&format!("{graph}_{config}"));
-            resident.save_v3(&path).unwrap();
+            resident.save(&path).unwrap();
             let paged = Bear::load(&path).unwrap();
-            let pager = paged.pager().expect("v3 load is paged");
-            let one_block = pager.directory().iter().map(|m| m.resident_bytes()).max();
-            pager.set_budget(Some(one_block.unwrap_or(1))).unwrap();
+            let pager = paged.pager().expect("a default load is paged");
+            let one_shard = pager.directory().iter().map(|m| m.resident_bytes()).max();
+            pager.set_budget(Some(one_shard.unwrap_or(1))).unwrap();
 
             let want = answers(&resident);
             assert_eq!(answers(&paged), want, "{graph}/{config}: paged differs from resident");
@@ -226,24 +226,24 @@ fn hub_iterative_answers_match_the_golden_bits() {
 
 /// Pinned hashes of the index file bytes, keyed `graph/config/writer`.
 const GOLDEN_IMAGES: &[(&str, u64)] = &[
-    ("hub_spoke/exact/save", 0x006ec5d4b4c3b963),
-    ("hub_spoke/exact/save_v3", 0xe02ed2bc1e61f3af),
-    ("hub_spoke/exact/preprocess_to_disk", 0xe02ed2bc1e61f3af),
-    ("hub_spoke/approx/save", 0x431ec0f0adda5235),
-    ("hub_spoke/approx/save_v3", 0x27f6f79050345983),
-    ("hub_spoke/approx/preprocess_to_disk", 0x27f6f79050345983),
-    ("rmat/exact/save", 0x3aab9a0c81367916),
-    ("rmat/exact/save_v3", 0x0a8f12a3d87fdd12),
-    ("rmat/exact/preprocess_to_disk", 0x0a8f12a3d87fdd12),
-    ("rmat/approx/save", 0x0c3f009448121798),
-    ("rmat/approx/save_v3", 0x410020c7500f1226),
-    ("rmat/approx/preprocess_to_disk", 0x410020c7500f1226),
-    ("dangling_loops/exact/save", 0x5668ae337db88681),
-    ("dangling_loops/exact/save_v3", 0x03ade76dd93d0054),
-    ("dangling_loops/exact/preprocess_to_disk", 0x03ade76dd93d0054),
-    ("dangling_loops/approx/save", 0x5381540429a4e795),
-    ("dangling_loops/approx/save_v3", 0xbf5ce78270acc048),
-    ("dangling_loops/approx/preprocess_to_disk", 0xbf5ce78270acc048),
+    ("hub_spoke/exact/save", 0x733b6b0cbe4a1076),
+    ("hub_spoke/exact/save_v3", 0x733b6b0cbe4a1076),
+    ("hub_spoke/exact/preprocess_to_disk", 0x733b6b0cbe4a1076),
+    ("hub_spoke/approx/save", 0x8491445163b3cb81),
+    ("hub_spoke/approx/save_v3", 0x8491445163b3cb81),
+    ("hub_spoke/approx/preprocess_to_disk", 0x8491445163b3cb81),
+    ("rmat/exact/save", 0xe8137500c731637a),
+    ("rmat/exact/save_v3", 0xe8137500c731637a),
+    ("rmat/exact/preprocess_to_disk", 0xe8137500c731637a),
+    ("rmat/approx/save", 0x1e6c40473a37f373),
+    ("rmat/approx/save_v3", 0x1e6c40473a37f373),
+    ("rmat/approx/preprocess_to_disk", 0x1e6c40473a37f373),
+    ("dangling_loops/exact/save", 0x164bb52c3b0814d8),
+    ("dangling_loops/exact/save_v3", 0x164bb52c3b0814d8),
+    ("dangling_loops/exact/preprocess_to_disk", 0x164bb52c3b0814d8),
+    ("dangling_loops/approx/save", 0x6463462ea4bf9d1f),
+    ("dangling_loops/approx/save_v3", 0x6463462ea4bf9d1f),
+    ("dangling_loops/approx/preprocess_to_disk", 0x6463462ea4bf9d1f),
 ];
 
 #[test]
