@@ -63,9 +63,12 @@ fn bench_variants(c: &mut Criterion) {
 /// * `hub_spoke`: ~120 dense spoke blocks of up to 120 nodes behind 64
 ///   hubs. Spoke back-substitution dominates and the bounds certify
 ///   every seed, so pruning pays.
-/// * `rmat_scale13`: SlashBurn shreds R-MAT spokes into singleton
-///   blocks and the hub solve carries most of the flops, so pruning
-///   cannot repay its bookkeeping. Kept as the adversarial case.
+/// * `rmat_scale13` and `rmat_0.7` (the graph perfbench's
+///   `topk_rmat_oneshot` serves): SlashBurn shreds R-MAT spokes into
+///   thousands of mostly singleton blocks, and most seeds cannot be
+///   certified. Those take one back sweep instead of resolving their
+///   blocks one by one, so the pruned path costs about what the full
+///   solve does there (DESIGN.md §17).
 fn bench_topk_pruned(c: &mut Criterion) {
     const K: usize = 8;
     let hub_spoke = hub_and_spoke(
@@ -80,10 +83,13 @@ fn bench_topk_pruned(c: &mut Criterion) {
         &mut StdRng::seed_from_u64(7),
     );
     let rmat_graph = rmat(&RmatConfig::paper(13, 8 << 13, 0.7), &mut StdRng::seed_from_u64(42));
+    let rmat_07 = dataset_by_name("rmat_0.7").unwrap().load();
 
     let mut group = c.benchmark_group("topk_pruned");
     group.sample_size(10);
-    for (name, g) in [("hub_spoke", &hub_spoke), ("rmat_scale13", &rmat_graph)] {
+    for (name, g) in
+        [("hub_spoke", &hub_spoke), ("rmat_scale13", &rmat_graph), ("rmat_0.7", &rmat_07)]
+    {
         let bear = Bear::new(g, &BearConfig::exact(0.05)).unwrap();
         let n = bear.num_nodes();
         let seeds: Vec<usize> = (0..64).map(|i| (i * 2654435761) % n).collect();

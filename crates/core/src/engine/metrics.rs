@@ -6,6 +6,7 @@
 //! `crates/core/tests/loom_engine.rs`).
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::topk_pruned::{TopKFallbackReason, TopKPruneStats};
 use std::time::Duration;
 
 /// Nanoseconds of `elapsed` as a `u64`, saturating at `u64::MAX`.
@@ -65,6 +66,9 @@ pub struct Metrics {
     topk_certified: AtomicU64,
     /// Pruned top-k queries that fell back to the full solve.
     topk_fallbacks: AtomicU64,
+    /// `topk_fallbacks` by reason, in the order of
+    /// [`TopKFallbackReason::ALL`].
+    topk_fallback_reasons: [AtomicU64; TopKFallbackReason::ALL.len()],
     /// Candidates surviving pruning, summed over pruned top-k queries.
     topk_candidates: AtomicU64,
     /// Nodes never scored thanks to pruning, summed over pruned queries.
@@ -92,6 +96,7 @@ impl Metrics {
             topk_pruned_queries: AtomicU64::new(0),
             topk_certified: AtomicU64::new(0),
             topk_fallbacks: AtomicU64::new(0),
+            topk_fallback_reasons: std::array::from_fn(|_| AtomicU64::new(0)),
             topk_candidates: AtomicU64::new(0),
             topk_nodes_pruned: AtomicU64::new(0),
         }
@@ -158,17 +163,22 @@ impl Metrics {
     }
 
     /// Accounts one pruned top-k query: whether the bound pass certified
-    /// the answer (vs. falling back to the full solve), how many
-    /// candidates survived pruning, and how many nodes were never scored.
-    pub fn record_topk_pruned(&self, certified: bool, candidates: u64, nodes_pruned: u64) {
+    /// the answer (vs. falling back, and why), how many candidates
+    /// survived pruning, and how many nodes were never scored.
+    pub fn record_topk_pruned(&self, stats: &TopKPruneStats) {
         self.topk_pruned_queries.fetch_add(1, Ordering::Relaxed);
-        if certified {
+        if stats.certified {
             self.topk_certified.fetch_add(1, Ordering::Relaxed);
         } else {
             self.topk_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        self.topk_candidates.fetch_add(candidates, Ordering::Relaxed);
-        self.topk_nodes_pruned.fetch_add(nodes_pruned, Ordering::Relaxed);
+        let reason =
+            stats.fallback.and_then(|r| TopKFallbackReason::ALL.iter().position(|&a| a == r));
+        if let Some(slot) = reason.and_then(|i| self.topk_fallback_reasons.get(i)) {
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
+        self.topk_candidates.fetch_add(stats.candidates as u64, Ordering::Relaxed);
+        self.topk_nodes_pruned.fetch_add(stats.nodes_pruned as u64, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of all counters.
@@ -204,6 +214,9 @@ impl Metrics {
             topk_pruned_queries: self.topk_pruned_queries.load(Ordering::Relaxed),
             topk_certified: self.topk_certified.load(Ordering::Relaxed),
             topk_fallbacks: self.topk_fallbacks.load(Ordering::Relaxed),
+            topk_fallback_reasons: std::array::from_fn(|i| {
+                self.topk_fallback_reasons[i].load(Ordering::Relaxed)
+            }),
             topk_candidates: self.topk_candidates.load(Ordering::Relaxed),
             topk_nodes_pruned: self.topk_nodes_pruned.load(Ordering::Relaxed),
             pager_hits: 0,
@@ -287,6 +300,10 @@ pub struct MetricsSnapshot {
     pub topk_certified: u64,
     /// Pruned top-k queries that fell back to the full solve.
     pub topk_fallbacks: u64,
+    /// `topk_fallbacks` by reason, in the order of
+    /// [`TopKFallbackReason::ALL`]; exported as
+    /// `bear_topk_fallbacks_by_reason_total{reason="…"}`.
+    pub topk_fallback_reasons: [u64; TopKFallbackReason::ALL.len()],
     /// Candidates surviving pruning, summed over pruned top-k queries.
     pub topk_candidates: u64,
     /// Nodes never scored thanks to pruning, summed over pruned queries.

@@ -491,11 +491,7 @@ impl Scratch {
                 .map(|&seed| {
                     let (nodes, stats) =
                         bear.query_top_k_pruned_in(seed, k, &TopKPruneOptions::default(), ws)?;
-                    metrics.record_topk_pruned(
-                        stats.certified,
-                        stats.candidates as u64,
-                        stats.nodes_pruned as u64,
-                    );
+                    metrics.record_topk_pruned(&stats);
                     Ok(Payload::Ranked(Arc::new(nodes)))
                 })
                 .collect();

@@ -812,7 +812,7 @@ impl SpokeFactors {
     /// Stored nonzeros of unit `u`'s two factors (the directory's
     /// `l1_nnz + u1_nnz` when paged): the work one right-hand side does
     /// in it.
-    fn unit_nnz(&self, u: usize) -> u64 {
+    pub(crate) fn unit_nnz(&self, u: usize) -> u64 {
         match self {
             SpokeFactors::Resident { units, .. } => {
                 units.get(u).map_or(0, |p| (p.l1.nnz() + p.u1.nnz()) as u64)

@@ -6,9 +6,15 @@
 //! ```text
 //!            accept thread                 connection workers
 //!  TcpListener ──────────▶ JobQueue<TcpStream> ──────────▶ handle_connection
-//!  (nonblocking poll)      (bounded backlog;               (parse → route →
-//!                           overflow ⇒ 503 + close)         QueryEngine → write)
+//!  (blocking accept;       (bounded backlog;               (parse → route →
+//!   woken by shutdown)      overflow ⇒ 503 + close)         QueryEngine → write)
 //! ```
+//!
+//! The accept thread blocks in `accept`, so a connection is taken the
+//! moment it arrives and an idle server's accept thread never runs.
+//! Shutdown wakes it by connecting to the listener's own address
+//! (loopback when bound to `0.0.0.0` or `[::]`); the thread sees the
+//! shutdown flag after that accept and drops the stream unserved.
 //!
 //! The connection queue reuses [`bear_core::engine::queue::JobQueue`] —
 //! the same bounded two-condvar queue the query engine itself runs on —
@@ -35,11 +41,11 @@ use crate::float::push_f64;
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::{Registry, Tenant};
 use bear_core::engine::queue::JobQueue;
-use bear_core::{Bear, DegradedInfo, EngineConfig, QueryEngine, QueryOptions};
+use bear_core::{Bear, DegradedInfo, EngineConfig, QueryEngine, QueryOptions, TopKFallbackReason};
 use bear_sparse::{Error, Result};
 use std::fmt::Write as _;
 use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -220,7 +226,12 @@ impl ServerHandle {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         self.conns.close();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // A wake that cannot connect leaves the thread blocked in
+            // `accept`: detach it rather than hang, as stragglers are
+            // detached below.
+            if wake_accept(self.addr) {
+                let _ = t.join();
+            }
         }
         let total = self.workers.len() as u64;
         let deadline = std::time::Instant::now() + grace;
@@ -276,9 +287,6 @@ impl Server {
         config.validate()?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| Error::InvalidStructure(format!("bind {}: {e}", config.addr)))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::InvalidStructure(format!("set_nonblocking: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::InvalidStructure(format!("local_addr: {e}")))?;
@@ -324,28 +332,71 @@ impl Server {
     }
 }
 
-/// Polls the nonblocking listener so shutdown is observed within one
-/// tick even when no connection ever arrives.
+/// Blocks in `accept` until a connection arrives, and checks for
+/// shutdown after every accept: [`ServerHandle::shutdown`] sets the flag
+/// and then connects to wake this thread, so the stream accepted then
+/// (the wake, or a client racing the shutdown) is dropped unserved.
 fn accept_loop(listener: &TcpListener, conns: &JobQueue<TcpStream>, ctx: &ServerCtx) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if conns.push(stream).is_ok() {
                     ctx.metrics.accepted_connections.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    // Either backlog overflow (QueueFull) or shutdown
-                    // racing the accept; the pushed stream was dropped
-                    // (= connection reset), which is the correct signal
-                    // for a client to back off and retry.
+                    // Backlog overflow (QueueFull): the pushed stream was
+                    // dropped (= connection reset), which is the correct
+                    // signal for a client to back off and retry.
                     ctx.metrics.rejected_connections.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) if retry_accept_at_once(e.kind()) => {}
+            // Descriptor or memory exhaustion: accepting again at once
+            // would fail again at once.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
+}
+
+/// How long the accept thread waits after an accept error that another
+/// accept would only repeat.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Accept errors that concern only the connection being accepted (the
+/// peer reset or gave up before it was taken, or its network went
+/// away), or a signal: the next queued connection can be accepted at
+/// once, so waiting would stall every connection behind this one.
+fn retry_accept_at_once(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind;
+    matches!(
+        kind,
+        ErrorKind::ConnectionAborted
+            | ErrorKind::ConnectionReset
+            | ErrorKind::Interrupted
+            | ErrorKind::NetworkDown
+            | ErrorKind::NetworkUnreachable
+            | ErrorKind::HostUnreachable
+    )
+}
+
+/// How long [`wake_accept`] waits for its connection.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Wakes the accept thread blocked on the listener bound at `addr` by
+/// connecting to it: to the same address, or to the loopback address of
+/// its family when it is bound to every interface (`0.0.0.0`, `[::]`).
+/// `false` when the connection failed, so the thread may still be
+/// blocked.
+fn wake_accept(addr: SocketAddr) -> bool {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT).is_ok()
 }
 
 /// Serves one connection until the peer closes, a request asks for
@@ -894,6 +945,13 @@ fn handle_metrics(ctx: &ServerCtx) -> Response {
             let _ = writeln!(out, "{metric}{label} {v}");
         }
         let _ = writeln!(out, "bear_topk_prune_ratio{label} {}", s.topk_prune_ratio());
+        for (reason, v) in TopKFallbackReason::ALL.iter().zip(s.topk_fallback_reasons) {
+            let _ = writeln!(
+                out,
+                "bear_topk_fallbacks_by_reason_total{{graph={},reason=\"{reason}\"}} {v}",
+                json_string(&name)
+            );
+        }
         for (metric, d) in [
             ("bear_latency_p50_seconds", s.p50),
             ("bear_latency_p99_seconds", s.p99),
@@ -915,6 +973,19 @@ mod tests {
         let mut body = Vec::new();
         push_f64(&mut body, v);
         String::from_utf8(body).unwrap()
+    }
+
+    #[test]
+    fn only_per_connection_accept_errors_retry_at_once() {
+        use std::io::ErrorKind;
+        for kind in
+            [ErrorKind::ConnectionAborted, ErrorKind::ConnectionReset, ErrorKind::Interrupted]
+        {
+            assert!(retry_accept_at_once(kind), "{kind:?}");
+        }
+        for kind in [ErrorKind::OutOfMemory, ErrorKind::Other, ErrorKind::PermissionDenied] {
+            assert!(!retry_accept_at_once(kind), "{kind:?}");
+        }
     }
 
     #[test]

@@ -615,3 +615,60 @@ fn ambiguous_framing_is_refused_and_the_connection_closed() {
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// Every uncertified pruned top-k query is counted on `/metrics` under
+/// its typed reason, next to the pruned, certified and fallback totals,
+/// whose meaning is unchanged: a query answered by one back sweep is
+/// pruned and uncertified. The in-memory index takes the same decisions
+/// as the served one, so it predicts every counter.
+#[test]
+fn topk_fallbacks_are_counted_by_reason() {
+    use bear_core::{TopKFallbackReason, TopKPruneOptions};
+    use bear_graph::generators::{rmat, RmatConfig};
+    use rand::SeedableRng;
+    const K: usize = 10;
+    // SlashBurn cuts R-MAT into mostly singleton spoke blocks, the shape
+    // on which an uncertified query takes one back sweep.
+    let graph =
+        rmat(&RmatConfig::paper(9, 8 << 9, 0.7), &mut rand::rngs::StdRng::seed_from_u64(42));
+    let (server, reference, path) = serve_graph(&graph, "topk_reasons");
+    let addr = server.addr();
+    let n = reference.num_nodes();
+    let mut certified = 0;
+    let mut by_reason = [0u64; TopKFallbackReason::ALL.len()];
+    for seed in 0..n {
+        let (_, stats) =
+            reference.query_top_k_pruned_with(seed, K, &TopKPruneOptions::default()).unwrap();
+        match stats.fallback {
+            None => certified += 1,
+            Some(reason) => {
+                let i = TopKFallbackReason::ALL.iter().position(|&r| r == reason).unwrap();
+                by_reason[i] += 1;
+            }
+        }
+        let resp = client::get(addr, &format!("/v1/topk?graph=g&seed={seed}&k={K}"), &[]).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+    }
+    let swept = TopKFallbackReason::ALL.iter().position(|&r| r == TopKFallbackReason::SweepCheaper);
+    assert!(by_reason[swept.unwrap()] > 0, "no seed took the sweep: {by_reason:?}");
+    assert!(certified > 0, "no seed certified");
+
+    let metrics = client::get(addr, "/metrics", &[]).unwrap().body_str();
+    for (reason, count) in TopKFallbackReason::ALL.iter().zip(by_reason) {
+        let line = format!(
+            "bear_topk_fallbacks_by_reason_total{{graph=\"g\",reason=\"{reason}\"}} {count}"
+        );
+        assert!(metrics.lines().any(|l| l == line), "missing `{line}` in\n{metrics}");
+    }
+    let fallbacks: u64 = by_reason.iter().sum();
+    for line in [
+        format!("bear_topk_pruned_queries_total{{graph=\"g\"}} {n}"),
+        format!("bear_topk_certified_total{{graph=\"g\"}} {certified}"),
+        format!("bear_topk_fallbacks_total{{graph=\"g\"}} {fallbacks}"),
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "missing `{line}` in\n{metrics}");
+    }
+
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}

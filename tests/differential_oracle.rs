@@ -272,6 +272,66 @@ fn pruned_top_k_fallback_is_typed_and_exact() {
     }
 }
 
+/// The pruned path's two ways to finish, on the graph perfbench's
+/// `topk_rmat_oneshot` serves: SlashBurn cuts `rmat_0.7` into thousands
+/// of mostly singleton blocks, so a seed whose live blocks would cost
+/// more to resolve one by one than one back sweep takes the sweep
+/// (`SweepCheaper`), and the rest resolve blocks off the queue and
+/// certify. Both must rank bit-identically to the full solve, at every
+/// k asked for, and both must occur.
+#[test]
+fn pruned_top_k_on_rmat_is_bit_identical_on_the_sweep_and_the_loop() {
+    use bear_core::{TopKFallbackReason, TopKPruneOptions};
+    let g = bear_datasets::dataset_by_name("rmat_0.7").expect("rmat_0.7").load();
+    let bear = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+    let n = bear.num_nodes();
+    let seeds: Vec<usize> = (0..48).map(|i| (i * 2654435761) % n).collect();
+    let mut ws = QueryWorkspace::for_bear(&bear);
+    let mut full = vec![0.0; n];
+    let opts = TopKPruneOptions::default();
+    for k in [1usize, 10, 100] {
+        let (mut swept, mut certified) = (0, 0);
+        for &seed in &seeds {
+            bear.query_into(seed, &mut ws, &mut full).unwrap();
+            let want = bear_core::topk::top_k_excluding_seed(&full, seed, k);
+            let (got, stats) = bear.query_top_k_pruned_in(seed, k, &opts, &mut ws).unwrap();
+            match stats.fallback {
+                None => certified += 1,
+                Some(TopKFallbackReason::SweepCheaper) => swept += 1,
+                Some(other) => panic!("seed={seed} k={k}: unexpected fallback {other}"),
+            }
+            assert_eq!(got.len(), want.len(), "seed={seed} k={k}");
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(a.node, b.node, "seed={seed} k={k}: rank {i} node differs");
+                assert_eq!(
+                    a.score.to_bits(),
+                    b.score.to_bits(),
+                    "seed={seed} k={k}: rank {i} score bits differ"
+                );
+            }
+        }
+        assert!(swept > 0 && certified > 0, "k={k}: {swept} swept, {certified} certified");
+    }
+}
+
+/// Every sampled `email_like` seed certifies at k = 10, the shape
+/// perfbench's `topk_keepalive` serves and requires to certify: its
+/// spoke blocks are small enough that the few that can reach the top
+/// k always price below one back sweep.
+#[test]
+fn pruned_top_k_certifies_sampled_email_like_seeds() {
+    use bear_core::TopKPruneOptions;
+    let g = bear_datasets::dataset_by_name("email_like").expect("email_like").load();
+    let bear = Bear::new(&g, &BearConfig::exact(0.05)).unwrap();
+    let n = bear.num_nodes();
+    let mut ws = QueryWorkspace::for_bear(&bear);
+    let opts = TopKPruneOptions::default();
+    for seed in (0..n).step_by(61) {
+        let (_, stats) = bear.query_top_k_pruned_in(seed, 10, &opts, &mut ws).unwrap();
+        assert!(stats.certified, "seed {seed}: {:?}", stats.fallback);
+    }
+}
+
 /// Graphs whose SlashBurn partition is degenerate, by name: one without
 /// edges, one with duplicate edges and self-loops, a disconnected one,
 /// and one whose spokes form a single block (a path hanging off a
